@@ -1,12 +1,14 @@
 """Miner block filling: selfish prefix selection and the matching recommendation.
 
 A selfish miner ranks pending transactions by fee (ties shuffled with the
-round's seed, zero-fee transactions rejected) and scans prefix sizes
-i = 0..min(A, pending buyers, pending sellers), keeping the feasible prefix
-with the largest fee total.  A protocol-following miner instead adopts the
-welfare-greedy matching recommendation.  One winner per round is drawn with
-the miners' power weights; its selection is appended to the chain and
-removed from the pending pool.
+round's seed, zero-fee transactions rejected) and keeps, among prefix sizes
+i = 1..min(A, pending buyers, pending sellers), the feasible prefix with the
+largest fee total.  Feasibility of every prefix comes from one all-prefix
+Hall check: O(A^2) element operations in A / ``_HALL_ROWS`` vectorized numpy
+blocks, in O(_HALL_ROWS * A) memory.  A protocol-following miner instead
+adopts the welfare-greedy matching recommendation.  One winner per round is
+drawn with the miners' power weights; its selection is appended to the chain
+and removed from the pending pool.
 """
 
 from __future__ import annotations
@@ -95,6 +97,9 @@ class Selection:
 
 _EMPTY = Selection(buyer_ids=(), seller_ids=(), pairing=(), total_fee=0.0)
 
+# Prefixes per block of the all-prefix Hall check; bounds its working memory.
+_HALL_ROWS = 64
+
 
 def uniform_feasible_pairing(
     buyer_ids: np.ndarray,
@@ -113,15 +118,15 @@ def uniform_feasible_pairing(
     """
     order_b = np.argsort(utilities, kind="stable")
     r_sorted = utilities[order_b]
-    b_sorted = buyer_ids[order_b]
+    b_sorted = buyer_ids[order_b].tolist()
     order_s = np.argsort(-costs, kind="stable")
+    # Buyers at sorted position >= lo are compatible with the seller.
+    lows = np.searchsorted(r_sorted, costs[order_s], side="left").tolist()
 
     pairs: list[tuple[int, int]] = []
     active: list[int] = []  # positions into b_sorted, compatible and unused
-    next_in = len(r_sorted)  # buyers with index >= next_in already activated
-    for pos in order_s:
-        cost = costs[pos]
-        lo = int(np.searchsorted(r_sorted, cost, side="left"))
+    next_in = len(b_sorted)  # buyers with index >= next_in already activated
+    for lo, seller in zip(lows, seller_ids[order_s].tolist()):
         while next_in > lo:
             next_in -= 1
             active.append(next_in)
@@ -130,7 +135,7 @@ def uniform_feasible_pairing(
         pick = int(rng.integers(len(active)))
         active[pick], active[-1] = active[-1], active[pick]
         chosen = active.pop()
-        pairs.append((int(b_sorted[chosen]), int(seller_ids[pos])))
+        pairs.append((b_sorted[chosen], seller))
     return tuple(pairs)
 
 
@@ -145,6 +150,38 @@ def _fee_ranked(
     return keep[order]
 
 
+def _feasible_prefixes(utilities: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Feasibility of every prefix of the ranked buyers and sellers at once.
+
+    Entry i - 1 is True iff the first i buyers and the first i sellers admit
+    a perfect matching with R >= C on every pair.
+
+    Hall's condition for the threshold graph: a prefix is feasible iff at
+    every threshold x it holds no more buyers with R < x than sellers with
+    C < x, and the sorted costs are enough thresholds.  The slack
+    #{C < x} - #{R < x} of each (prefix, threshold) pair is a cumulative sum
+    over the prefixes; it is built ``_HALL_ROWS`` prefixes at a time, each
+    block starting from the last slack row of the one before.
+    """
+    n = len(costs)
+    thresholds = np.sort(costs)
+    cols = np.arange(n)
+    # A participant counts at every threshold from this position on.
+    pos_b = np.searchsorted(thresholds, utilities, side="right")
+    pos_s = np.searchsorted(thresholds, costs, side="right")
+    feasible = np.empty(n, dtype=bool)
+    carry = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, _HALL_ROWS):
+        block = slice(start, start + _HALL_ROWS)
+        slack = (pos_s[block, None] <= cols).astype(np.int64)
+        slack -= pos_b[block, None] <= cols
+        np.cumsum(slack, axis=0, out=slack)
+        slack += carry
+        feasible[block] = slack.min(axis=1) >= 0
+        carry = slack[-1]
+    return feasible
+
+
 def selfish_select(
     pool: PendingPool,
     instance: MarketInstance,
@@ -152,11 +189,14 @@ def selfish_select(
 ) -> Selection:
     """Fee-maximizing feasible prefix selection for one block.
 
-    Scans i = 0..min(A, pending buyers, pending sellers) over the fee-ranked
-    transactions and returns the feasible prefix with the highest fee total;
-    equal totals are broken uniformly at random.  The pairing inside the
-    selection is drawn uniformly among all feasible pairings (the fee total
-    does not depend on it).
+    Checks every prefix i = 1..min(A, pending buyers, pending sellers) of the
+    fee-ranked transactions at once with the all-prefix Hall check (O(A^2)
+    element operations in A / _HALL_ROWS numpy blocks, O(_HALL_ROWS * A)
+    memory) and returns the feasible prefix with the highest fee total.
+    Totals within a relative 1e-12 of it are tied, and ties are broken
+    uniformly at random.  The pairing inside the selection is drawn
+    uniformly among all feasible pairings (the fee total does not depend on
+    it).
     """
     rng = np.random.default_rng(rng)
     if pool.is_empty:
@@ -177,23 +217,14 @@ def selfish_select(
     sell_fees = np.array([pool.sell_fees[p] for p in s_pos[:limit]])
     fee_totals = np.cumsum(buy_fees) + np.cumsum(sell_fees)
 
-    # Incremental sorted inserts keep the prefix feasibility check O(i) per step.
-    r_sorted = np.empty(0)
-    c_sorted = np.empty(0)
-    feasible_sizes: list[int] = []
-    feasible_totals: list[float] = []
-    for i in range(1, limit + 1):
-        r_sorted = np.insert(r_sorted, np.searchsorted(r_sorted, utilities[i - 1]), utilities[i - 1])
-        c_sorted = np.insert(c_sorted, np.searchsorted(c_sorted, costs[i - 1]), costs[i - 1])
-        if np.all(r_sorted >= c_sorted):
-            feasible_sizes.append(i)
-            feasible_totals.append(float(fee_totals[i - 1]))
-    if not feasible_sizes:
+    feasible_sizes = np.flatnonzero(_feasible_prefixes(utilities, costs)) + 1
+    if feasible_sizes.size == 0:
         return _EMPTY
 
-    best = max(feasible_totals)
-    tied = [sz for sz, tot in zip(feasible_sizes, feasible_totals) if tot >= best - 1e-12 * max(1.0, abs(best))]
-    size = tied[int(choice_rng.integers(len(tied)))] if len(tied) > 1 else tied[0]
+    feasible_totals = fee_totals[feasible_sizes - 1]
+    best = float(feasible_totals.max())
+    tied = feasible_sizes[feasible_totals >= best - 1e-12 * max(1.0, abs(best))]
+    size = int(tied[choice_rng.integers(len(tied))] if len(tied) > 1 else tied[0])
 
     buyer_ids = np.array([pool.buyer_ids[p] for p in b_pos[:size]])
     seller_ids = np.array([pool.seller_ids[p] for p in s_pos[:size]])
@@ -265,10 +296,10 @@ def run_round(
 ) -> tuple[RoundRecord | None, PendingPool]:
     """Play one mining round: per-policy selections, a power-weighted winner draw.
 
-    All selfish miners compute identical selections (the scan does not depend
-    on miner identity), so each policy's selection is computed once.  Returns
-    ``(None, pool)`` when no miner can include anything, leaving the pool
-    untouched.
+    All selfish miners compute identical selections (the selection does not
+    depend on miner identity), so each policy's selection is computed once.
+    Returns ``(None, pool)`` when no miner can include anything, leaving the
+    pool untouched.
     """
     rng = np.random.default_rng(rng)
     select_rng, winner_rng = rng.spawn(2)
@@ -283,9 +314,14 @@ def run_round(
     if all(sel.is_empty for sel in selections.values()):
         return None, pool
 
-    powers = np.array([m.power for m in instance.miners])
-    winner_idx = int(winner_rng.choice(len(instance.miners), p=powers))
-    winner = instance.miners[winner_idx]
+    if len(instance.miners) == 1:
+        winner = instance.miners[0]
+    else:
+        # The arithmetic of winner_rng.choice(n, p=powers), without its checks:
+        # MarketInstance already validated the powers.
+        cdf = np.cumsum([m.power for m in instance.miners])
+        cdf /= cdf[-1]
+        winner = instance.miners[int(np.searchsorted(cdf, winner_rng.random(), side="right"))]
     sel = selections[winner.policy]
 
     record = RoundRecord(

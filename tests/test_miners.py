@@ -8,13 +8,17 @@ import pytest
 
 from chainbook.market import (
     FeeProfile,
+    Miner,
     MinerPolicy,
     build_instance,
     miners_with_protocol_share,
     rank_feasible,
 )
 from chainbook.miners import (
+    _HALL_ROWS,
     PendingPool,
+    Selection,
+    _feasible_prefixes,
     recommend_matching,
     run_horizon,
     run_round,
@@ -106,6 +110,80 @@ def test_nonprefix_subset_can_beat_every_feasible_prefix():
     assert brute_force_best_fee(inst, pool) == pytest.approx(10.0)
 
 
+def test_feasible_prefixes_match_rank_feasible_on_every_prefix():
+    # Values on a coarse grid, so utilities, costs and thresholds tie often.
+    rng = np.random.default_rng(17)
+    sizes = [int(n) for n in rng.integers(1, 12, size=300)] + [2 * _HALL_ROWS + 7, 3 * _HALL_ROWS]
+    for n in sizes:
+        u = rng.integers(0, 8, n) / 8.0
+        c = rng.integers(0, 8, n) / 8.0
+        got = _feasible_prefixes(u, c)
+        want = [rank_feasible(np.sort(u[:i]), np.sort(c[:i])) for i in range(1, n + 1)]
+        assert got.tolist() == want
+
+
+def _reference_select(pool, instance, seed):
+    """selfish_select with each prefix sorted and checked on its own.
+
+    Returns the selection and the number of tied prefix sizes drawn from.
+    """
+    tie_rng, choice_rng, pair_rng = np.random.default_rng(seed).spawn(3)
+
+    def ranked(fees):
+        fees = np.asarray(fees)
+        keep = np.flatnonzero(fees > 0.0)
+        return keep[np.lexsort((tie_rng.random(len(keep)), -fees[keep]))]
+
+    b_pos, s_pos = ranked(pool.buy_fees), ranked(pool.sell_fees)
+    limit = min(instance.block_size, len(b_pos), len(s_pos))
+    utilities = np.array([instance.buyers[pool.buyer_ids[p]].utility for p in b_pos[:limit]])
+    costs = np.array([instance.sellers[pool.seller_ids[p]].cost for p in s_pos[:limit]])
+    fee_totals = np.cumsum([pool.buy_fees[p] for p in b_pos[:limit]]) + np.cumsum(
+        [pool.sell_fees[p] for p in s_pos[:limit]]
+    )
+    feasible = [
+        i for i in range(1, limit + 1) if np.all(np.sort(utilities[:i]) >= np.sort(costs[:i]))
+    ]
+    if not feasible:
+        return Selection(buyer_ids=(), seller_ids=(), pairing=(), total_fee=0.0), 0
+    best = max(float(fee_totals[i - 1]) for i in feasible)
+    tied = [i for i in feasible if fee_totals[i - 1] >= best - 1e-12 * max(1.0, abs(best))]
+    size = tied[int(choice_rng.integers(len(tied)))] if len(tied) > 1 else tied[0]
+    buyer_ids = np.array([pool.buyer_ids[p] for p in b_pos[:size]])
+    seller_ids = np.array([pool.seller_ids[p] for p in s_pos[:size]])
+    selection = Selection(
+        buyer_ids=tuple(int(b) for b in buyer_ids),
+        seller_ids=tuple(int(s) for s in seller_ids),
+        pairing=uniform_feasible_pairing(
+            buyer_ids, utilities[:size], seller_ids, costs[:size], pair_rng
+        ),
+        total_fee=float(fee_totals[size - 1]),
+    )
+    return selection, len(tied)
+
+
+def test_selfish_select_matches_sorted_prefix_reference():
+    # Zero fees, fees below the 1e-12 tie tolerance and exact ties, so the
+    # tie rule and its choice_rng draw are exercised.
+    fee_grid = np.array([0.0, 1e-13, 4e-13, 0.25, 0.5, 1.0])
+    rng = np.random.default_rng(23)
+    tie_draws = Counter()
+    for seed in range(1500):
+        k, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        inst = build_instance(
+            rng.integers(0, 6, k) / 5.0,
+            rng.integers(0, 6, n) / 5.0,
+            block_size=int(rng.integers(1, 9)),
+        )
+        grid = fee_grid[:3] if seed % 4 == 0 else fee_grid
+        pool = _pool(inst, rng.choice(grid, k), rng.choice(grid, n))
+        want, num_tied = _reference_select(pool, inst, seed)
+        assert selfish_select(pool, inst, seed) == want
+        tie_draws[want.total_fee < 1e-11] += num_tied > 1
+    # Ties below the tolerance both among tiny totals and on top of large ones.
+    assert tie_draws[True] > 0 and tie_draws[False] > 0
+
+
 def test_selection_tie_break_is_seeded():
     inst = build_instance([0.9, 0.8], [0.1], block_size=1)
     pool = _pool(inst, [5.0, 5.0], [4.0])
@@ -151,6 +229,24 @@ def test_uniform_pairing_frequencies_match_enumeration():
     expected = trials / 6
     for count in counts.values():
         assert abs(count - expected) < 5 * np.sqrt(expected)
+
+
+def test_uniform_pairing_stream_is_pinned():
+    # Golden pairings for two seeds: the pairing stream (one integer draw per
+    # seller) must not change, or seeded reports would change with it.
+    buyer_ids = np.array([10, 11, 12, 13, 14, 15, 16, 17])
+    utils = np.array([0.95, 0.40, 0.70, 0.40, 0.85, 0.55, 0.30, 0.90])
+    seller_ids = np.array([20, 21, 22, 23, 24, 25, 26, 27])
+    costs = np.array([0.10, 0.35, 0.50, 0.25, 0.30, 0.60, 0.20, 0.35])
+    golden = {
+        3: ((12, 25), (10, 22), (15, 21), (11, 27), (13, 24), (14, 23), (17, 26), (16, 20)),
+        11: ((10, 25), (12, 22), (13, 21), (17, 27), (14, 24), (11, 23), (16, 26), (15, 20)),
+    }
+    for seed, pairing in golden.items():
+        rng = np.random.default_rng(seed)
+        got = uniform_feasible_pairing(buyer_ids, utils, seller_ids, costs, rng)
+        assert got == pairing
+        assert all(type(b) is int and type(s) is int for b, s in got)
 
 
 def test_uniform_pairing_respects_forced_structure():
@@ -205,8 +301,6 @@ def test_run_round_single_miner_deterministic():
 
 
 def test_run_round_identical_selfish_miners_agree():
-    from chainbook.market import Miner
-
     miners = (Miner(0, 0.5), Miner(1, 0.5))
     inst = build_instance([0.9, 0.8], [0.1, 0.2], block_size=2, miners=miners)
     for seed in range(20):
@@ -226,6 +320,17 @@ def test_run_round_winner_frequency():
         record, _ = run_round(pool, inst, seed)
         wins += record.winner_id in protocol_ids
     assert abs(wins / draws - 0.2) < 0.02
+
+
+def test_run_round_winner_matches_generator_choice():
+    powers = [0.1, 0.25, 0.0, 0.45, 0.2]
+    miners = tuple(Miner(i, p) for i, p in enumerate(powers))
+    inst = build_instance([0.9, 0.8], [0.1, 0.2], block_size=2, miners=miners)
+    pool = _pool(inst, [5, 3], [4, 1])
+    for seed in range(200):
+        record, _ = run_round(pool, inst, seed)
+        _, winner_rng = np.random.default_rng(seed).spawn(2)
+        assert record.winner_id == int(winner_rng.choice(len(powers), p=powers))
 
 
 def test_run_round_policy_decides_outcome():
