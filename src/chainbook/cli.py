@@ -16,22 +16,22 @@ Global flags (valid on every subcommand): --seed, --config, --out, --format,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import equilibrium as eq
 from . import experiments as xp
 from .datasets import ingest_csv
-from .market import build_instance
 from .mechanism import (
     capped_search_report,
     optimal_block_size_complete,
     optimal_block_size_distributional,
+    sample_instance,
 )
 from .reporting import emit_report
-from .welfare import performance_ratio, unbounded_poa_witness
+from .welfare import performance_ratio, unbounded_poa_witness, welfare_quotient
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -97,22 +97,9 @@ def _load(args) -> xp.HarnessConfig:
 
 
 def _sample_market(config: xp.HarnessConfig, block_size: int | None, seed: int):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-    k, n = config.num_buyers, config.num_sellers
-    r = config.distributions["R"].sample(rng, k)
-    c = config.distributions["C"].sample(rng, n)
-    b = config.distributions["B"].sample(rng, k)
-    q = config.distributions["Q"].sample(rng, n)
-    a = block_size or optimal_block_size_distributional(config.mechanism_config(k, n))
-    return build_instance(
-        utilities=r,
-        costs=c,
-        buy_quantities=b,
-        sell_quantities=q,
-        block_size=a,
-        delay_cost=config.delay_cost,
-        fee_unit=config.fee_unit,
-    )
+    mc = config.mechanism_config(config.num_buyers, config.num_sellers)
+    a = block_size or optimal_block_size_distributional(mc)  # draws nothing
+    return sample_instance(mc, a, np.random.default_rng(np.random.SeedSequence([seed, 7])))
 
 
 def _write(args, rows: list[dict], config: xp.HarnessConfig | None) -> None:
@@ -197,7 +184,7 @@ def _cmd_simulate(args) -> None:
             "sw_mean": report.sw,
             "sw_stderr": report.sw_stderr,
             "sw_opt": report.sw_opt,
-            "ratio": report.sw / report.sw_opt if report.sw_opt else 1.0,
+            "ratio": welfare_quotient(report.sw, report.sw_opt),
         }
     ]
     _write(args, rows, config)
@@ -280,14 +267,12 @@ def _cmd_poa(args) -> None:
 
 def _cmd_experiment(args) -> None:
     config = _load(args)
+    if args.non_selfish is not None:
+        config = replace(config, non_selfish_fraction=args.non_selfish)
     spec = xp.ExperimentSpec(
         scenario=xp.Scenario(args.scenario),
-        non_selfish_fraction=(
-            args.non_selfish if args.non_selfish is not None else config.non_selfish_fraction
-        ),
         replications=args.replications,
         seed=args.seed,
-        output_path=args.out,
         seller_grid=tuple(int(n) for n in args.sellers.split(",")),
         threads=args.threads,
     )

@@ -1,19 +1,22 @@
 """Experiment orchestration: mechanism comparisons, random counts, capped sizes.
 
-Scenarios sample populations from configured value distributions, pick block
-sizes per mechanism, simulate equilibrium play over the horizon, and report
-welfare against the exact optimum.  Every replication's random stream is
-keyed by (seed, scenario coordinates, replication), so results are
-byte-identical across runs and across worker counts; paired comparisons
-between mechanisms share the same population draws.
+Scenarios sample populations from configured value distributions with
+:func:`chainbook.mechanism.sample_instance`, pick block sizes per mechanism,
+simulate equilibrium play over the horizon, and report welfare against the
+exact optimum.  Every replication's random stream is keyed by (seed, scenario
+coordinates, replication), so results are byte-identical across runs and
+across worker counts.  A population is drawn and built once per replication;
+the variants a paired comparison needs (block size, miner set) are derived
+from that one instance, and its optimum is computed once.  Every scenario
+summarizes its samples with :func:`chainbook.welfare.mean_stderr` and
+:func:`chainbook.welfare.welfare_quotient`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -21,15 +24,16 @@ import numpy as np
 from . import distributions as dist
 from .distributions import ValueDistribution
 from .equilibrium import equilibrium_profile
-from .market import MarketInstance, Miner, build_instance, miners_with_protocol_share
+from .market import MarketInstance, miners_with_protocol_share
 from .mechanism import (
     MechanismConfig,
     capped_search_report,
     optimal_block_size_complete,
     optimal_block_size_distributional,
+    sample_instance,
 )
 from .miners import run_horizon
-from .welfare import social_optimum, social_welfare
+from .welfare import mean_stderr, social_optimum, social_welfare, welfare_quotient
 
 __all__ = [
     "Scenario",
@@ -84,6 +88,10 @@ class HarnessConfig:
     non_selfish_fraction: float = 0.0
     quantize_fees: bool = False
     distributions: dict[str, ValueDistribution] = field(default_factory=_default_distributions)
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.non_selfish_fraction <= 1.0:
+            raise ValueError("non_selfish_fraction must lie in [0, 1]")
 
     def mechanism_config(self, num_buyers: int, num_sellers: int) -> MechanismConfig:
         return MechanismConfig(
@@ -147,20 +155,15 @@ def load_config(path: str) -> HarnessConfig:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """What to run: scenario, mechanism, miner mix, replication budget, outputs."""
+    """What to run: scenario, replication budget, seller grid, worker count."""
 
     scenario: Scenario
-    mechanism: MechanismKind = MechanismKind.ABS_DISTRIBUTIONAL
-    non_selfish_fraction: float = 0.0
     replications: int = 200
     seed: int = 0
-    output_path: str | None = None
     seller_grid: tuple[int, ...] = (50, 100, 200, 400)
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.non_selfish_fraction <= 1.0:
-            raise ValueError("non_selfish_fraction must lie in [0, 1]")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
@@ -174,45 +177,15 @@ def benchmark_block_size(num_buyers: int, num_sellers: int) -> int:
     return m + (m % 2)
 
 
-def _population(
-    config: HarnessConfig, num_buyers: int, num_sellers: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        config.distributions["R"].sample(rng, num_buyers),
-        config.distributions["C"].sample(rng, num_sellers),
-        config.distributions["B"].sample(rng, num_buyers),
-        config.distributions["Q"].sample(rng, num_sellers),
-    )
-
-
-def _instance_for(
-    config: HarnessConfig,
-    population: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    block_size: int,
-    miners: tuple[Miner, ...] | None,
-) -> MarketInstance:
-    r, c, b, q = population
-    return build_instance(
-        utilities=r,
-        costs=c,
-        buy_quantities=b,
-        sell_quantities=q,
-        block_size=block_size,
-        miners=miners,
-        delay_cost=config.delay_cost,
-        fee_unit=config.fee_unit,
-    )
-
-
 def simulate_once(
     config: HarnessConfig, instance: MarketInstance, rng: np.random.Generator
-) -> tuple[float, float]:
-    """(realized welfare, optimum) for one equilibrium play-through."""
+) -> float:
+    """Realized welfare of one equilibrium play-through."""
     profile = equilibrium_profile(instance, rng)
     if config.quantize_fees:
         profile = profile.quantized(config.fee_unit)
     trace = run_horizon(instance, profile, rng)
-    return social_welfare(instance, trace, profile).sw, social_optimum(instance)
+    return social_welfare(instance, trace, profile).sw
 
 
 @dataclass(frozen=True)
@@ -235,33 +208,26 @@ def _comparison_replication(args) -> tuple[int, dict[str, float], float, dict[st
     config = _config_from_jsonable(config_raw)
     num_buyers = max(1, round(config.rho * n_sellers))
     draw_rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 0]))
-    population = _population(config, num_buyers, n_sellers, draw_rng)
-
-    a_bench = benchmark_block_size(num_buyers, n_sellers)
-    complete_inst = _instance_for(config, population, 1, None)
-    a_complete = optimal_block_size_complete(complete_inst)
+    base = sample_instance(config.mechanism_config(num_buyers, n_sellers), 1, draw_rng)
 
     sizes = {
         "abs_distributional": a_dist,
         "abs_non_selfish": a_dist,
-        "benchmark_max_block": a_bench,
-        "abs_complete": a_complete,
+        "benchmark_max_block": benchmark_block_size(num_buyers, n_sellers),
+        "abs_complete": optimal_block_size_complete(base),
     }
     sw: dict[str, float] = {}
-    opt = None
     for variant in _COMPARISON_VARIANTS:
         miners = (
-            miners_with_protocol_share(fraction) if variant == "abs_non_selfish" else None
+            miners_with_protocol_share(fraction) if variant == "abs_non_selfish" else base.miners
         )
-        inst = _instance_for(config, population, sizes[variant], miners)
+        inst = replace(base, block_size=sizes[variant], miners=miners, horizon=None)
         # One simulation stream per replication, shared by every variant:
         # mechanisms that induce the same play produce identical welfare, so
         # paired comparisons are exact rather than coin flips on pairing luck.
         rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 1]))
-        w, o = simulate_once(config, inst, rng)
-        sw[variant] = w
-        opt = o  # optimum depends only on the shared population
-    return rep, sw, opt, sizes
+        sw[variant] = simulate_once(config, inst, rng)
+    return rep, sw, social_optimum(base), sizes
 
 
 def _config_from_jsonable(raw) -> HarnessConfig:
@@ -323,9 +289,7 @@ def compare_mechanisms(
 
 
 def _row(scenario: str, mechanism: str, n: int, k: int, a: float, sw: np.ndarray, opt: float) -> dict:
-    sw = np.asarray(sw, dtype=float)
-    mean = float(sw.mean())
-    stderr = float(sw.std(ddof=1) / math.sqrt(len(sw))) if len(sw) > 1 else 0.0
+    mean, stderr = mean_stderr(sw)
     return {
         "scenario": scenario,
         "mechanism": mechanism,
@@ -335,7 +299,7 @@ def _row(scenario: str, mechanism: str, n: int, k: int, a: float, sw: np.ndarray
         "sw_mean": mean,
         "sw_stderr": stderr,
         "sw_opt": opt,
-        "ratio": mean / opt if opt > 0 else (1.0 if mean <= 0 else math.inf),
+        "ratio": welfare_quotient(mean, opt),
     }
 
 
@@ -347,10 +311,11 @@ def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> lis
     power share to miners following the welfare-greedy matching
     recommendation (a stand-in policy, labeled as such in the row).
     """
-    fraction = spec.non_selfish_fraction or config.non_selfish_fraction
     rows: list[dict] = []
     for n in spec.seller_grid:
-        comp = compare_mechanisms(config, n, fraction, spec.replications, spec.seed, spec.threads)
+        comp = compare_mechanisms(
+            config, n, config.non_selfish_fraction, spec.replications, spec.seed, spec.threads
+        )
         opt_mean = float(comp.optimum.mean())
         for variant in _COMPARISON_VARIANTS:
             label = variant if variant != "abs_non_selfish" else "abs_non_selfish_recommending"
@@ -384,10 +349,8 @@ def _random_counts_period(args) -> tuple[int, float, float, int, int]:
     config = _config_from_jsonable(config_raw)
     k_t = max(1, round(config.rho * n_t))
     rng = np.random.default_rng(np.random.SeedSequence([seed_key, period, 17]))
-    population = _population(config, k_t, n_t, rng)
-    inst = _instance_for(config, population, a_fixed, None)
-    sw, opt = simulate_once(config, inst, rng)
-    return period, sw, opt, n_t, k_t
+    inst = sample_instance(config.mechanism_config(k_t, n_t), a_fixed, rng)
+    return period, simulate_once(config, inst, rng), social_optimum(inst), n_t, k_t
 
 
 def run_random_counts(
@@ -414,7 +377,7 @@ def run_random_counts(
     rows = []
     ratios = []
     for period, sw, opt, n_t, k_t in results:
-        ratio = sw / opt if opt > 0 else (1.0 if sw <= 0 else math.inf)
+        ratio = welfare_quotient(sw, opt)
         ratios.append(ratio)
         rows.append(
             {
@@ -430,7 +393,7 @@ def run_random_counts(
                 "ratio": ratio,
             }
         )
-    sw_values = np.array([r[1] for r in results])
+    sw_mean, sw_stderr = mean_stderr([r[1] for r in results])
     rows.append(
         {
             "scenario": Scenario.RANDOM_COUNTS.value,
@@ -438,10 +401,8 @@ def run_random_counts(
             "N": mean_n,
             "K": mean_k,
             "A": a_fixed,
-            "sw_mean": float(sw_values.mean()),
-            "sw_stderr": float(sw_values.std(ddof=1) / math.sqrt(len(sw_values)))
-            if len(sw_values) > 1
-            else 0.0,
+            "sw_mean": sw_mean,
+            "sw_stderr": sw_stderr,
             "sw_opt": float(np.mean([r[2] for r in results])),
             "ratio": float(np.mean(ratios)),
             "ratio_std": float(np.std(ratios)),
@@ -471,11 +432,9 @@ def run_blocksize_limit(
         opt_samples = []
         for rep in range(spec.replications):
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, n, rep, 99]))
-            population = _population(config, k, n, rng)
-            inst = _instance_for(config, population, a_bench, None)
-            sw, opt = simulate_once(config, inst, rng)
-            bench_sw.append(sw)
-            opt_samples.append(opt)
+            inst = sample_instance(mc, a_bench, rng)
+            bench_sw.append(simulate_once(config, inst, rng))
+            opt_samples.append(social_optimum(inst))
         opt_mean = float(np.mean(opt_samples))
 
         rows.append(
@@ -488,7 +447,7 @@ def run_blocksize_limit(
                 "sw_mean": report.mean_welfare[idx],
                 "sw_stderr": report.stderr_welfare[idx],
                 "sw_opt": opt_mean,
-                "ratio": report.mean_welfare[idx] / opt_mean if opt_mean > 0 else 1.0,
+                "ratio": welfare_quotient(report.mean_welfare[idx], opt_mean),
             }
         )
         rows.append(

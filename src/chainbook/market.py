@@ -14,14 +14,11 @@ functions, so they are safe to use concurrently without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .miners import Selection
 
 __all__ = [
     "MinerPolicy",
@@ -30,7 +27,6 @@ __all__ = [
     "Miner",
     "MarketInstance",
     "FeeProfile",
-    "MatchedPair",
     "RoundRecord",
     "MatchTrace",
     "pair_surplus",
@@ -253,40 +249,19 @@ class FeeProfile:
 
 
 @dataclass(frozen=True)
-class MatchedPair:
-    buyer_id: int
-    seller_id: int
-    block: int
-
-
-@dataclass(frozen=True)
 class RoundRecord:
     """Outcome of one mining round: who won and what got included."""
 
     block: int
     winner_id: int
     pairs: tuple[tuple[int, int], ...]
-    selections: Mapping[int, "Selection"] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class MatchTrace:
-    """Per-round record of selections and matches over a full horizon."""
+    """Per-round record of matches over a full horizon."""
 
     rounds: tuple[RoundRecord, ...]
-
-    def matched_pairs(self) -> list[MatchedPair]:
-        return [
-            MatchedPair(buyer_id=b, seller_id=s, block=r.block)
-            for r in self.rounds
-            for (b, s) in r.pairs
-        ]
-
-    def matched_buyer_blocks(self) -> dict[int, int]:
-        return {p.buyer_id: p.block for p in self.matched_pairs()}
-
-    def matched_seller_blocks(self) -> dict[int, int]:
-        return {p.seller_id: p.block for p in self.matched_pairs()}
 
     def validate(self, instance: MarketInstance) -> None:
         """Check structural invariants against the originating instance."""

@@ -11,6 +11,7 @@ brute-force Monte Carlo search over block sizes.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .distributions import ValueDistribution
 from .equilibrium import crossing_index, equilibrium_profile
 from .market import MarketInstance, build_instance
 from .miners import run_horizon
-from .welfare import social_welfare
+from .welfare import mean_stderr, social_welfare
 
 __all__ = [
     "MechanismConfig",
@@ -47,7 +48,6 @@ class MechanismConfig:
     cost_dist: ValueDistribution
     buy_qty_dist: ValueDistribution
     sell_qty_dist: ValueDistribution
-    max_block_size: int | None = None
     delay_cost: float = 0.0
     fee_unit: float = 1e-6
 
@@ -127,22 +127,6 @@ class CappedSearchReport:
     replications: int
 
 
-def _mean_equilibrium_welfare(
-    config: MechanismConfig, block_size: int, replications: int, rng_seed: int
-) -> tuple[float, float]:
-    samples = []
-    for rep in range(replications):
-        # Keyed by replication only: every candidate block size sees the same draws.
-        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, rep]))
-        instance = sample_instance(config, block_size, rng)
-        profile = equilibrium_profile(instance, rng)
-        trace = run_horizon(instance, profile, rng)
-        samples.append(social_welfare(instance, trace, profile).sw)
-    mean = float(np.mean(samples))
-    stderr = float(np.std(samples, ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
-    return mean, stderr
-
-
 def capped_search_report(
     config: MechanismConfig,
     max_block_size: int,
@@ -151,24 +135,32 @@ def capped_search_report(
 ) -> CappedSearchReport:
     """Estimate expected equilibrium welfare for each A in 1..cap and rank them.
 
-    Every block size sees the same participant draws (seeds keyed by
-    replication only), so the comparison is paired and deterministic for a
+    Each replication draws one population (seeded by replication only) and
+    plays every block size on it, each from a copy of the generator taken
+    right after the draws, so every size sees the same participants and the
+    same stream position.  The comparison is paired and deterministic for a
     given seed.  Ties go to the smaller block size.
     """
     if max_block_size < 1:
         raise ValueError("max_block_size must be >= 1")
     sizes = list(range(1, max_block_size + 1))
-    means, errs = [], []
-    for a in sizes:
-        mean, err = _mean_equilibrium_welfare(config, a, mc_replications, rng_seed)
-        means.append(mean)
-        errs.append(err)
+    samples: list[list[float]] = [[] for _ in sizes]
+    for rep in range(mc_replications):
+        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, rep]))
+        base = sample_instance(config, 1, rng)
+        for a, welfare in zip(sizes, samples):
+            play_rng = copy.deepcopy(rng)
+            instance = base.with_block_size(a)
+            profile = equilibrium_profile(instance, play_rng)
+            trace = run_horizon(instance, profile, play_rng)
+            welfare.append(social_welfare(instance, trace, profile).sw)
+    means, errs = zip(*(mean_stderr(welfare) for welfare in samples))
     best = sizes[int(np.argmax(means))]  # argmax returns the first, i.e. smallest, maximizer
     return CappedSearchReport(
         best_block_size=best,
         block_sizes=tuple(sizes),
-        mean_welfare=tuple(means),
-        stderr_welfare=tuple(errs),
+        mean_welfare=means,
+        stderr_welfare=errs,
         replications=mc_replications,
     )
 

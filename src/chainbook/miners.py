@@ -328,7 +328,6 @@ def run_round(
         block=pool.round_index,
         winner_id=winner.id,
         pairs=sel.pairing,
-        selections={m.id: selections[m.policy] for m in instance.miners},
     )
     next_pool = pool.remove(sel) if not sel.is_empty else replace(pool, round_index=pool.round_index + 1)
     return record, next_pool

@@ -33,6 +33,8 @@ __all__ = [
     "social_welfare",
     "social_optimum",
     "performance_ratio",
+    "mean_stderr",
+    "welfare_quotient",
     "unbounded_poa_witness",
 ]
 
@@ -121,10 +123,27 @@ def social_optimum(instance: MarketInstance) -> float:
     return float(weights[rows, cols].sum())
 
 
+def mean_stderr(samples) -> tuple[float, float]:
+    """Sample mean and its standard error (ddof=1); the error is 0 for one sample."""
+    x = np.asarray(samples, dtype=float)
+    stderr = float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+    return float(x.mean()), stderr
+
+
+def welfare_quotient(sw: float, sw_opt: float) -> float:
+    """The performance quotient sw / sw_opt reported in result rows.
+
+    With no positive optimum, nothing is lost when sw <= 0 (quotient 1) and
+    a positive sw is flagged as infinite.
+    """
+    if sw_opt > 0:
+        return sw / sw_opt
+    return 1.0 if sw <= 0 else math.inf
+
+
 def performance_ratio(
     instance: MarketInstance,
     mechanism_block_size: int,
-    equilibrium_mode: str = "auto",
     mc_replications: int = 1,
     rng_seed: int = 0,
 ) -> WelfareReport:
@@ -135,17 +154,11 @@ def performance_ratio(
     mean realized welfare, the optimum, and their quotient.  A nonpositive
     mean with a positive optimum is flagged as an infinite ratio.
     """
-    if equilibrium_mode not in ("auto", "psne", "msne"):
-        raise ValueError(f"unknown equilibrium mode {equilibrium_mode!r}")
     inst = instance.with_block_size(mechanism_block_size)
     sw_opt = social_optimum(inst)
 
-    pure = eq.psne(inst) if equilibrium_mode in ("auto", "psne") else None
-    if equilibrium_mode == "psne" and pure is None:
-        raise ValueError("no pure equilibrium at this block size")
-    strategies = None
-    if pure is None:
-        strategies = eq.msne(inst)
+    pure = eq.psne(inst)
+    strategies = eq.msne(inst) if pure is None else None
 
     seeds = np.random.SeedSequence(rng_seed).spawn(mc_replications)
     samples = []
@@ -161,8 +174,7 @@ def performance_ratio(
         fees += rep.fee_total
 
     n = len(samples)
-    sw_mean = float(np.mean(samples))
-    stderr = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    sw_mean, stderr = mean_stderr(samples)
     if sw_mean > 0.0:
         ratio = sw_opt / sw_mean
     elif sw_opt <= 1e-15:

@@ -154,3 +154,21 @@ def test_cli_reports_byte_identical_for_same_seed(tmp_path, config_path):
     first = _run(tmp_path, *args)
     second = _run(tmp_path, *args)
     assert first == second
+
+
+def test_cli_non_selfish_flag_overrides_config(tmp_path):
+    # Mixed values, so the recommending miners change the welfare.
+    def config(fraction):
+        path = tmp_path / f"config_{fraction}.json"
+        path.write_text(json.dumps({"K": 10, "N": 10, "non_selfish_fraction": fraction}),
+                        encoding="utf-8")
+        return str(path)
+
+    args = ["experiment", "--scenario", "mechanism_comparison", "--sellers", "8",
+            "--replications", "4", "--seed", "1"]
+    flagged = json.loads(_run(tmp_path, *args, "--config", config(0.5), "--non-selfish", "0"))
+    plain = json.loads(_run(tmp_path, *args, "--config", config(0.0)))
+    helped = json.loads(_run(tmp_path, *args, "--config", config(0.5)))
+    assert flagged["results"] != helped["results"]
+    assert flagged["results"] == plain["results"]
+    assert flagged["config"]["non_selfish_fraction"] == 0.0

@@ -1,11 +1,13 @@
 """Harness tests: scenarios, pairing, reproducibility, config handling."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from chainbook import distributions as dist
+from chainbook.cli import main
 from chainbook.experiments import (
     ExperimentSpec,
     HarnessConfig,
@@ -170,6 +172,78 @@ def test_load_config_roundtrip(tmp_path):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ExperimentSpec(scenario=Scenario.MECHANISM_COMPARISON, non_selfish_fraction=1.5)
-    with pytest.raises(ValueError):
         ExperimentSpec(scenario=Scenario.MECHANISM_COMPARISON, replications=0)
+
+
+def test_config_validation():
+    with pytest.raises(ValueError, match="non_selfish_fraction"):
+        HarnessConfig(non_selfish_fraction=1.5)
+
+
+def _heterog(**overrides):
+    return HarnessConfig(
+        delay_cost=0.005,
+        distributions={
+            "R": dist.uniform(0.3, 1.0),
+            "C": dist.uniform(0.0, 0.7),
+            "B": dist.uniform(1.0, 3.0),
+            "Q": dist.uniform(1.0, 3.0),
+        },
+        **overrides,
+    )
+
+
+def _rows_sha256(rows):
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+def _cli_rows(tmp_path, *argv):
+    out = tmp_path / f"{argv[0]}.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))["results"]
+
+
+# SHA-256 of json.dumps(rows, sort_keys=True), taken with numpy 2.4.6 and
+# scipy 1.17.1.  A refactor that keeps the sampling order, the random streams
+# and the summary rules leaves every hash unchanged.
+PINNED_ROWS = {
+    "comparison": "1482fa2f03cd27a090e894e25958df0f95a5047401f7d365149954defe5da8f0",
+    "comparison_quantized": "5cc034b5df38ba6f8b33f3fca3ad8d19339f084c5e5c0e10391d5d045ed5e679",
+    "random_counts": "b2e150c0accfc1846523490b3cd8357858828ffdb99cae62b05b0d36af4e2ec6",
+    "blocksize_limit": "a2a59012e215ace5ebddd9aa0585f4c4aca9d2e7c3600a41b490461c43053f84",
+    "cli_simulate": "75bfebf819c04adb5486833f70e2eb7b5bac0885b9e58c22f3454471b2e872c5",
+    "cli_equilibrium": "b3ae3214702ff605c5c7e948e1b32c9b88726c0413687cbf77758c0e7fa746ab",
+    "cli_mechanism": "bb4f7079639c4c2a9492d5038cf519ea52e3cdc78c72025963106717b7960f1f",
+    "cli_poa": "70adcd3ce64838c2d790ccac752b727dfece58c8a068d9a902ce1516d119e8d9",
+}
+
+
+def test_report_rows_pinned(tmp_path):
+    comparison = Scenario.MECHANISM_COMPARISON
+    rows = {
+        "comparison": run_mechanism_comparison(
+            ExperimentSpec(scenario=comparison, replications=6, seed=3, seller_grid=(8, 12)),
+            _heterog(non_selfish_fraction=0.2),
+        ),
+        "comparison_quantized": run_mechanism_comparison(
+            ExperimentSpec(scenario=comparison, replications=4, seed=3, seller_grid=(10,)),
+            HarnessConfig(quantize_fees=True, fee_unit=1e-3),
+        ),
+        "random_counts": run_random_counts(
+            ExperimentSpec(scenario=Scenario.RANDOM_COUNTS, seed=4), _heterog(), [8, 12, 8]
+        ),
+        "blocksize_limit": run_blocksize_limit(
+            ExperimentSpec(
+                scenario=Scenario.BLOCK_SIZE_LIMIT, replications=5, seed=5, seller_grid=(10,)
+            ),
+            HarnessConfig(),
+            4,
+        ),
+        "cli_simulate": _cli_rows(tmp_path, "simulate", "--replications", "3", "--seed", "2"),
+        "cli_equilibrium": _cli_rows(tmp_path, "equilibrium", "--seed", "2"),
+        "cli_mechanism": _cli_rows(
+            tmp_path, "mechanism", "--a-max", "3", "--replications", "4", "--seed", "2"
+        ),
+        "cli_poa": _cli_rows(tmp_path, "poa", "--target", "50", "--seed", "1"),
+    }
+    assert {case: _rows_sha256(r) for case, r in rows.items()} == PINNED_ROWS

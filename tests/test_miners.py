@@ -301,11 +301,15 @@ def test_run_round_single_miner_deterministic():
 
 
 def test_run_round_identical_selfish_miners_agree():
+    # Whichever of two selfish miners wins, the block is the one a lone
+    # selfish miner would fill at the same seed.
     miners = (Miner(0, 0.5), Miner(1, 0.5))
     inst = build_instance([0.9, 0.8], [0.1, 0.2], block_size=2, miners=miners)
+    solo = build_instance([0.9, 0.8], [0.1, 0.2], block_size=2)
     for seed in range(20):
         record, pool = run_round(_pool(inst, [5, 3], [4, 1]), inst, seed)
-        assert record.selections[0] == record.selections[1]
+        solo_record, _ = run_round(_pool(solo, [5, 3], [4, 1]), solo, seed)
+        assert record.pairs == solo_record.pairs
         assert len(pool.buyer_ids) == 0
 
 
@@ -351,9 +355,9 @@ def test_run_horizon_fee_rank_sets_blocks():
     profile = FeeProfile(buy_fees=(9, 7, 5, 3), sell_fees=(8, 6, 4, 2))
     trace = run_horizon(inst, profile, 0)
     assert len(trace.rounds) == 2
-    buyer_blocks = trace.matched_buyer_blocks()
+    buyer_blocks = {b: r.block for r in trace.rounds for b, _ in r.pairs}
     assert buyer_blocks == {0: 1, 1: 1, 2: 2, 3: 2}
-    seller_blocks = trace.matched_seller_blocks()
+    seller_blocks = {s: r.block for r in trace.rounds for _, s in r.pairs}
     assert seller_blocks == {0: 1, 1: 1, 2: 2, 3: 2}
 
 
@@ -362,7 +366,7 @@ def test_run_horizon_everything_fits_one_block():
     profile = FeeProfile(buy_fees=(1, 2, 3), sell_fees=(3, 2, 1))
     trace = run_horizon(inst, profile, 1)
     assert len(trace.rounds) == 1
-    assert all(p.block == 1 for p in trace.matched_pairs())
+    assert all(r.block == 1 for r in trace.rounds if r.pairs)
 
 
 def test_run_horizon_zero_fees_never_selected():
@@ -382,9 +386,9 @@ def test_horizon_conservation_and_monotone_pool():
             buy_fees=tuple(rng.random(k)), sell_fees=tuple(rng.random(n))
         )
         trace = run_horizon(inst, profile, rng)
-        pairs = trace.matched_pairs()
-        buyers = [p.buyer_id for p in pairs]
-        sellers = [p.seller_id for p in pairs]
+        pairs = [pair for r in trace.rounds for pair in r.pairs]
+        buyers = [b for b, _ in pairs]
+        sellers = [s for _, s in pairs]
         assert len(buyers) == len(set(buyers))
         assert len(sellers) == len(set(sellers))
         sizes = [len(r.pairs) for r in trace.rounds]
