@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "ValueDistribution",
@@ -74,6 +73,8 @@ def uniform(lo: float, hi: float) -> ValueDistribution:
 
 
 def beta(a: float, b: float, lo: float = 0.0, hi: float = 1.0) -> ValueDistribution:
+    from scipy import stats  # imported on use: it costs about 0.5 s to load
+
     dist = stats.beta(a, b, loc=lo, scale=hi - lo)
     return ValueDistribution(
         kind="beta",
@@ -88,6 +89,8 @@ def lognormal_truncated(mu: float, sigma: float, lo: float, hi: float) -> ValueD
     """Lognormal conditioned on [lo, hi] (mass outside the window renormalized away)."""
     if not 0.0 <= lo < hi:
         raise ValueError("need 0 <= lo < hi")
+    from scipy import stats
+
     dist = stats.lognorm(s=sigma, scale=np.exp(mu))
     c_lo, c_hi = dist.cdf(lo), dist.cdf(hi)
     mass = c_hi - c_lo

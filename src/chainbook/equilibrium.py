@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special._ufuncs import _binom_sf  # the kernel of scipy.stats.binom.sf
 
 from .market import FeeProfile, MarketInstance, pair_surplus
 from .miners import run_horizon
@@ -50,15 +50,13 @@ SAMPLE_FEE_TOL = 1e-12  # fee-axis tolerance for inverse-transform sampling
 def _buyer_order(instance: MarketInstance) -> np.ndarray:
     """Buyer positions sorted by utility descending, ties by id."""
     ids = np.array([b.id for b in instance.buyers])
-    utils = np.array([b.utility for b in instance.buyers])
-    return np.lexsort((ids, -utils))
+    return np.lexsort((ids, -instance.utility_array))
 
 
 def _seller_order(instance: MarketInstance) -> np.ndarray:
     """Seller positions sorted by cost ascending, ties by id."""
     ids = np.array([s.id for s in instance.sellers])
-    costs = np.array([s.cost for s in instance.sellers])
-    return np.lexsort((ids, costs))
+    return np.lexsort((ids, instance.cost_array))
 
 
 def crossing_index(instance: MarketInstance) -> int:
@@ -67,13 +65,13 @@ def crossing_index(instance: MarketInstance) -> int:
     The rank-i utility is nonincreasing and the rank-i cost nondecreasing, so
     the difference crosses zero at most once.
     """
-    r = instance.utilities()[_buyer_order(instance)]
-    c = instance.costs()[_seller_order(instance)]
-    m = min(len(r), len(c))
-    for i in range(m - 1):
-        if r[i] >= c[i] and r[i + 1] < c[i + 1]:
-            return i + 1
-    return m
+    m = min(instance.num_buyers, instance.num_sellers)
+    covered = (
+        instance.utility_array[_buyer_order(instance)[:m]]
+        >= instance.cost_array[_seller_order(instance)[:m]]
+    )
+    crossings = np.flatnonzero(covered[:-1] & ~covered[1:])
+    return int(crossings[0]) + 1 if crossings.size else m
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,8 @@ def threshold_fees(
 
     b_order = _buyer_order(instance)
     s_order = _seller_order(instance)
-    r_sorted = instance.utilities()[b_order]
-    c_sorted = instance.costs()[s_order]
+    r_sorted = instance.utility_array[b_order]
+    c_sorted = instance.cost_array[s_order]
     bq_sorted = instance.buy_quantities()[b_order]
     sq_sorted = instance.sell_quantities()[s_order]
 
@@ -174,26 +172,26 @@ def psne(instance: MarketInstance) -> FeeProfile | None:
     fees = threshold_fees(instance, a_th)
     eps = instance.fee_unit
 
-    buy = np.empty(instance.num_buyers)
+    buy = np.full(instance.num_buyers, fees.sigma_buy)
     top_buy = min(instance.block_size, instance.num_sellers)
-    for rank, pos in enumerate(_buyer_order(instance), start=1):
-        buy[pos] = fees.sigma_buy + eps if rank <= top_buy else fees.sigma_buy
-
-    sell = np.empty(instance.num_sellers)
+    buy[_buyer_order(instance)[:top_buy]] = fees.sigma_buy + eps
+    sell = np.full(instance.num_sellers, fees.sigma_sell)
     top_sell = min(instance.block_size, instance.num_buyers)
-    for rank, pos in enumerate(_seller_order(instance), start=1):
-        sell[pos] = fees.sigma_sell + eps if rank <= top_sell else fees.sigma_sell
+    sell[_seller_order(instance)[:top_sell]] = fees.sigma_sell + eps
 
     return FeeProfile(buy_fees=tuple(buy), sell_fees=tuple(sell))
 
 
 def _expected_blocks(outbid_prob, rivals: int, block_size: int):
-    """E[ceil((n + 1) / A)] for n ~ Binomial(rivals, p), via survival functions."""
+    """E[ceil((n + 1) / A)] for n ~ Binomial(rivals, p), via survival functions.
+
+    Here k = jA - 1 < rivals, where the ufunc equals ``binom.sf`` bit for bit.
+    """
     p = np.asarray(outbid_prob, dtype=float)
     total = np.ones_like(p)
     j = 1
     while j * block_size <= rivals:
-        total = total + binom.sf(j * block_size - 1, rivals, p)
+        total = total + _binom_sf(float(j * block_size - 1), rivals, p)
         j += 1
     return total
 
@@ -351,13 +349,9 @@ def realize_profile(
     rng = np.random.default_rng(rng)
     buy_strat, sell_strat = strategies
     buy = np.full(instance.num_buyers, buy_strat.non_mixer_fee)
-    draws = buy_strat.sample(rng, len(buy_strat.mixer_ids))
-    for pid, fee in zip(buy_strat.mixer_ids, draws):
-        buy[pid] = fee
+    buy[list(buy_strat.mixer_ids)] = buy_strat.sample(rng, len(buy_strat.mixer_ids))
     sell = np.full(instance.num_sellers, sell_strat.non_mixer_fee)
-    draws = sell_strat.sample(rng, len(sell_strat.mixer_ids))
-    for pid, fee in zip(sell_strat.mixer_ids, draws):
-        sell[pid] = fee
+    sell[list(sell_strat.mixer_ids)] = sell_strat.sample(rng, len(sell_strat.mixer_ids))
     return FeeProfile(buy_fees=tuple(buy), sell_fees=tuple(sell))
 
 
@@ -464,9 +458,9 @@ def _psne_deviation_report(
     """
     d = instance.delay_cost
     eps = instance.fee_unit
-    # Fresh keyed seeds per simulation: SeedSequence objects are stateful
-    # (their spawn counter advances), so sharing one across runs would
-    # desynchronize the common-random-number coupling between fee bands.
+    # One keyed seed per replication, rebuilt for every fee band: a play's
+    # draws are keyed by its seed sequence, so each band replays the same
+    # replications (common random numbers) and replications differ.
     seed_keys = [(rng_seed, rep) for rep in range(replications)]
 
     def best_improvement(side: str, pid: int, own_fee: float, others: list[float]) -> float:
@@ -607,8 +601,8 @@ def _matching_utilities(instance: MarketInstance, strategy: MixedStrategy) -> np
     """Model expected half-surplus of each mixer against the included other side."""
     b_order = _buyer_order(instance)
     s_order = _seller_order(instance)
-    r_sorted = instance.utilities()[b_order]
-    c_sorted = instance.costs()[s_order]
+    r_sorted = instance.utility_array[b_order]
+    c_sorted = instance.cost_array[s_order]
     bq_sorted = instance.buy_quantities()[b_order]
     sq_sorted = instance.sell_quantities()[s_order]
     a_th = crossing_index(instance)

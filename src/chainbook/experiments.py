@@ -92,6 +92,12 @@ class HarnessConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.non_selfish_fraction <= 1.0:
             raise ValueError("non_selfish_fraction must lie in [0, 1]")
+        if self.num_buyers < 1 or self.num_sellers < 1:
+            raise ValueError(f"K and N must be >= 1, got K={self.num_buyers}, N={self.num_sellers}")
+        if self.b_lo > self.b_hi:
+            raise ValueError(f"b_lo {self.b_lo} exceeds b_hi {self.b_hi}")
+        if not 0.0 < self.psi < 1.0:
+            raise ValueError(f"psi {self.psi} must lie strictly inside (0, 1)")
 
     def mechanism_config(self, num_buyers: int, num_sellers: int) -> MechanismConfig:
         return MechanismConfig(
@@ -131,26 +137,26 @@ def load_config(path: str) -> HarnessConfig:
         if key not in dists:
             raise ValueError(f"unknown distribution key {key!r} (expected R, C, B, Q)")
         dists[key] = dist.from_config(spec)
-    if "b_lo" in raw or "b_hi" in raw:
-        b_lo = float(raw.get("b_lo", 1.0))
-        b_hi = float(raw.get("b_hi", b_lo))
-        if "B" not in raw.get("distributions", {}):
-            dists["B"] = dist.uniform(b_lo, b_hi)
-        if "Q" not in raw.get("distributions", {}):
-            dists["Q"] = dist.uniform(b_lo, b_hi)
-    return HarnessConfig(
+    b_lo = float(raw.get("b_lo", 1.0))
+    b_hi = float(raw.get("b_hi", b_lo))
+    config = HarnessConfig(
         num_buyers=int(raw.get("K", 50)),
         num_sellers=int(raw.get("N", 50)),
         rho=float(raw.get("rho", 1.0)),
         delay_cost=float(raw.get("d", 0.01)),
         fee_unit=float(raw.get("epsilon", 1e-6)),
         psi=float(raw.get("psi", 0.85)),
-        b_lo=float(raw.get("b_lo", 1.0)),
-        b_hi=float(raw.get("b_hi", 1.0)),
+        b_lo=b_lo,
+        b_hi=b_hi,
         non_selfish_fraction=float(raw.get("non_selfish_fraction", 0.0)),
         quantize_fees=bool(raw.get("quantize_fees", False)),
         distributions=dists,
     )
+    if "b_lo" in raw or "b_hi" in raw:  # quantities U[b_lo, b_hi] unless B or Q is given
+        given = raw.get("distributions", {})
+        derived = {k: dist.uniform(b_lo, b_hi) for k in ("B", "Q") if k not in given}
+        config = replace(config, distributions={**dists, **derived})
+    return config
 
 
 @dataclass(frozen=True)

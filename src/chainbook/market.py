@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -140,14 +141,24 @@ class MarketInstance:
     def num_sellers(self) -> int:
         return len(self.sellers)
 
+    # Read-only, indexed by participant id, built on first use.  The engine
+    # reads them directly; utilities() and costs() hand out copies.
+    @cached_property
+    def utility_array(self) -> np.ndarray:
+        return _read_only([b.utility for b in self.buyers])
+
+    @cached_property
+    def cost_array(self) -> np.ndarray:
+        return _read_only([s.cost for s in self.sellers])
+
     def utilities(self) -> np.ndarray:
-        return np.array([b.utility for b in self.buyers])
+        return self.utility_array.copy()
 
     def buy_quantities(self) -> np.ndarray:
         return np.array([b.quantity for b in self.buyers])
 
     def costs(self) -> np.ndarray:
-        return np.array([s.cost for s in self.sellers])
+        return self.cost_array.copy()
 
     def sell_quantities(self) -> np.ndarray:
         return np.array([s.quantity for s in self.sellers])
@@ -155,6 +166,12 @@ class MarketInstance:
     def with_block_size(self, block_size: int) -> "MarketInstance":
         """Same market under a different block size (horizon re-derived)."""
         return replace(self, block_size=block_size, horizon=None)
+
+
+def _read_only(values: list[float]) -> np.ndarray:
+    out = np.array(values)
+    out.flags.writeable = False
+    return out
 
 
 def build_instance(

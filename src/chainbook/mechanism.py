@@ -11,7 +11,6 @@ brute-force Monte Carlo search over block sizes.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -136,10 +135,11 @@ def capped_search_report(
     """Estimate expected equilibrium welfare for each A in 1..cap and rank them.
 
     Each replication draws one population (seeded by replication only) and
-    plays every block size on it, each from a copy of the generator taken
-    right after the draws, so every size sees the same participants and the
-    same stream position.  The comparison is paired and deterministic for a
-    given seed.  Ties go to the smaller block size.
+    plays every block size on it, each from the generator state right after
+    the draws (plays leave the generator's seed sequence alone), so every
+    size sees the same participants and the same stream position.  The
+    comparison is paired and deterministic for a given seed.  Ties go to the
+    smaller block size.
     """
     if max_block_size < 1:
         raise ValueError("max_block_size must be >= 1")
@@ -148,11 +148,12 @@ def capped_search_report(
     for rep in range(mc_replications):
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, rep]))
         base = sample_instance(config, 1, rng)
+        drawn = rng.bit_generator.state
         for a, welfare in zip(sizes, samples):
-            play_rng = copy.deepcopy(rng)
+            rng.bit_generator.state = drawn
             instance = base.with_block_size(a)
-            profile = equilibrium_profile(instance, play_rng)
-            trace = run_horizon(instance, profile, play_rng)
+            profile = equilibrium_profile(instance, rng)
+            trace = run_horizon(instance, profile, rng)
             welfare.append(social_welfare(instance, trace, profile).sw)
     means, errs = zip(*(mean_stderr(welfare) for welfare in samples))
     best = sizes[int(np.argmax(means))]  # argmax returns the first, i.e. smallest, maximizer

@@ -9,6 +9,13 @@ blocks, in O(_HALL_ROWS * A) memory.  A protocol-following miner instead
 adopts the welfare-greedy matching recommendation.  One winner per round is
 drawn with the miners' power weights; its selection is appended to the chain
 and removed from the pending pool.
+
+Randomness: round t (from 0) of a play draws only from children of the play
+generator's seed sequence, at the spawn keys ``(2t, 0)`` (fee ties),
+``(2t, 1)`` (size ties), ``(2t, 2)`` (pairing) and ``(2t + 1,)`` (winner):
+the children that spawning from a fresh generator hands out.  ``PendingPool``
+keeps plain tuples of ids and fees in its four public fields; the engine
+reads them as arrays.
 """
 
 from __future__ import annotations
@@ -64,17 +71,18 @@ class PendingPool:
         return not self.buyer_ids or not self.seller_ids
 
     def remove(self, selection: "Selection") -> "PendingPool":
-        chosen_buyers = set(selection.buyer_ids)
-        chosen_sellers = set(selection.seller_ids)
-        keep_b = [i for i, bid in enumerate(self.buyer_ids) if bid not in chosen_buyers]
-        keep_s = [i for i, sid in enumerate(self.seller_ids) if sid not in chosen_sellers]
-        return PendingPool(
-            buyer_ids=tuple(self.buyer_ids[i] for i in keep_b),
-            buy_fees=tuple(self.buy_fees[i] for i in keep_b),
-            seller_ids=tuple(self.seller_ids[i] for i in keep_s),
-            sell_fees=tuple(self.sell_fees[i] for i in keep_s),
-            round_index=self.round_index + 1,
-        )
+        buyer_ids, buy_fees = _drop(self.buyer_ids, self.buy_fees, selection.buyer_ids)
+        seller_ids, sell_fees = _drop(self.seller_ids, self.sell_fees, selection.seller_ids)
+        return PendingPool(buyer_ids, buy_fees, seller_ids, sell_fees, self.round_index + 1)
+
+
+def _drop(ids: tuple[int, ...], fees: tuple[float, ...], chosen: tuple[int, ...]):
+    """(ids, fees) without the chosen ids, in pool order, through one id mask."""
+    ids_arr = np.asarray(ids, dtype=np.intp)
+    unchosen = np.ones(max(int(ids_arr.max(initial=-1)), *chosen, -1) + 1, dtype=bool)
+    unchosen[list(chosen)] = False
+    keep = unchosen[ids_arr]
+    return tuple(ids_arr[keep].tolist()), tuple(np.asarray(fees)[keep].tolist())
 
 
 @dataclass(frozen=True)
@@ -139,15 +147,16 @@ def uniform_feasible_pairing(
     return tuple(pairs)
 
 
-def _fee_ranked(
-    ids: tuple[int, ...], fees: tuple[float, ...], rng: np.random.Generator
-) -> np.ndarray:
-    """Positions sorted by fee descending, equal fees shuffled uniformly."""
-    fees_arr = np.asarray(fees)
-    keep = np.flatnonzero(fees_arr > 0.0)  # zero-fee transactions are rejected
-    tiebreak = rng.random(len(keep))
-    order = np.lexsort((tiebreak, -fees_arr[keep]))
-    return keep[order]
+def _substream(rng: np.random.Generator, *key: int) -> np.random.Generator:
+    """The child at index path ``key`` (one index per nesting level) that
+    spawning from a fresh rng hands out, built alone; rng stays untouched."""
+    seq = rng.bit_generator.seed_seq
+    child = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + key, pool_size=seq.pool_size)
+    return np.random.Generator(type(rng.bit_generator)(child))
+
+
+def _has_equal(sorted_values: np.ndarray) -> bool:
+    return bool(np.any(sorted_values[1:] == sorted_values[:-1]))
 
 
 def _feasible_prefixes(utilities: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -186,6 +195,7 @@ def selfish_select(
     pool: PendingPool,
     instance: MarketInstance,
     rng: np.random.Generator | int | None = None,
+    key: tuple[int, ...] = (),
 ) -> Selection:
     """Fee-maximizing feasible prefix selection for one block.
 
@@ -197,25 +207,34 @@ def selfish_select(
     uniformly at random.  The pairing inside the selection is drawn
     uniformly among all feasible pairings (the fee total does not depend on
     it).
+
+    Draws come from the substreams ``key + (0,)`` (fee ties), ``key + (1,)``
+    (size ties) and ``key + (2,)`` (the pairing), each built only when needed.
     """
-    rng = np.random.default_rng(rng)
     if pool.is_empty:
         return _EMPTY
-    # Separate substreams so the realized pairing depends only on the selected
-    # set, not on how many tie-break draws the ranking consumed.
-    tie_rng, choice_rng, pair_rng = rng.spawn(3)
-
-    b_pos = _fee_ranked(pool.buyer_ids, pool.buy_fees, tie_rng)
-    s_pos = _fee_ranked(pool.seller_ids, pool.sell_fees, tie_rng)
-    limit = min(instance.block_size, len(b_pos), len(s_pos))
+    rng = np.random.default_rng(rng)
+    buy_fees = np.asarray(pool.buy_fees)
+    sell_fees = np.asarray(pool.sell_fees)
+    b_keep = np.flatnonzero(buy_fees > 0.0)  # zero-fee transactions are rejected
+    s_keep = np.flatnonzero(sell_fees > 0.0)
+    limit = min(instance.block_size, len(b_keep), len(s_keep))
     if limit == 0:
         return _EMPTY
 
-    utilities = np.array([instance.buyers[pool.buyer_ids[p]].utility for p in b_pos[:limit]])
-    costs = np.array([instance.sellers[pool.seller_ids[p]].cost for p in s_pos[:limit]])
-    buy_fees = np.array([pool.buy_fees[p] for p in b_pos[:limit]])
-    sell_fees = np.array([pool.sell_fees[p] for p in s_pos[:limit]])
-    fee_totals = np.cumsum(buy_fees) + np.cumsum(sell_fees)
+    # Fee descending; a tie-break draw per transaction only matters on equal fees.
+    b_neg, s_neg = -buy_fees[b_keep], -sell_fees[s_keep]
+    b_order, s_order = np.argsort(b_neg, kind="stable"), np.argsort(s_neg, kind="stable")
+    if _has_equal(b_neg[b_order]) or _has_equal(s_neg[s_order]):
+        tie_rng = _substream(rng, *key, 0)
+        b_order = np.lexsort((tie_rng.random(len(b_neg)), b_neg))
+        s_order = np.lexsort((tie_rng.random(len(s_neg)), s_neg))
+    b_pos, s_pos = b_keep[b_order[:limit]], s_keep[s_order[:limit]]
+    buyer_ids = np.asarray(pool.buyer_ids)[b_pos]
+    seller_ids = np.asarray(pool.seller_ids)[s_pos]
+    utilities = instance.utility_array[buyer_ids]
+    costs = instance.cost_array[seller_ids]
+    fee_totals = np.cumsum(buy_fees[b_pos]) + np.cumsum(sell_fees[s_pos])
 
     feasible_sizes = np.flatnonzero(_feasible_prefixes(utilities, costs)) + 1
     if feasible_sizes.size == 0:
@@ -224,14 +243,14 @@ def selfish_select(
     feasible_totals = fee_totals[feasible_sizes - 1]
     best = float(feasible_totals.max())
     tied = feasible_sizes[feasible_totals >= best - 1e-12 * max(1.0, abs(best))]
-    size = int(tied[choice_rng.integers(len(tied))] if len(tied) > 1 else tied[0])
+    size = int(tied[_substream(rng, *key, 1).integers(len(tied))] if len(tied) > 1 else tied[0])
 
-    buyer_ids = np.array([pool.buyer_ids[p] for p in b_pos[:size]])
-    seller_ids = np.array([pool.seller_ids[p] for p in s_pos[:size]])
+    buyer_ids, seller_ids = buyer_ids[:size], seller_ids[:size]
+    pair_rng = _substream(rng, *key, 2)
     pairing = uniform_feasible_pairing(buyer_ids, utilities[:size], seller_ids, costs[:size], pair_rng)
     return Selection(
-        buyer_ids=tuple(int(b) for b in buyer_ids),
-        seller_ids=tuple(int(s) for s in seller_ids),
+        buyer_ids=tuple(buyer_ids.tolist()),
+        seller_ids=tuple(seller_ids.tolist()),
         pairing=pairing,
         total_fee=float(fee_totals[size - 1]),
     )
@@ -245,46 +264,39 @@ def recommend_matching(pool: PendingPool, instance: MarketInstance) -> Selection
     highest-gain pairs.  Zero-fee transactions stay excluded and the block cap
     still applies: the recommendation works within the same protocol limits.
     """
-    buy_keep = [i for i, f in enumerate(pool.buy_fees) if f > 0.0]
-    sell_keep = [i for i, f in enumerate(pool.sell_fees) if f > 0.0]
-    if not buy_keep or not sell_keep:
+    buy_fees = np.asarray(pool.buy_fees)
+    sell_fees = np.asarray(pool.sell_fees)
+    buy_keep = np.flatnonzero(buy_fees > 0.0)
+    sell_keep = np.flatnonzero(sell_fees > 0.0)
+    if not buy_keep.size or not sell_keep.size:
         return _EMPTY
 
-    buyers = [instance.buyers[pool.buyer_ids[i]] for i in buy_keep]
-    sellers = [instance.sellers[pool.seller_ids[i]] for i in sell_keep]
-    r = np.array([b.utility for b in buyers])
-    bq = np.array([b.quantity for b in buyers])
-    c = np.array([s.cost for s in sellers])
-    sq = np.array([s.quantity for s in sellers])
+    b_ids = np.asarray(pool.buyer_ids)[buy_keep]
+    s_ids = np.asarray(pool.seller_ids)[sell_keep]
+    r = instance.utility_array[b_ids]
+    bq = instance.buy_quantities()[b_ids]
+    c = instance.cost_array[s_ids]
+    sq = instance.sell_quantities()[s_ids]
 
     gain = np.minimum(bq[:, None], sq[None, :]) * (r[:, None] - c[None, :])
     gain = np.where(r[:, None] >= c[None, :], gain, -np.inf)
 
     if np.all(bq == bq[0]) and np.all(sq == sq[0]):
         # Homogeneous quantities: assortative pairing of positive-gain ranks is optimal.
-        order_b = np.argsort(-r, kind="stable")
-        order_s = np.argsort(c, kind="stable")
-        chosen = []
-        for i, j in zip(order_b, order_s):
-            if gain[i, j] > 0.0:
-                chosen.append((i, j, gain[i, j]))
-        chosen.sort(key=lambda t: -t[2])
+        rows, cols = np.argsort(-r, kind="stable"), np.argsort(c, kind="stable")
     else:
-        clamped = np.maximum(gain, 0.0)
-        rows, cols = linear_sum_assignment(clamped, maximize=True)
-        chosen = [(i, j, gain[i, j]) for i, j in zip(rows, cols) if gain[i, j] > 0.0]
-        chosen.sort(key=lambda t: -t[2])
+        rows, cols = linear_sum_assignment(np.maximum(gain, 0.0), maximize=True)
+    chosen = [(i, j, gain[i, j]) for i, j in zip(rows, cols) if gain[i, j] > 0.0]
+    chosen.sort(key=lambda t: -t[2])
 
     chosen = chosen[: instance.block_size]
     if not chosen:
         return _EMPTY
-    pairing = tuple(
-        (int(pool.buyer_ids[buy_keep[i]]), int(pool.seller_ids[sell_keep[j]])) for i, j, _ in chosen
-    )
+    pairing = tuple((int(b_ids[i]), int(s_ids[j])) for i, j, _ in chosen)
     buyer_ids = tuple(p[0] for p in pairing)
     seller_ids = tuple(p[1] for p in pairing)
-    total = math.fsum(pool.buy_fees[buy_keep[i]] for i, _, _ in chosen) + math.fsum(
-        pool.sell_fees[sell_keep[j]] for _, j, _ in chosen
+    total = math.fsum(buy_fees[buy_keep[i]] for i, _, _ in chosen) + math.fsum(
+        sell_fees[sell_keep[j]] for _, j, _ in chosen
     )
     return Selection(buyer_ids=buyer_ids, seller_ids=seller_ids, pairing=pairing, total_fee=total)
 
@@ -293,21 +305,21 @@ def run_round(
     pool: PendingPool,
     instance: MarketInstance,
     rng: np.random.Generator | int | None = None,
+    round_number: int = 0,
 ) -> tuple[RoundRecord | None, PendingPool]:
     """Play one mining round: per-policy selections, a power-weighted winner draw.
 
     All selfish miners compute identical selections (the selection does not
     depend on miner identity), so each policy's selection is computed once.
     Returns ``(None, pool)`` when no miner can include anything, leaving the
-    pool untouched.
+    pool untouched.  Draws come from the substreams ``(2 * round_number,)``
+    (selection) and ``(2 * round_number + 1,)`` (winner, with several miners).
     """
     rng = np.random.default_rng(rng)
-    select_rng, winner_rng = rng.spawn(2)
-
     policies = {m.policy for m in instance.miners}
     selections: dict[MinerPolicy, Selection] = {}
     if MinerPolicy.SELFISH in policies:
-        selections[MinerPolicy.SELFISH] = selfish_select(pool, instance, select_rng)
+        selections[MinerPolicy.SELFISH] = selfish_select(pool, instance, rng, (2 * round_number,))
     if MinerPolicy.PROTOCOL_FOLLOWING in policies:
         selections[MinerPolicy.PROTOCOL_FOLLOWING] = recommend_matching(pool, instance)
 
@@ -317,11 +329,12 @@ def run_round(
     if len(instance.miners) == 1:
         winner = instance.miners[0]
     else:
-        # The arithmetic of winner_rng.choice(n, p=powers), without its checks:
+        # The arithmetic of Generator.choice(n, p=powers), without its checks:
         # MarketInstance already validated the powers.
         cdf = np.cumsum([m.power for m in instance.miners])
         cdf /= cdf[-1]
-        winner = instance.miners[int(np.searchsorted(cdf, winner_rng.random(), side="right"))]
+        draw = _substream(rng, 2 * round_number + 1).random()
+        winner = instance.miners[int(np.searchsorted(cdf, draw, side="right"))]
     sel = selections[winner.policy]
 
     record = RoundRecord(
@@ -338,14 +351,17 @@ def run_horizon(
     profile: FeeProfile,
     rng: np.random.Generator | int | None = None,
 ) -> MatchTrace:
-    """Simulate rounds 1..T (stopping early once nothing more can be included)."""
+    """Simulate rounds 1..T (stopping early once nothing more can be included).
+
+    Substreams depend on rng's seed sequence, not its state: one play per seed.
+    """
     rng = np.random.default_rng(rng)
     pool = PendingPool.from_instance(instance, profile)
     rounds: list[RoundRecord] = []
-    for _ in range(instance.horizon):
+    for round_number in range(instance.horizon):
         if pool.is_empty:
             break
-        record, pool = run_round(pool, instance, rng)
+        record, pool = run_round(pool, instance, rng, round_number)
         if record is None:
             break
         rounds.append(record)

@@ -21,9 +21,7 @@ from .market import (
     MarketInstance,
     MatchTrace,
     build_instance,
-    buyer_payoff,
     miner_round_payoff,
-    seller_payoff,
 )
 from .miners import run_horizon
 from . import equilibrium as eq
@@ -68,29 +66,32 @@ def social_welfare(
     participants pay, so the fee terms cancel and sw also equals matched
     surplus minus both sides' delay costs (reported as components).
     """
-    payoffs = []
-    fee_total = 0.0
-    surplus_total = 0.0
-    delay_total = 0.0
+    pairs = [(rec.block, b, s) for rec in trace.rounds for b, s in rec.pairs]
+    blocks, b, s = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+    r, c = instance.utility_array[b], instance.cost_array[s]
+    qty = np.minimum(instance.buy_quantities()[b], instance.sell_quantities()[s])
+    mid = (r + c) / 2.0
     d = instance.delay_cost
-    for rec in trace.rounds:
-        round_fees = []
-        for buyer_id, seller_id in rec.pairs:
-            buyer = instance.buyers[buyer_id]
-            seller = instance.sellers[seller_id]
-            bfee = profile.buy_fees[buyer_id]
-            sfee = profile.sell_fees[seller_id]
-            payoffs.append(
-                buyer_payoff(buyer, bfee, True, rec.block, seller, d)
-                + seller_payoff(seller, sfee, True, rec.block, buyer, d)
-            )
-            round_fees.extend((bfee, sfee))
-            qty = min(buyer.quantity, seller.quantity)
-            surplus_total += qty * (buyer.utility - seller.cost)
-            delay_total += 2 * (rec.block - 1) * d
-        payoffs.append(miner_round_payoff(round_fees, 1.0))  # winner takes the block's fees
-        fee_total += math.fsum(round_fees)
-    sw = math.fsum(payoffs)
+    delay = (blocks - 1) * d
+    # buyer_payoff + seller_payoff of every pair, element by element.
+    payoffs = (qty * (r - mid) - np.asarray(profile.buy_fees, dtype=float)[b] - delay) + (
+        qty * (mid - c) - np.asarray(profile.sell_fees, dtype=float)[s] - delay
+    )
+    # The winner of each round collects exactly that block's fees.
+    block_fees = [
+        miner_round_payoff([profile.buy_fees[i] for i, _ in rec.pairs]
+                           + [profile.sell_fees[j] for _, j in rec.pairs], 1.0)
+        for rec in trace.rounds
+    ]
+    # fsum is correctly rounded, so the order of its terms does not matter;
+    # the components keep their left-to-right accumulation.
+    sw = math.fsum(payoffs.tolist() + block_fees)
+    fee_total = surplus_total = delay_total = 0.0
+    for fees in block_fees:
+        fee_total += fees
+    for surplus, delay_cost in zip((qty * (r - c)).tolist(), (2 * (blocks - 1) * d).tolist()):
+        surplus_total += surplus
+        delay_total += delay_cost
     return WelfareReport(
         sw=sw, matched_surplus=surplus_total, delay_total=delay_total, fee_total=fee_total
     )

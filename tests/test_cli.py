@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainbook
 from chainbook.cli import main
 from chainbook.reporting import CSV_COLUMNS, emit_report
 
@@ -172,3 +177,36 @@ def test_cli_non_selfish_flag_overrides_config(tmp_path):
     assert flagged["results"] != helped["results"]
     assert flagged["results"] == plain["results"]
     assert flagged["config"]["non_selfish_fraction"] == 0.0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats takes about 0.5 s to import; only beta and lognormal
+    # distributions need it, and they load it when built.
+    config = tmp_path / "beta.json"
+    config.write_text(json.dumps({"distributions": {"R": {"kind": "beta", "a": 2.0, "b": 3.0}}}),
+                      encoding="utf-8")
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import chainbook.cli\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+        "from chainbook.experiments import load_config\n"
+        f"x = load_config({str(config)!r}).distributions['R'].sample(np.random.default_rng(0), 50)\n"
+        "assert x.shape == (50,) and 0.0 <= x.min() and x.max() <= 1.0 and x.std() > 0\n"
+    )
+    src = str(Path(chainbook.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [({"K": 0}, "K and N"), ({"N": 0}, "K and N"), ({"b_lo": 3.0, "b_hi": 2.0}, "b_lo"),
+     ({"psi": 1.5}, "psi"), ({"psi": 0.0}, "psi")],
+)
+def test_cli_rejects_bad_config_on_load(tmp_path, raw, field):
+    # poa reads no market from the config, so only the load-time check can catch it.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ValueError, match=field):
+        main(["poa", "--target", "2", "--config", str(path), "--out", str(tmp_path / "out.json")])

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special._ufuncs import _binom_sf
 from scipy.stats import binom
 
 from chainbook.equilibrium import (
     MixedStrategy,
+    _expected_blocks,
     crossing_index,
     expected_total_cost,
     msne,
@@ -24,6 +26,20 @@ def test_crossing_index_examples():
     assert crossing_index(build_instance([0.9, 0.3], [0.1, 0.5], 1)) == 1
     assert crossing_index(build_instance([0.8, 0.6], [0.2, 0.4], 1)) == 2
     assert crossing_index(build_instance([0.2], [0.5], 1)) == 1
+
+
+def test_crossing_index_matches_rank_loop():
+    # The first rank i with R_(i) >= C_(i) and R_(i+1) < C_(i+1), else min(K, N),
+    # on coarse grids so that values tie within and across sides.
+    rng = np.random.default_rng(44)
+    for _ in range(500):
+        k, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        inst = build_instance(rng.integers(0, 6, k) / 5.0, rng.integers(0, 6, n) / 5.0, 1)
+        r = sorted(inst.utilities(), reverse=True)
+        c = sorted(inst.costs())
+        m = min(k, n)
+        want = next((i + 1 for i in range(m - 1) if r[i] >= c[i] and r[i + 1] < c[i + 1]), m)
+        assert crossing_index(inst) == want
 
 
 def test_crossing_index_sorts_internally():
@@ -121,6 +137,32 @@ def test_expected_cost_matches_binomial_sum():
         assert expected_total_cost(p, fee, contenders, block_size, d) == pytest.approx(
             _direct_cost(p, fee, contenders, block_size, d), abs=1e-10
         )
+
+
+def test_expected_blocks_equals_binom_sf_sum_bit_for_bit():
+    # _expected_blocks calls the private ufunc behind binom.sf; a scipy
+    # release that changes it, or the wrapper, must fail here.
+    rng = np.random.default_rng(19)
+    draws = 0
+    for _ in range(200):
+        rivals = int(rng.integers(1, 60))
+        block_size = int(rng.integers(1, rivals + 1))
+        p = np.concatenate(([0.0, 1.0], rng.random(8)))
+        want = np.ones_like(p)
+        j = 1
+        while j * block_size <= rivals:
+            want = want + binom.sf(j * block_size - 1, rivals, p)
+            j += 1
+        assert _expected_blocks(p, rivals, block_size).tolist() == want.tolist()
+        draws += len(p)
+    assert draws == 2000
+    # The ufunc alone, on every k < n: k = jA - 1 never reaches n = rivals.
+    n = rng.integers(1, 80, 2000)
+    k = np.floor(rng.random(2000) * n)
+    p = rng.random(2000)
+    assert _binom_sf(k, n, p).tolist() == binom.sf(k, n, p).tolist()
+    # The two part ways beyond the support: binom.sf gives 0, the ufunc nan.
+    assert binom.sf(6, 5, 0.3) == 0.0 and math.isnan(_binom_sf(6.0, 5, 0.3))
 
 
 def test_expected_cost_monotone():

@@ -180,6 +180,24 @@ def test_config_validation():
         HarnessConfig(non_selfish_fraction=1.5)
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [({"num_buyers": 0}, "K and N"), ({"num_sellers": 0}, "K and N"),
+     ({"b_lo": 2.0, "b_hi": 1.0}, "b_lo"), ({"psi": 1.0}, "psi"), ({"psi": -0.2}, "psi")],
+)
+def test_config_rejects_bad_values(overrides, field):
+    with pytest.raises(ValueError, match=field):
+        HarnessConfig(**overrides)
+
+
+def test_load_config_b_hi_defaults_to_b_lo(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"b_lo": 2.0}), encoding="utf-8")
+    config = load_config(str(path))
+    assert (config.b_lo, config.b_hi) == (2.0, 2.0)
+    assert config.distributions["B"].support == (2.0, 2.0)
+
+
 def _heterog(**overrides):
     return HarnessConfig(
         delay_cost=0.005,

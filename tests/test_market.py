@@ -177,3 +177,14 @@ def test_build_instance_roundtrip():
     resized = inst.with_block_size(1)
     assert resized.block_size == 1
     assert resized.horizon == 2
+
+
+def test_value_arrays_are_shared_read_only_and_copied_out():
+    inst = build_instance(utilities=[0.9, 0.4], costs=[0.1, 0.3], block_size=1)
+    assert inst.utility_array is inst.utility_array  # built once
+    with pytest.raises(ValueError):
+        inst.cost_array[0] = 0.5
+    out = inst.utilities()
+    out[0] = 0.0
+    assert inst.utilities().tolist() == [0.9, 0.4]
+    assert inst == build_instance(utilities=[0.9, 0.4], costs=[0.1, 0.3], block_size=1)

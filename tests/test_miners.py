@@ -2,14 +2,18 @@
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainbook.market import (
     FeeProfile,
     Miner,
     MinerPolicy,
+    RoundRecord,
     build_instance,
     miners_with_protocol_share,
     rank_feasible,
@@ -19,6 +23,7 @@ from chainbook.miners import (
     PendingPool,
     Selection,
     _feasible_prefixes,
+    _substream,
     recommend_matching,
     run_horizon,
     run_round,
@@ -95,7 +100,7 @@ def test_prefix_equals_subset_optimum_on_aligned_fees():
         sell_fees = np.sort(rng.random(ns) + 0.05)[::-1]
         inst = build_instance(r, c, block_size=a)
         pool = _pool(inst, buy_fees, sell_fees)
-        sel = selfish_select(pool, inst, rng)
+        sel = selfish_select(pool, inst, int(rng.integers(1 << 30)))
         assert sel.total_fee == pytest.approx(brute_force_best_fee(inst, pool))
 
 
@@ -385,7 +390,7 @@ def test_horizon_conservation_and_monotone_pool():
         profile = FeeProfile(
             buy_fees=tuple(rng.random(k)), sell_fees=tuple(rng.random(n))
         )
-        trace = run_horizon(inst, profile, rng)
+        trace = run_horizon(inst, profile, int(rng.integers(1 << 30)))
         pairs = [pair for r in trace.rounds for pair in r.pairs]
         buyers = [b for b, _ in pairs]
         sellers = [s for _, s in pairs]
@@ -393,3 +398,164 @@ def test_horizon_conservation_and_monotone_pool():
         assert len(sellers) == len(set(sellers))
         sizes = [len(r.pairs) for r in trace.rounds]
         assert all(s > 0 for s in sizes)  # progress every recorded round
+
+
+def _reference_remove(pool, selection):
+    """PendingPool.remove as a set difference, one element at a time."""
+    chosen_b, chosen_s = set(selection.buyer_ids), set(selection.seller_ids)
+    keep_b = [i for i, b in enumerate(pool.buyer_ids) if b not in chosen_b]
+    keep_s = [i for i, s in enumerate(pool.seller_ids) if s not in chosen_s]
+    return PendingPool(
+        buyer_ids=tuple(pool.buyer_ids[i] for i in keep_b),
+        buy_fees=tuple(pool.buy_fees[i] for i in keep_b),
+        seller_ids=tuple(pool.seller_ids[i] for i in keep_s),
+        sell_fees=tuple(pool.sell_fees[i] for i in keep_s),
+        round_index=pool.round_index + 1,
+    )
+
+
+def _reference_horizon(instance, profile, rng):
+    """run_horizon with every round spawning its streams from rng.
+
+    Each round calls ``rng.spawn(2)`` (selection, winner) and each selection
+    ``spawn(3)`` (fee ties, size ties, pairing), whether drawn from or not.
+    """
+    pool = PendingPool.from_instance(instance, profile)
+    powers = [m.power for m in instance.miners]
+    policies = {m.policy for m in instance.miners}
+    rounds = []
+    for _ in range(instance.horizon):
+        if pool.is_empty:
+            break
+        select_rng, winner_rng = rng.spawn(2)
+        selections = {}
+        if MinerPolicy.SELFISH in policies:
+            selections[MinerPolicy.SELFISH] = _reference_select(pool, instance, select_rng)[0]
+        if MinerPolicy.PROTOCOL_FOLLOWING in policies:
+            selections[MinerPolicy.PROTOCOL_FOLLOWING] = recommend_matching(pool, instance)
+        if all(sel.is_empty for sel in selections.values()):
+            break
+        winner = instance.miners[int(winner_rng.choice(len(powers), p=powers))]
+        sel = selections[winner.policy]
+        rounds.append(RoundRecord(block=pool.round_index, winner_id=winner.id, pairs=sel.pairing))
+        if sel.is_empty:
+            pool = replace(pool, round_index=pool.round_index + 1)
+        else:
+            pool = _reference_remove(pool, sel)
+    return tuple(rounds)
+
+
+def test_substream_is_the_spawned_child():
+    seeds = (
+        lambda: np.random.SeedSequence(5),
+        lambda: np.random.SeedSequence([3, 9]).spawn(3)[2],
+        lambda: np.random.SeedSequence(123, pool_size=8),
+    )
+    for make_seq in seeds:
+        for bit_generator in (np.random.PCG64, np.random.MT19937):
+            for key in [(0,), (3,), (1, 2), (4, 0, 1)]:
+                want = np.random.Generator(bit_generator(make_seq()))
+                for i in key:
+                    want = want.spawn(i + 1)[i]
+                parent = np.random.Generator(bit_generator(make_seq()))
+                got = _substream(parent, *key)
+                assert type(got.bit_generator) is bit_generator
+                assert got.random(6).tolist() == want.random(6).tolist()
+                assert parent.bit_generator.seed_seq.n_children_spawned == 0
+
+
+def test_run_horizon_matches_spawn_loop_reference():
+    # Coarse value and fee grids (ties on both), zero fees, several miner sets.
+    miner_sets = (
+        None,
+        miners_with_protocol_share(0.3),  # 4 selfish + 1 protocol-following
+        (Miner(0, 0.5), Miner(1, 0.5)),
+        miners_with_protocol_share(1.0),
+    )
+    fee_grid = np.array([0.0, 0.1, 0.2, 0.2, 0.5])
+    rng = np.random.default_rng(71)
+    seen = Counter()
+    for case in range(200):
+        k, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        miners = miner_sets[case % len(miner_sets)]
+        inst = build_instance(
+            rng.integers(0, 5, k) / 4.0,
+            rng.integers(0, 5, n) / 4.0,
+            block_size=int(rng.integers(1, 4)),
+            buy_quantities=1 + rng.integers(0, 3, k) if case % 3 == 0 else None,
+            sell_quantities=1 + rng.integers(0, 3, n) if case % 3 == 0 else None,
+            miners=miners,
+        )
+        profile = FeeProfile(tuple(rng.choice(fee_grid, k)), tuple(rng.choice(fee_grid, n)))
+        seeds = (
+            lambda: case,
+            lambda: np.random.SeedSequence([case, 3]),
+            lambda: np.random.SeedSequence(case).spawn(2)[1],
+        )
+        make = seeds[case % len(seeds)]
+        want = _reference_horizon(inst, profile, np.random.default_rng(make()))
+        assert run_horizon(inst, profile, np.random.default_rng(make())).rounds == want
+        seen["multi_round"] += len(want) > 1
+        seen["ties"] += len(set(profile.buy_fees)) < k
+    assert seen["multi_round"] > 20 and seen["ties"] > 50
+
+
+@st.composite
+def _distinct_fee_markets(draw):
+    """Markets of up to 6 per side, values on a coarse grid, distinct fees (0 = rejected)."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = st.integers(0, 5).map(lambda v: v / 5.0)
+    inst = build_instance(
+        draw(st.lists(values, min_size=k, max_size=k)),
+        draw(st.lists(values, min_size=n, max_size=n)),
+        block_size=draw(st.integers(1, 6)),
+    )
+    fees = [
+        tuple(f / 8.0 for f in draw(st.lists(st.integers(0, 24), min_size=m, max_size=m, unique=True)))
+        for m in (k, n)
+    ]
+    return inst, _pool(inst, *fees), draw(st.integers(0, 2**32 - 1))
+
+
+def _exhaustively_feasible(utilities, costs):
+    return any(all(r >= c for r, c in zip(utilities, perm)) for perm in itertools.permutations(costs))
+
+
+@settings(max_examples=300)
+@given(_distinct_fee_markets())
+def test_selfish_select_fee_total_is_best_feasible_prefix(market):
+    inst, pool, seed = market
+    ranked_b = sorted((b for b, f in zip(pool.buyer_ids, pool.buy_fees) if f > 0),
+                      key=lambda b: -pool.buy_fees[b])
+    ranked_s = sorted((s for s, f in zip(pool.seller_ids, pool.sell_fees) if f > 0),
+                      key=lambda s: -pool.sell_fees[s])
+    best = 0.0
+    for size in range(1, min(inst.block_size, len(ranked_b), len(ranked_s)) + 1):
+        top_b, top_s = ranked_b[:size], ranked_s[:size]
+        if _exhaustively_feasible([inst.buyers[b].utility for b in top_b],
+                                  [inst.sellers[s].cost for s in top_s]):
+            best = max(best, sum(pool.buy_fees[b] for b in top_b) + sum(pool.sell_fees[s] for s in top_s))
+    sel = selfish_select(pool, inst, seed)
+    assert sel.total_fee == pytest.approx(best, abs=1e-12)
+    assert set(sel.buyer_ids) == set(ranked_b[: sel.size])
+    assert set(sel.seller_ids) == set(ranked_s[: sel.size])
+    assert all(inst.buyers[b].utility >= inst.sellers[s].cost for b, s in sel.pairing)
+
+
+@given(
+    st.lists(st.integers(0, 11), unique=True),
+    st.lists(st.integers(0, 11), unique=True),
+    st.lists(st.integers(0, 13), unique=True),
+    st.lists(st.integers(0, 13), unique=True),
+    st.integers(1, 5),
+)
+def test_pool_remove_matches_set_difference(buyer_ids, seller_ids, chosen_b, chosen_s, round_index):
+    pool = PendingPool(
+        buyer_ids=tuple(buyer_ids),
+        buy_fees=tuple(i / 7.0 for i in buyer_ids),
+        seller_ids=tuple(seller_ids),
+        sell_fees=tuple(i / 3.0 for i in seller_ids),
+        round_index=round_index,
+    )
+    selection = Selection(tuple(chosen_b), tuple(chosen_s), pairing=(), total_fee=0.0)
+    assert pool.remove(selection) == _reference_remove(pool, selection)

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from chainbook.equilibrium import equilibrium_profile
-from chainbook.market import FeeProfile, MatchTrace, RoundRecord, build_instance
+from chainbook.market import (
+    FeeProfile,
+    MatchTrace,
+    RoundRecord,
+    build_instance,
+    buyer_payoff,
+    miner_round_payoff,
+    seller_payoff,
+)
 from chainbook.miners import run_horizon
 from chainbook.welfare import (
     performance_ratio,
@@ -62,11 +70,55 @@ def test_fees_cancel_in_welfare():
             delay_cost=0.05,
         )
         profile = FeeProfile(buy_fees=tuple(rng.random(k)), sell_fees=tuple(rng.random(n)))
-        trace = run_horizon(inst, profile, rng)
+        trace = run_horizon(inst, profile, int(rng.integers(1 << 30)))
         report = social_welfare(inst, trace, profile)
         assert report.sw == pytest.approx(
             report.matched_surplus - report.delay_total, abs=1e-9
         )
+
+
+def _loop_social_welfare(instance, trace, profile):
+    """social_welfare pair by pair, through the payoff functions."""
+    payoffs = []
+    fee_total = surplus_total = delay_total = 0.0
+    d = instance.delay_cost
+    for rec in trace.rounds:
+        round_fees = []
+        for buyer_id, seller_id in rec.pairs:
+            buyer, seller = instance.buyers[buyer_id], instance.sellers[seller_id]
+            bfee, sfee = profile.buy_fees[buyer_id], profile.sell_fees[seller_id]
+            payoffs.append(
+                buyer_payoff(buyer, bfee, True, rec.block, seller, d)
+                + seller_payoff(seller, sfee, True, rec.block, buyer, d)
+            )
+            round_fees.extend((bfee, sfee))
+            surplus_total += min(buyer.quantity, seller.quantity) * (buyer.utility - seller.cost)
+            delay_total += 2 * (rec.block - 1) * d
+        payoffs.append(miner_round_payoff(round_fees, 1.0))
+        fee_total += math.fsum(round_fees)
+    return math.fsum(payoffs), surplus_total, delay_total, fee_total
+
+
+def test_social_welfare_equals_pair_loop_exactly():
+    rng = np.random.default_rng(15)
+    rounds_seen = 0
+    for _ in range(300):
+        k, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        inst = build_instance(
+            rng.random(k),
+            rng.random(n),
+            block_size=int(rng.integers(1, 4)),
+            buy_quantities=1 + 2 * rng.random(k),
+            sell_quantities=1 + 2 * rng.random(n),
+            delay_cost=float(rng.random()) * 0.1,
+        )
+        profile = FeeProfile(buy_fees=tuple(rng.random(k)), sell_fees=tuple(rng.random(n)))
+        trace = run_horizon(inst, profile, int(rng.integers(1 << 30)))
+        report = social_welfare(inst, trace, profile)
+        got = (report.sw, report.matched_surplus, report.delay_total, report.fee_total)
+        assert got == _loop_social_welfare(inst, trace, profile)
+        rounds_seen += len(trace.rounds) > 1
+    assert rounds_seen > 20
 
 
 def test_social_optimum_examples():
