@@ -1,13 +1,14 @@
 """Fee-setting equilibria of the order-book game.
 
 With transactions ranked by value (utilities descending, costs ascending,
-ties broken by id), the crossing index is the last rank at which the buyer
-utility still covers the seller cost.  Block sizes at or above the crossing
-admit a pure-strategy equilibrium in which the top-ranked participants pay a
-threshold fee plus one fee unit and everyone else pays the threshold fee.
-Below the crossing no pure equilibrium exists and contenders mix over a fee
-interval whose CDF is pinned down by an indifference condition: the expected
-fee-plus-delay cost must be constant across the support.
+ties broken by position), the crossing index is the last rank at which the
+buyer utility still covers the seller cost.  Block sizes at or above the
+crossing admit a pure-strategy equilibrium in which the top-ranked
+participants pay a threshold fee plus one fee unit and everyone else pays
+the threshold fee.  Below the crossing no pure equilibrium exists and
+contenders mix over a fee interval whose CDF is pinned down by an
+indifference condition: the expected fee-plus-delay cost must be constant
+across the support.
 
 The cost of bidding f against ``contenders - 1`` rivals who each outbid with
 probability p is ``f + delay_cost * E[ceil((n + 1) / A)]`` with n binomial;
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special._ufuncs import _binom_sf  # the kernel of scipy.stats.binom.sf
@@ -47,18 +47,6 @@ CDF_VALUE_TOL = 1e-10  # tolerance on the indifference equation when inverting t
 SAMPLE_FEE_TOL = 1e-12  # fee-axis tolerance for inverse-transform sampling
 
 
-def _buyer_order(instance: MarketInstance) -> np.ndarray:
-    """Buyer positions sorted by utility descending, ties by id."""
-    ids = np.array([b.id for b in instance.buyers])
-    return np.lexsort((ids, -instance.utility_array))
-
-
-def _seller_order(instance: MarketInstance) -> np.ndarray:
-    """Seller positions sorted by cost ascending, ties by id."""
-    ids = np.array([s.id for s in instance.sellers])
-    return np.lexsort((ids, instance.cost_array))
-
-
 def crossing_index(instance: MarketInstance) -> int:
     """Last rank i with R_(i) >= C_(i); min(K, N) when the ranks never cross.
 
@@ -67,8 +55,8 @@ def crossing_index(instance: MarketInstance) -> int:
     """
     m = min(instance.num_buyers, instance.num_sellers)
     covered = (
-        instance.utility_array[_buyer_order(instance)[:m]]
-        >= instance.cost_array[_seller_order(instance)[:m]]
+        instance.utility_array[instance.buyer_rank[:m]]
+        >= instance.cost_array[instance.seller_rank[:m]]
     )
     crossings = np.flatnonzero(covered[:-1] & ~covered[1:])
     return int(crossings[0]) + 1 if crossings.size else m
@@ -130,12 +118,12 @@ def threshold_fees(
     d = instance.delay_cost
     blocks_needed = math.ceil(a_th / block_size)
 
-    b_order = _buyer_order(instance)
-    s_order = _seller_order(instance)
+    b_order = instance.buyer_rank
+    s_order = instance.seller_rank
     r_sorted = instance.utility_array[b_order]
     c_sorted = instance.cost_array[s_order]
-    bq_sorted = instance.buy_quantities()[b_order]
-    sq_sorted = instance.sell_quantities()[s_order]
+    bq_sorted = instance.buy_qty_array[b_order]
+    sq_sorted = instance.sell_qty_array[s_order]
 
     cut_buy = min(blocks_needed * block_size, n)
     sigma_buy = 0.0
@@ -174,10 +162,10 @@ def psne(instance: MarketInstance) -> FeeProfile | None:
 
     buy = np.full(instance.num_buyers, fees.sigma_buy)
     top_buy = min(instance.block_size, instance.num_sellers)
-    buy[_buyer_order(instance)[:top_buy]] = fees.sigma_buy + eps
+    buy[instance.buyer_rank[:top_buy]] = fees.sigma_buy + eps
     sell = np.full(instance.num_sellers, fees.sigma_sell)
     top_sell = min(instance.block_size, instance.num_buyers)
-    sell[_seller_order(instance)[:top_sell]] = fees.sigma_sell + eps
+    sell[instance.seller_rank[:top_sell]] = fees.sigma_sell + eps
 
     return FeeProfile(buy_fees=tuple(buy), sell_fees=tuple(sell))
 
@@ -232,7 +220,7 @@ class MixedStrategy:
     contenders: int
     block_size: int
     delay_cost: float
-    mixer_ids: tuple[int, ...]
+    mixer_ids: tuple[int, ...]  # participant positions
     non_mixer_fee: float
     target_cost: float  # cost at the lower support against all rivals ahead
 
@@ -301,9 +289,8 @@ def msne(instance: MarketInstance) -> tuple[MixedStrategy, MixedStrategy]:
     contenders = min(math.ceil(a_th / a) * a, k, n)
     spread = (math.ceil(contenders / a) - 1) * d
 
-    def build(role: str, sigma: float, cut: int, order: np.ndarray, ids: Sequence[int]) -> MixedStrategy:
+    def build(role: str, sigma: float, cut: int, order: np.ndarray) -> MixedStrategy:
         lower = sigma + eps
-        mixers = tuple(int(ids[pos]) for pos in order[:cut])
         return MixedStrategy(
             role=role,
             lower=lower,
@@ -311,15 +298,13 @@ def msne(instance: MarketInstance) -> tuple[MixedStrategy, MixedStrategy]:
             contenders=contenders,
             block_size=a,
             delay_cost=d,
-            mixer_ids=mixers,
+            mixer_ids=tuple(order[:cut].tolist()),
             non_mixer_fee=sigma,
             target_cost=lower + math.ceil(contenders / a) * d,
         )
 
-    buy_ids = [b.id for b in instance.buyers]
-    sell_ids = [s.id for s in instance.sellers]
-    buy = build("buy", fees.sigma_buy, min(math.ceil(a_th / a) * a, n), _buyer_order(instance), buy_ids)
-    sell = build("sell", fees.sigma_sell, min(math.ceil(a_th / a) * a, k), _seller_order(instance), sell_ids)
+    buy = build("buy", fees.sigma_buy, min(math.ceil(a_th / a) * a, n), instance.buyer_rank)
+    sell = build("sell", fees.sigma_sell, min(math.ceil(a_th / a) * a, k), instance.seller_rank)
     return buy, sell
 
 
@@ -599,12 +584,12 @@ def _exact_psne_deviation_report(
 
 def _matching_utilities(instance: MarketInstance, strategy: MixedStrategy) -> np.ndarray:
     """Model expected half-surplus of each mixer against the included other side."""
-    b_order = _buyer_order(instance)
-    s_order = _seller_order(instance)
+    b_order = instance.buyer_rank
+    s_order = instance.seller_rank
     r_sorted = instance.utility_array[b_order]
     c_sorted = instance.cost_array[s_order]
-    bq_sorted = instance.buy_quantities()[b_order]
-    sq_sorted = instance.sell_quantities()[s_order]
+    bq_sorted = instance.buy_qty_array[b_order]
+    sq_sorted = instance.sell_qty_array[s_order]
     a_th = crossing_index(instance)
     blocks_needed = math.ceil(a_th / strategy.block_size)
 

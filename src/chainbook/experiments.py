@@ -224,10 +224,8 @@ def _comparison_replication(args) -> tuple[int, dict[str, float], float, dict[st
     }
     sw: dict[str, float] = {}
     for variant in _COMPARISON_VARIANTS:
-        miners = (
-            miners_with_protocol_share(fraction) if variant == "abs_non_selfish" else base.miners
-        )
-        inst = replace(base, block_size=sizes[variant], miners=miners, horizon=None)
+        miners = miners_with_protocol_share(fraction) if variant == "abs_non_selfish" else None
+        inst = base.with_block_size(sizes[variant], miners)
         # One simulation stream per replication, shared by every variant:
         # mechanisms that induce the same play produce identical welfare, so
         # paired comparisons are exact rather than coin flips on pairing luck.

@@ -7,6 +7,12 @@ trade splits equally.  Transactions are confirmed by miners in blocks of up
 to ``block_size`` pairs; a transaction confirmed in block l bears a delay
 cost of (l - 1) * d.
 
+A participant's position in ``MarketInstance.buyers`` or ``.sellers`` is the
+id the engine indexes by: fee profiles, pending pools, selections, pairings,
+mixer sets and the cached value, quantity and rank arrays all use positions.
+``build_instance`` sets ``Buyer.id`` and ``Seller.id`` to the position; other
+ids are labels only.
+
 All types are immutable after construction and all operations are pure
 functions, so they are safe to use concurrently without coordination.
 """
@@ -141,8 +147,9 @@ class MarketInstance:
     def num_sellers(self) -> int:
         return len(self.sellers)
 
-    # Read-only, indexed by participant id, built on first use.  The engine
-    # reads them directly; utilities() and costs() hand out copies.
+    # Read-only, indexed by participant position, built on first use and
+    # shared with every with_block_size variant.  The engine reads them
+    # directly; utilities(), costs() and the quantity getters hand out copies.
     @cached_property
     def utility_array(self) -> np.ndarray:
         return _read_only([b.utility for b in self.buyers])
@@ -151,25 +158,64 @@ class MarketInstance:
     def cost_array(self) -> np.ndarray:
         return _read_only([s.cost for s in self.sellers])
 
+    @cached_property
+    def buy_qty_array(self) -> np.ndarray:
+        return _read_only([b.quantity for b in self.buyers])
+
+    @cached_property
+    def sell_qty_array(self) -> np.ndarray:
+        return _read_only([s.quantity for s in self.sellers])
+
+    @cached_property
+    def buyer_rank(self) -> np.ndarray:
+        """Buyer positions by utility descending, ties by position."""
+        return _read_only(np.argsort(-self.utility_array, kind="stable"))
+
+    @cached_property
+    def seller_rank(self) -> np.ndarray:
+        """Seller positions by cost ascending, ties by position."""
+        return _read_only(np.argsort(self.cost_array, kind="stable"))
+
     def utilities(self) -> np.ndarray:
         return self.utility_array.copy()
 
     def buy_quantities(self) -> np.ndarray:
-        return np.array([b.quantity for b in self.buyers])
+        return self.buy_qty_array.copy()
 
     def costs(self) -> np.ndarray:
         return self.cost_array.copy()
 
     def sell_quantities(self) -> np.ndarray:
-        return np.array([s.quantity for s in self.sellers])
+        return self.sell_qty_array.copy()
 
-    def with_block_size(self, block_size: int) -> "MarketInstance":
-        """Same market under a different block size (horizon re-derived)."""
-        return replace(self, block_size=block_size, horizon=None)
+    def with_block_size(
+        self, block_size: int, miners: Sequence[Miner] | None = None
+    ) -> "MarketInstance":
+        """Same market under a different block size (horizon re-derived) and,
+        if given, another miner set.  The variant shares this instance's arrays."""
+        variant = replace(
+            self,
+            block_size=block_size,
+            miners=self.miners if miners is None else tuple(miners),
+            horizon=None,
+        )
+        for name in _SHARED_ARRAYS:
+            variant.__dict__[name] = getattr(self, name)
+        return variant
 
 
-def _read_only(values: list[float]) -> np.ndarray:
-    out = np.array(values)
+_SHARED_ARRAYS = (
+    "utility_array",
+    "cost_array",
+    "buy_qty_array",
+    "sell_qty_array",
+    "buyer_rank",
+    "seller_rank",
+)
+
+
+def _read_only(values) -> np.ndarray:
+    out = np.asarray(values)
     out.flags.writeable = False
     return out
 
@@ -244,8 +290,12 @@ class FeeProfile:
     sell_fees: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(f < 0.0 for f in self.buy_fees) or any(f < 0.0 for f in self.sell_fees):
-            raise ValueError("fees must be nonnegative")
+        fees = np.array((*self.buy_fees, *self.sell_fees), dtype=float)
+        valid = (fees >= 0.0) & (fees < math.inf)  # False for NaN, -inf and inf
+        if not valid.all():
+            first = int(np.argmin(valid))
+            side = "buy_fees" if first < len(self.buy_fees) else "sell_fees"
+            raise ValueError(f"{side} must be finite and nonnegative, got {fees[first]}")
 
     def quantized(self, fee_unit: float) -> "FeeProfile":
         """Round every fee to the nearest integer multiple of ``fee_unit``."""

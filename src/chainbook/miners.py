@@ -4,8 +4,9 @@ A selfish miner ranks pending transactions by fee (ties shuffled with the
 round's seed, zero-fee transactions rejected) and keeps, among prefix sizes
 i = 1..min(A, pending buyers, pending sellers), the feasible prefix with the
 largest fee total.  Feasibility of every prefix comes from one all-prefix
-Hall check: O(A^2) element operations in A / ``_HALL_ROWS`` vectorized numpy
-blocks, in O(_HALL_ROWS * A) memory.  A protocol-following miner instead
+Hall check in A / ``_HALL_ROWS`` vectorized numpy blocks, each evaluated
+only at its own breakpoints: O(_HALL_ROWS * A + A^2 / _HALL_ROWS) element
+operations in O(_HALL_ROWS^2 + A) memory.  A protocol-following miner instead
 adopts the welfare-greedy matching recommendation.  One winner per round is
 drawn with the miners' power weights; its selection is appended to the chain
 and removed from the pending pool.
@@ -169,25 +170,46 @@ def _feasible_prefixes(utilities: np.ndarray, costs: np.ndarray) -> np.ndarray:
     every threshold x it holds no more buyers with R < x than sellers with
     C < x, and the sorted costs are enough thresholds.  The slack
     #{C < x} - #{R < x} of each (prefix, threshold) pair is a cumulative sum
-    over the prefixes; it is built ``_HALL_ROWS`` prefixes at a time, each
-    block starting from the last slack row of the one before.
+    over the prefixes.  A pool of at most ``_HALL_ROWS`` rows is one block,
+    evaluated at every threshold: for one block that is cheaper than the
+    breakpoint bookkeeping below.  A larger pool is built ``_HALL_ROWS``
+    prefixes at a time, each block starting from the slack ``carry`` of the
+    prefixes before it.  A block's own rows step the slack only at their
+    positions, so between two of its <= 2 * _HALL_ROWS + 1 breakpoints the
+    step is constant: the block needs the step at the breakpoints plus the
+    minimum of ``carry`` over each segment between them.  That is
+    O(_HALL_ROWS * A + A^2 / _HALL_ROWS) element operations in
+    A / _HALL_ROWS blocks, in O(_HALL_ROWS^2 + A) memory; all integer, so
+    the result equals the check at every threshold.
     """
     n = len(costs)
     thresholds = np.sort(costs)
-    cols = np.arange(n)
     # A participant counts at every threshold from this position on.
     pos_b = np.searchsorted(thresholds, utilities, side="right")
     pos_s = np.searchsorted(thresholds, costs, side="right")
+    if n <= _HALL_ROWS:
+        cols = np.arange(n)
+        slack = (pos_s[:, None] <= cols).astype(np.int64)
+        slack -= pos_b[:, None] <= cols
+        np.cumsum(slack, axis=0, out=slack)
+        return slack.min(axis=1) >= 0
+
     feasible = np.empty(n, dtype=bool)
-    carry = np.zeros(n, dtype=np.int64)
+    # Slack at thresholds 0..n.  Every participant counts at column n, so
+    # carry and step are 0 there, and a 0 never fails the check: positions
+    # equal to n need not be dropped from the breakpoints.
+    carry = np.zeros(n + 1, dtype=np.int64)
     for start in range(0, n, _HALL_ROWS):
         block = slice(start, start + _HALL_ROWS)
-        slack = (pos_s[block, None] <= cols).astype(np.int64)
-        slack -= pos_b[block, None] <= cols
-        np.cumsum(slack, axis=0, out=slack)
-        slack += carry
-        feasible[block] = slack.min(axis=1) >= 0
-        carry = slack[-1]
+        ps, pb = pos_s[block], pos_b[block]
+        cuts = np.sort(np.concatenate((ps, pb, [0])))
+        step = (ps[:, None] <= cuts).astype(np.int64)
+        step -= pb[:, None] <= cuts
+        np.cumsum(step, axis=0, out=step)
+        # A repeated breakpoint reads one carry entry, never below its segment's minimum.
+        step += np.minimum.reduceat(carry, cuts)
+        feasible[block] = step.min(axis=1) >= 0
+        carry += np.cumsum(np.bincount(ps, minlength=n + 1) - np.bincount(pb, minlength=n + 1))
     return feasible
 
 
@@ -200,9 +222,10 @@ def selfish_select(
     """Fee-maximizing feasible prefix selection for one block.
 
     Checks every prefix i = 1..min(A, pending buyers, pending sellers) of the
-    fee-ranked transactions at once with the all-prefix Hall check (O(A^2)
-    element operations in A / _HALL_ROWS numpy blocks, O(_HALL_ROWS * A)
-    memory) and returns the feasible prefix with the highest fee total.
+    fee-ranked transactions at once with the all-prefix Hall check
+    (O(_HALL_ROWS * A + A^2 / _HALL_ROWS) element operations in
+    A / _HALL_ROWS numpy blocks, O(_HALL_ROWS^2 + A) memory) and returns the
+    feasible prefix with the highest fee total.
     Totals within a relative 1e-12 of it are tied, and ties are broken
     uniformly at random.  The pairing inside the selection is drawn
     uniformly among all feasible pairings (the fee total does not depend on
@@ -274,9 +297,9 @@ def recommend_matching(pool: PendingPool, instance: MarketInstance) -> Selection
     b_ids = np.asarray(pool.buyer_ids)[buy_keep]
     s_ids = np.asarray(pool.seller_ids)[sell_keep]
     r = instance.utility_array[b_ids]
-    bq = instance.buy_quantities()[b_ids]
+    bq = instance.buy_qty_array[b_ids]
     c = instance.cost_array[s_ids]
-    sq = instance.sell_quantities()[s_ids]
+    sq = instance.sell_qty_array[s_ids]
 
     gain = np.minimum(bq[:, None], sq[None, :]) * (r[:, None] - c[None, :])
     gain = np.where(r[:, None] >= c[None, :], gain, -np.inf)

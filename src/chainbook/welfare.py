@@ -69,7 +69,7 @@ def social_welfare(
     pairs = [(rec.block, b, s) for rec in trace.rounds for b, s in rec.pairs]
     blocks, b, s = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
     r, c = instance.utility_array[b], instance.cost_array[s]
-    qty = np.minimum(instance.buy_quantities()[b], instance.sell_quantities()[s])
+    qty = np.minimum(instance.buy_qty_array[b], instance.sell_qty_array[s])
     mid = (r + c) / 2.0
     d = instance.delay_cost
     delay = (blocks - 1) * d
@@ -104,10 +104,10 @@ def social_optimum(instance: MarketInstance) -> float:
     part of the sorted rank differences is summed directly; otherwise an
     assignment solver runs on the zero-clamped weight matrix.
     """
-    r = instance.utilities()
-    c = instance.costs()
-    bq = instance.buy_quantities()
-    sq = instance.sell_quantities()
+    r = instance.utility_array
+    c = instance.cost_array
+    bq = instance.buy_qty_array
+    sq = instance.sell_qty_array
 
     if np.all(bq == bq[0]) and np.all(sq == sq[0]) and bq[0] == sq[0]:
         qty = float(bq[0])

@@ -210,3 +210,12 @@ def test_cli_rejects_bad_config_on_load(tmp_path, raw, field):
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(ValueError, match=field):
         main(["poa", "--target", "2", "--config", str(path), "--out", str(tmp_path / "out.json")])
+
+
+def test_python_m_chainbook_runs_the_cli():
+    src = str(Path(chainbook.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-m", "chainbook", "--help"], check=True, env=env, capture_output=True, text=True
+    )
+    assert out.stdout.startswith("usage: chainbook") and "experiment" in out.stdout

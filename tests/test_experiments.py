@@ -265,3 +265,16 @@ def test_report_rows_pinned(tmp_path):
         "cli_poa": _cli_rows(tmp_path, "poa", "--target", "50", "--seed", "1"),
     }
     assert {case: _rows_sha256(r) for case, r in rows.items()} == PINNED_ROWS
+
+
+def test_large_comparison_rows_pinned():
+    # Selections of up to 300 rows reach the third 64-row block of the
+    # all-prefix Hall check.  Hash taken with the dense (uncompressed) check,
+    # numpy 2.4.6 and scipy 1.17.1.
+    rows = run_mechanism_comparison(
+        ExperimentSpec(
+            scenario=Scenario.MECHANISM_COMPARISON, replications=4, seed=7, seller_grid=(150, 300)
+        ),
+        HarnessConfig(non_selfish_fraction=0.2),
+    )
+    assert _rows_sha256(rows) == "a6ef63e1898c9fd20732b7ae261c81915b34fba6308b16d7a6eaf57ab5980b99"

@@ -1,6 +1,8 @@
 """Market-core tests: surpluses, payoffs, feasibility, structural invariants."""
 
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from chainbook.market import (
     build_instance,
     buyer_payoff,
     feasible_matching_exists,
+    miners_with_protocol_share,
     miner_round_payoff,
     pair_surplus,
     seller_payoff,
@@ -162,6 +165,16 @@ def test_fee_profile_quantization():
         FeeProfile(buy_fees=(-0.1,), sell_fees=())
 
 
+@pytest.mark.parametrize(
+    "buy, sell, side",
+    [((math.nan, 0.1), (0.2,), "buy_fees"), ((0.1,), (math.inf,), "sell_fees"),
+     ((-math.inf,), (), "buy_fees"), ((0.1,), (0.2, -0.1), "sell_fees")],
+)
+def test_fee_profile_rejects_nonfinite_and_negative_fees(buy, sell, side):
+    with pytest.raises(ValueError, match=side):
+        FeeProfile(buy_fees=buy, sell_fees=sell)
+
+
 def test_build_instance_roundtrip():
     inst = build_instance(
         utilities=[0.9, 0.4],
@@ -188,3 +201,31 @@ def test_value_arrays_are_shared_read_only_and_copied_out():
     out[0] = 0.0
     assert inst.utilities().tolist() == [0.9, 0.4]
     assert inst == build_instance(utilities=[0.9, 0.4], costs=[0.1, 0.3], block_size=1)
+
+
+def test_rank_and_quantity_arrays_are_built_once_per_population():
+    inst = build_instance([0.4, 0.9, 0.4], [0.5, 0.1, 0.5], block_size=1, buy_quantities=[1.0, 2.0, 3.0])
+    assert inst.buyer_rank.tolist() == [1, 0, 2]  # utility descending, ties by position
+    assert inst.seller_rank.tolist() == [1, 0, 2]  # cost ascending, ties by position
+    miners = miners_with_protocol_share(0.5)
+    variant = inst.with_block_size(2, miners)
+    assert variant == replace(inst, block_size=2, miners=miners, horizon=None)
+    assert variant.horizon == 2 and inst.with_block_size(2).miners == inst.miners
+    for name in ("utility_array", "cost_array", "buy_qty_array", "sell_qty_array", "buyer_rank", "seller_rank"):
+        assert getattr(variant, name) is getattr(inst, name)
+        with pytest.raises(ValueError):
+            getattr(inst, name)[0] = 0
+    out = inst.buy_quantities()
+    out[0] = 9.0
+    assert inst.buy_quantities().tolist() == [1.0, 2.0, 3.0]
+    assert inst.sell_quantities().tolist() == [1.0, 1.0, 1.0]
+
+
+def test_ranks_equal_lexsort_by_position():
+    # With positions as ids, a stable argsort is the (value, id) lexsort.
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        k, n = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        inst = build_instance(rng.integers(0, 5, k) / 4.0, rng.integers(0, 5, n) / 4.0, 1)
+        assert inst.buyer_rank.tolist() == np.lexsort((np.arange(k), -inst.utility_array)).tolist()
+        assert inst.seller_rank.tolist() == np.lexsort((np.arange(n), inst.cost_array)).tolist()

@@ -127,6 +127,38 @@ def test_feasible_prefixes_match_rank_feasible_on_every_prefix():
         assert got.tolist() == want
 
 
+@st.composite
+def _blockwise_values(draw):
+    """Up to three full Hall blocks and a partial fourth, on a small grid.
+
+    Each 64-row block draws its costs from its own window of the grid, so
+    earlier blocks leave breakpoints the current block lacks.  Utilities copy
+    a cost a few rows away, or draw from the window too: ties, values equal
+    to thresholds and R = C all occur, and many prefixes sit at the edge of
+    feasibility.
+    """
+    n = draw(st.integers(1, 3 * _HALL_ROWS + 5), label="n")
+    levels = draw(st.sampled_from([4, 8, 64]), label="levels")
+    half = st.integers(0, levels // 2)
+    window = np.repeat(draw(st.lists(half, min_size=-(-n // _HALL_ROWS), max_size=-(-n // _HALL_ROWS))),
+                       _HALL_ROWS)[:n]
+    c = window + np.array(draw(st.lists(half, min_size=n, max_size=n)))
+    if draw(st.booleans(), label="copied"):
+        shift = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        u = c[np.clip(np.arange(n) + shift, 0, n - 1)]
+    else:
+        u = window + np.array(draw(st.lists(half, min_size=n, max_size=n)))
+    return u / levels, c / levels
+
+
+@settings(max_examples=80)
+@given(_blockwise_values())
+def test_feasible_prefixes_match_rank_feasible_property(values):
+    u, c = values
+    want = [rank_feasible(u[:i], c[:i]) for i in range(1, len(c) + 1)]
+    assert _feasible_prefixes(u, c).tolist() == want
+
+
 def _reference_select(pool, instance, seed):
     """selfish_select with each prefix sorted and checked on its own.
 
@@ -187,6 +219,26 @@ def test_selfish_select_matches_sorted_prefix_reference():
         tie_draws[want.total_fee < 1e-11] += num_tied > 1
     # Ties below the tolerance both among tiny totals and on top of large ones.
     assert tie_draws[True] > 0 and tie_draws[False] > 0
+
+
+def test_selfish_select_matches_sorted_prefix_reference_on_big_pools():
+    # Pools past one Hall block.  Odd seeds rank by value (ties in fees),
+    # so long prefixes are feasible and the selection reaches later blocks.
+    fee_grid = np.array([0.0, 1e-13, 0.25, 0.5, 1.0])
+    rng = np.random.default_rng(31)
+    sizes = []
+    for seed in range(40):
+        k, n = (int(x) for x in rng.integers(_HALL_ROWS + 1, 3 * _HALL_ROWS + 5, size=2))
+        u, c = rng.integers(0, 9, k) / 8.0, rng.integers(0, 9, n) / 8.0
+        inst = build_instance(u, c, block_size=int(rng.integers(_HALL_ROWS + 1, min(k, n) + 1)))
+        if seed % 2:
+            pool = _pool(inst, np.round(u * 4.0) + 1.0, np.round((1.0 - c) * 4.0) + 1.0)
+        else:
+            pool = _pool(inst, rng.choice(fee_grid, k), rng.choice(fee_grid, n))
+        want, _ = _reference_select(pool, inst, seed)
+        assert selfish_select(pool, inst, seed) == want
+        sizes.append(want.size)
+    assert max(sizes) > 2 * _HALL_ROWS
 
 
 def test_selection_tie_break_is_seeded():
