@@ -7,11 +7,13 @@ trade splits equally.  Transactions are confirmed by miners in blocks of up
 to ``block_size`` pairs; a transaction confirmed in block l bears a delay
 cost of (l - 1) * d.
 
-A participant's position in ``MarketInstance.buyers`` or ``.sellers`` is the
-id the engine indexes by: fee profiles, pending pools, selections, pairings,
-mixer sets and the cached value, quantity and rank arrays all use positions.
-``build_instance`` sets ``Buyer.id`` and ``Seller.id`` to the position; other
-ids are labels only.
+A ``MarketInstance`` stores each side as read-only value arrays, checked
+once: utilities and buy quantities, costs and sell quantities.  A
+participant's position is its id, and the engine indexes by it: fee
+profiles, pending pools, selections, pairings, mixer sets and the value,
+quantity and rank arrays all use positions.  ``MarketInstance.buyers`` and
+``.sellers`` are tuples of ``Buyer``/``Seller`` (id = position) built from the
+arrays on first read; the engine reads the arrays and builds none.
 
 All types are immutable after construction and all operations are pure
 functions, so they are safe to use concurrently without coordination.
@@ -66,7 +68,7 @@ class Buyer:
     def __post_init__(self) -> None:
         if not 0.0 <= self.utility <= 1.0:
             raise ValueError(f"buyer {self.id}: utility {self.utility} outside [0, 1]")
-        if self.quantity <= 0.0:
+        if not self.quantity > 0.0:  # NaN too
             raise ValueError(f"buyer {self.id}: quantity must be positive")
 
 
@@ -81,7 +83,7 @@ class Seller:
     def __post_init__(self) -> None:
         if not 0.0 <= self.cost <= 1.0:
             raise ValueError(f"seller {self.id}: cost {self.cost} outside [0, 1]")
-        if self.quantity <= 0.0:
+        if not self.quantity > 0.0:  # NaN too
             raise ValueError(f"seller {self.id}: quantity must be positive")
 
 
@@ -98,17 +100,25 @@ class Miner:
             raise ValueError(f"miner {self.id}: power {self.power} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketInstance:
     """A complete market parameterization.
+
+    Each side is two read-only float arrays indexed by position: utilities
+    and buy quantities, costs and sell quantities.  They are checked once, as
+    ``Buyer``/``Seller`` check one participant, and ``with_block_size``
+    variants share them.  The ``buyers`` and ``sellers`` tuples are built from
+    them on first read.
 
     ``block_size`` counts buyer/seller *pairs* per block (2A transactions).
     ``horizon`` defaults to the smallest number of blocks that could record
     every possible pair, ceil(min(K, N) / A).
     """
 
-    buyers: tuple[Buyer, ...]
-    sellers: tuple[Seller, ...]
+    utility_array: np.ndarray
+    cost_array: np.ndarray
+    buy_qty_array: np.ndarray
+    sell_qty_array: np.ndarray
     miners: tuple[Miner, ...]
     block_size: int
     delay_cost: float = 0.0
@@ -116,7 +126,13 @@ class MarketInstance:
     horizon: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.buyers) < 1 or len(self.sellers) < 1:
+        utilities, buy_qty = _side_arrays(self.utility_array, self.buy_qty_array, "buyer", "utility")
+        costs, sell_qty = _side_arrays(self.cost_array, self.sell_qty_array, "seller", "cost")
+        object.__setattr__(self, "utility_array", utilities)
+        object.__setattr__(self, "buy_qty_array", buy_qty)
+        object.__setattr__(self, "cost_array", costs)
+        object.__setattr__(self, "sell_qty_array", sell_qty)
+        if len(utilities) < 1 or len(costs) < 1:
             raise ValueError("need at least one buyer and one seller")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
@@ -129,7 +145,7 @@ class MarketInstance:
         total_power = math.fsum(m.power for m in self.miners)
         if abs(total_power - 1.0) > 1e-12:
             raise ValueError(f"miner powers sum to {total_power}, expected 1")
-        min_side = min(len(self.buyers), len(self.sellers))
+        min_side = min(len(utilities), len(costs))
         floor_horizon = math.ceil(min_side / self.block_size)
         if self.horizon is None:
             object.__setattr__(self, "horizon", floor_horizon)
@@ -139,33 +155,37 @@ class MarketInstance:
                 f"(needs >= {floor_horizon})"
             )
 
+    def __eq__(self, other: object) -> bool:
+        """Field by field, the value arrays elementwise."""
+        if not isinstance(other, MarketInstance):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _VALUE_ARRAYS) and (
+            (self.miners, self.block_size, self.delay_cost, self.fee_unit, self.horizon)
+            == (other.miners, other.block_size, other.delay_cost, other.fee_unit, other.horizon)
+        )
+
+    # Built from the arrays on first read, never by the engine.
+    @cached_property
+    def buyers(self) -> tuple[Buyer, ...]:
+        """Buyer i has id i and row i of the buyer arrays."""
+        return tuple(map(Buyer, range(self.num_buyers), self.utility_array.tolist(), self.buy_qty_array.tolist()))
+
+    @cached_property
+    def sellers(self) -> tuple[Seller, ...]:
+        """Seller j has id j and row j of the seller arrays."""
+        return tuple(map(Seller, range(self.num_sellers), self.cost_array.tolist(), self.sell_qty_array.tolist()))
+
     @property
     def num_buyers(self) -> int:
-        return len(self.buyers)
+        return len(self.utility_array)
 
     @property
     def num_sellers(self) -> int:
-        return len(self.sellers)
+        return len(self.cost_array)
 
-    # Read-only, indexed by participant position, built on first use and
-    # shared with every with_block_size variant.  The engine reads them
-    # directly; utilities(), costs() and the quantity getters hand out copies.
-    @cached_property
-    def utility_array(self) -> np.ndarray:
-        return _read_only([b.utility for b in self.buyers])
-
-    @cached_property
-    def cost_array(self) -> np.ndarray:
-        return _read_only([s.cost for s in self.sellers])
-
-    @cached_property
-    def buy_qty_array(self) -> np.ndarray:
-        return _read_only([b.quantity for b in self.buyers])
-
-    @cached_property
-    def sell_qty_array(self) -> np.ndarray:
-        return _read_only([s.quantity for s in self.sellers])
-
+    # Read-only, built on first use and shared with every with_block_size
+    # variant.  The engine reads the arrays directly; utilities(), costs()
+    # and the quantity getters hand out copies.
     @cached_property
     def buyer_rank(self) -> np.ndarray:
         """Buyer positions by utility descending, ties by position."""
@@ -199,25 +219,42 @@ class MarketInstance:
             miners=self.miners if miners is None else tuple(miners),
             horizon=None,
         )
-        for name in _SHARED_ARRAYS:
+        for name in ("buyer_rank", "seller_rank"):
             variant.__dict__[name] = getattr(self, name)
         return variant
 
 
-_SHARED_ARRAYS = (
-    "utility_array",
-    "cost_array",
-    "buy_qty_array",
-    "sell_qty_array",
-    "buyer_rank",
-    "seller_rank",
-)
+_VALUE_ARRAYS = ("utility_array", "cost_array", "buy_qty_array", "sell_qty_array")
 
 
-def _read_only(values) -> np.ndarray:
-    out = np.asarray(values)
-    out.flags.writeable = False
-    return out
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _value_array(values) -> np.ndarray:
+    """``values`` as a read-only float array; one that already is one is shared."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
+        return values
+    return _read_only(np.array(values, dtype=float))
+
+
+def _side_arrays(values, quantities, role: str, value_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """One side's value and quantity arrays, checked as ``Buyer``/``Seller`` check
+    one participant; the error names the first bad position."""
+    values, quantities = _value_array(values), _value_array(quantities)
+    if values.ndim != 1 or values.shape != quantities.shape:
+        raise ValueError(
+            f"{role} values and quantities must be 1-D and of one length, "
+            f"got shapes {values.shape} and {quantities.shape}"
+        )
+    bad = ~((values >= 0.0) & (values <= 1.0) & (quantities > 0.0))  # True for NaN too
+    if bad.any():
+        i = int(bad.argmax())
+        if not 0.0 <= values[i] <= 1.0:
+            raise ValueError(f"{role} {i}: {value_name} {float(values[i])} outside [0, 1]")
+        raise ValueError(f"{role} {i}: quantity must be positive")
+    return values, quantities
 
 
 def build_instance(
@@ -233,22 +270,16 @@ def build_instance(
 ) -> MarketInstance:
     """Assemble a MarketInstance from plain value arrays (unit quantities by default)."""
     if buy_quantities is None:
-        buy_quantities = [1.0] * len(utilities)
+        buy_quantities = np.ones(len(utilities))
     if sell_quantities is None:
-        sell_quantities = [1.0] * len(costs)
-    buyers = tuple(
-        Buyer(id=i, utility=float(r), quantity=float(b))
-        for i, (r, b) in enumerate(zip(utilities, buy_quantities, strict=True))
-    )
-    sellers = tuple(
-        Seller(id=i, cost=float(c), quantity=float(q))
-        for i, (c, q) in enumerate(zip(costs, sell_quantities, strict=True))
-    )
+        sell_quantities = np.ones(len(costs))
     if miners is None:
         miners = single_selfish_miner()
     return MarketInstance(
-        buyers=buyers,
-        sellers=sellers,
+        utility_array=utilities,
+        cost_array=costs,
+        buy_qty_array=buy_quantities,
+        sell_qty_array=sell_quantities,
         miners=tuple(miners),
         block_size=block_size,
         delay_cost=delay_cost,
@@ -332,21 +363,26 @@ class MatchTrace:
 
     def validate(self, instance: MarketInstance) -> None:
         """Check structural invariants against the originating instance."""
+        utilities, costs = instance.utility_array.tolist(), instance.cost_array.tolist()
+        num_buyers, num_sellers = len(utilities), len(costs)
         seen_buyers: set[int] = set()
         seen_sellers: set[int] = set()
         for rec in self.rounds:
             if len(rec.pairs) > instance.block_size:
                 raise ValueError(f"block {rec.block} holds {len(rec.pairs)} pairs > block size")
             for buyer_id, seller_id in rec.pairs:
+                if not (0 <= buyer_id < num_buyers and 0 <= seller_id < num_sellers):
+                    raise ValueError(
+                        f"participant id out of range: buyer {buyer_id} of {num_buyers}, "
+                        f"seller {seller_id} of {num_sellers}"
+                    )
                 if buyer_id in seen_buyers or seller_id in seen_sellers:
                     raise ValueError("participant matched more than once")
                 seen_buyers.add(buyer_id)
                 seen_sellers.add(seller_id)
-                buyer = instance.buyers[buyer_id]
-                seller = instance.sellers[seller_id]
-                if buyer.utility < seller.cost:
+                if utilities[buyer_id] < costs[seller_id]:
                     raise ValueError(
-                        f"infeasible match: R={buyer.utility} < C={seller.cost}"
+                        f"infeasible match: R={utilities[buyer_id]} < C={costs[seller_id]}"
                     )
 
 

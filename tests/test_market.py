@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 from chainbook.market import (
     Buyer,
     FeeProfile,
-    MarketInstance,
+    MatchTrace,
     Miner,
+    RoundRecord,
     Seller,
     build_instance,
     buyer_payoff,
@@ -144,16 +146,15 @@ def test_participant_validation():
 
 
 def test_instance_power_and_horizon_validation():
-    buyers = (Buyer(0, 0.9), Buyer(1, 0.8), Buyer(2, 0.7))
-    sellers = (Seller(0, 0.1), Seller(1, 0.2))
+    utilities, costs = [0.9, 0.8, 0.7], [0.1, 0.2]
     bad_miners = (Miner(0, 0.5), Miner(1, 0.4))
     with pytest.raises(ValueError, match="powers"):
-        MarketInstance(buyers, sellers, bad_miners, block_size=1)
+        build_instance(utilities, costs, block_size=1, miners=bad_miners)
     good_miners = (Miner(0, 0.5), Miner(1, 0.5))
-    inst = MarketInstance(buyers, sellers, good_miners, block_size=1)
+    inst = build_instance(utilities, costs, block_size=1, miners=good_miners)
     assert inst.horizon == 2  # ceil(min(3, 2) / 1)
     with pytest.raises(ValueError, match="horizon"):
-        MarketInstance(buyers, sellers, good_miners, block_size=1, horizon=1)
+        build_instance(utilities, costs, block_size=1, miners=good_miners, horizon=1)
 
 
 def test_fee_profile_quantization():
@@ -229,3 +230,58 @@ def test_ranks_equal_lexsort_by_position():
         inst = build_instance(rng.integers(0, 5, k) / 4.0, rng.integers(0, 5, n) / 4.0, 1)
         assert inst.buyer_rank.tolist() == np.lexsort((np.arange(k), -inst.utility_array)).tolist()
         assert inst.seller_rank.tolist() == np.lexsort((np.arange(n), inst.cost_array)).tolist()
+
+
+def test_participants_are_built_from_the_arrays_on_read():
+    inst = build_instance([0.9, 0.4], [0.1, 0.3, 0.5], 1, buy_quantities=[2.0, 1.0])
+    for i, (r, b) in enumerate(zip(inst.utility_array, inst.buy_qty_array)):
+        assert inst.buyers[i] == Buyer(i, r, b)
+    assert inst.buyers[-1] == Buyer(1, 0.4, 1.0)
+    assert inst.buyers[:] == (Buyer(0, 0.9, 2.0), Buyer(1, 0.4, 1.0))
+    assert list(inst.sellers) == [Seller(0, 0.1), Seller(1, 0.3), Seller(2, 0.5)]
+    assert len(inst.buyers) == 2 and len(inst.sellers) == 3
+    with pytest.raises(IndexError):
+        inst.sellers[3]
+    with pytest.raises(TypeError):
+        inst.buyers[0] = Buyer(0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"utilities": [0.9, math.nan]}, "buyer 1: utility nan outside [0, 1]"),
+        ({"costs": [0.1, 1.2]}, "seller 1: cost 1.2 outside [0, 1]"),
+        ({"buy_quantities": [1.0, 0.0]}, "buyer 1: quantity must be positive"),
+        ({"sell_quantities": [math.nan, 1.0]}, "seller 0: quantity must be positive"),
+        ({"buy_quantities": [1.0]}, "buyer values and quantities must be 1-D and of one length"),
+    ],
+)
+def test_build_instance_names_the_first_bad_position(bad, message):
+    args = {"utilities": [0.9, 0.4], "costs": [0.1, 0.3], "block_size": 1, **bad}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_instance(**args)
+
+
+@pytest.mark.parametrize(
+    "pairs, block_size, message",
+    [
+        (((0, 0), (-2, -2)), 2, "out of range"),  # -2 would alias position 0
+        (((0, 0), (2, 1)), 2, "out of range"),
+        (((0, 1), (1, 2)), 2, "out of range"),
+        (((0, 1), (0, 0)), 2, "matched more than once"),
+        (((0, 0), (1, 0)), 2, "matched more than once"),
+        (((1, 1),), 2, re.escape("infeasible match: R=0.3 < C=0.5")),
+        (((0, 1), (1, 0)), 1, "pairs > block size"),
+    ],
+)
+def test_match_trace_validate_rejects(pairs, block_size, message):
+    inst = build_instance([0.9, 0.3], [0.1, 0.5], block_size=block_size)
+    trace = MatchTrace((RoundRecord(block=1, winner_id=0, pairs=pairs),))
+    with pytest.raises(ValueError, match=message):
+        trace.validate(inst)
+
+
+def test_match_trace_validate_accepts_feasible_traces():
+    inst = build_instance([0.9, 0.3], [0.1, 0.5], block_size=1)
+    MatchTrace(()).validate(inst)
+    MatchTrace((RoundRecord(1, 0, ((0, 1),)), RoundRecord(2, 0, ((1, 0),)))).validate(inst)

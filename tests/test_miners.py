@@ -2,7 +2,6 @@
 
 import itertools
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from chainbook.miners import (
     Selection,
     _feasible_prefixes,
     _substream,
+    _uniform_picks,
     recommend_matching,
     run_horizon,
     run_round,
@@ -306,6 +306,66 @@ def test_uniform_pairing_stream_is_pinned():
         assert all(type(b) is int and type(s) is int for b, s in got)
 
 
+def _scalar_pairing(buyer_ids, utilities, seller_ids, costs, rng):
+    """uniform_feasible_pairing as one rng.integers call per seller."""
+    order_b = np.argsort(utilities, kind="stable")
+    r_sorted = utilities[order_b]
+    b_sorted = buyer_ids[order_b].tolist()
+    order_s = np.argsort(-costs, kind="stable")
+    lows = np.searchsorted(r_sorted, costs[order_s], side="left").tolist()
+    pairs, active, next_in = [], [], len(b_sorted)
+    for lo, seller in zip(lows, seller_ids[order_s].tolist()):
+        while next_in > lo:
+            next_in -= 1
+            active.append(next_in)
+        pick = int(rng.integers(len(active)))
+        active[pick], active[-1] = active[-1], active[pick]
+        pairs.append((b_sorted[active.pop()], seller))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_uniform_picks_equal_scalar_integer_draws(bit_generator):
+    maker = np.random.default_rng(17)
+    rejecting_runs = 0
+    for run in range(80):
+        n = int(maker.integers(0, 30))
+        counts = np.where(
+            maker.random(n) < 0.3,
+            maker.integers(2**31, 2**32, n),  # rejection probability up to 1/2 per draw
+            maker.integers(1, 4, n) ** maker.integers(1, 4, n),  # many 1s: no draw
+        )
+        seed = int(maker.integers(2**32))
+        want_rng, got_rng, words_rng = (np.random.Generator(bit_generator(seed)) for _ in range(3))
+        if run % 2:  # leave half of a 64-bit output buffered
+            for g in (want_rng, got_rng, words_rng):
+                g.integers(5)
+        want = [int(want_rng.integers(k)) for k in counts.tolist()]
+        assert _uniform_picks(got_rng, counts).tolist() == want
+        after = got_rng.random()
+        assert after == want_rng.random()
+        # One word per draw unless some draw was rejected and took more.
+        words_rng.integers(0, 2**32, size=int(np.count_nonzero(counts > 1)), dtype=np.uint32)
+        rejecting_runs += words_rng.random() != after
+    assert 10 < rejecting_runs < 70
+
+
+def test_uniform_pairing_equals_scalar_draws_on_big_pools():
+    maker = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(maker.integers(65, 401))
+        levels = int(maker.choice([5, 50, 10**6]))  # value ties at few levels
+        utilities = maker.integers(1, levels + 1, n) / levels
+        costs = utilities * maker.random(n) ** 0.2  # seller i fits buyer i: a perfect matching exists
+        maker.shuffle(costs)
+        buyer_ids, seller_ids = maker.permutation(n), maker.permutation(n) + n
+        seed = int(maker.integers(2**32))
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _scalar_pairing(buyer_ids, utilities, seller_ids, costs, want_rng)
+        assert uniform_feasible_pairing(buyer_ids, utilities, seller_ids, costs, got_rng) == want
+        assert got_rng.random() == want_rng.random()
+
+
 def test_uniform_pairing_respects_forced_structure():
     # Only one feasible pairing exists: the star buyer must take the pricey seller.
     pairing = uniform_feasible_pairing(
@@ -491,7 +551,7 @@ def _reference_horizon(instance, profile, rng):
         sel = selections[winner.policy]
         rounds.append(RoundRecord(block=pool.round_index, winner_id=winner.id, pairs=sel.pairing))
         if sel.is_empty:
-            pool = replace(pool, round_index=pool.round_index + 1)
+            pool = PendingPool(pool.buyer_ids, pool.buy_fees, pool.seller_ids, pool.sell_fees, pool.round_index + 1)
         else:
             pool = _reference_remove(pool, sel)
     return tuple(rounds)

@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainbook.equilibrium import equilibrium_profile
+from chainbook.equilibrium import crossing_index, equilibrium_profile
 from chainbook.market import (
+    Buyer,
     FeeProfile,
     MatchTrace,
     RoundRecord,
+    Seller,
     build_instance,
     buyer_payoff,
     miner_round_payoff,
@@ -267,3 +271,39 @@ def test_equilibrium_profile_dispatch():
     assert equilibrium_profile(pure_inst, 0) is not None
     profile = equilibrium_profile(mixed_inst, 0)
     assert all(f > 0 for f in profile.buy_fees)
+
+
+def test_large_play_builds_no_participant_objects(monkeypatch):
+    made = []
+    for cls in (Buyer, Seller):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, check=check: (made.append(self), check(self)))
+    rng = np.random.default_rng(4)
+    inst = build_instance(rng.random(200), rng.random(200), 1, buy_quantities=1.0 + rng.integers(0, 3, 200),
+                          delay_cost=0.01)
+    a = crossing_index(inst)
+    for block_size in (a, a // 3):  # a pure and a mixed equilibrium
+        variant = inst.with_block_size(block_size)
+        profile = equilibrium_profile(variant, 5)
+        trace = run_horizon(variant, profile, 6)
+        assert social_welfare(variant, trace, profile).matched_surplus > 0.0
+        assert social_optimum(variant) > 0.0
+    assert made == []
+    assert made == [*inst.buyers, *inst.sellers]  # the count sees them built on first read
+
+
+_values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+_quantities = st.one_of(st.just(1.0), st.sampled_from([0.5, 2.0, 3.0]), st.floats(0.1, 4.0))
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(_values, _quantities), min_size=1, max_size=6),
+    st.lists(st.tuples(_values, _quantities), min_size=1, max_size=6),
+)
+def test_social_optimum_equals_permutation_maximum(buyers, sellers):
+    # Value ties, the ends of [0, 1] and equal quantities on both sides (the
+    # assortative branch) come up far more often than with uniform draws.
+    (r, b), (c, q) = zip(*buyers), zip(*sellers)
+    inst = build_instance(r, c, 1, buy_quantities=b, sell_quantities=q)
+    assert social_optimum(inst) == pytest.approx(_brute_force_optimum(inst), rel=0, abs=1e-12)
