@@ -17,9 +17,15 @@ generator's seed sequence, at the spawn keys ``(2t, 0)`` (fee ties),
 the children that spawning from a fresh generator hands out.  A selection
 whose full prefix is feasible and clears every shorter total skips the
 all-prefix check, and a pairing takes all its picks from one draw of raw
-32-bit words, with the values and stream of one bounded draw per seller.
-``PendingPool`` holds id and fee arrays per side, and each round drops the
-selection through one id mask per side.
+32-bit words, with the values and stream of one bounded draw per seller; a
+one-pair selection draws no pairing at all.
+
+``PendingPool`` keeps each side ranked once per play: positive fees first,
+fee descending, each entry with its pool position.  A selection reads its
+candidates as the head of that order, redraws fee ties only while equal
+positive fees remain, and one stable sort per side of the prefix serves
+both the full-prefix check and the pairing.  A selfish selection leaves the
+pool by slicing off the head; a protocol-following one through an id mask.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .market import (
     MatchTrace,
     MinerPolicy,
     RoundRecord,
-    rank_feasible,
 )
 
 __all__ = [
@@ -53,19 +58,19 @@ __all__ = [
 class PendingPool:
     """Transactions still waiting for inclusion at the start of round ``round_index``.
 
-    Holds read-only id and fee arrays per side, in pool order
-    (``buyer_id_array``, ``buy_fee_array``, ``seller_id_array``,
-    ``sell_fee_array``); ``buyer_ids``, ``buy_fees``, ``seller_ids`` and
-    ``sell_fees`` read them as tuples.
+    Built from id and fee arrays per side in pool order; ``buyer_id_array``,
+    ``buy_fee_array``, ``seller_id_array`` and ``sell_fee_array`` read them
+    back (read-only), and ``buyer_ids``, ``buy_fees``, ``seller_ids`` and
+    ``sell_fees`` as tuples.  Each side is held in fee-rank order (see
+    ``_RankedSide``): ``selfish_select`` reads its candidate prefix by
+    slicing, and ``remove`` slices a selfish selection off the head.
     """
 
-    __slots__ = ("buyer_id_array", "buy_fee_array", "seller_id_array", "sell_fee_array", "round_index")
+    __slots__ = ("_buyers", "_sellers", "round_index")
 
     def __init__(self, buyer_ids, buy_fees, seller_ids, sell_fees, round_index: int = 1) -> None:
-        self.buyer_id_array = _frozen(buyer_ids, np.intp)
-        self.buy_fee_array = _frozen(buy_fees, float)
-        self.seller_id_array = _frozen(seller_ids, np.intp)
-        self.sell_fee_array = _frozen(sell_fees, float)
+        self._buyers = _RankedSide.from_pool_order("buyer", buyer_ids, buy_fees)
+        self._sellers = _RankedSide.from_pool_order("seller", seller_ids, sell_fees)
         self.round_index = round_index
 
     @classmethod
@@ -74,6 +79,10 @@ class PendingPool:
             raise ValueError("fee profile does not match instance participant counts")
         return cls(np.arange(instance.num_buyers), profile.buy_fees, np.arange(instance.num_sellers), profile.sell_fees)
 
+    buyer_id_array = property(lambda self: self._buyers.pool_order()[0])
+    buy_fee_array = property(lambda self: self._buyers.pool_order()[1])
+    seller_id_array = property(lambda self: self._sellers.pool_order()[0])
+    sell_fee_array = property(lambda self: self._sellers.pool_order()[1])
     buyer_ids = property(lambda self: tuple(self.buyer_id_array.tolist()))
     buy_fees = property(lambda self: tuple(self.buy_fee_array.tolist()))
     seller_ids = property(lambda self: tuple(self.seller_id_array.tolist()))
@@ -81,21 +90,26 @@ class PendingPool:
 
     @property
     def is_empty(self) -> bool:
-        return self.buyer_id_array.size == 0 or self.seller_id_array.size == 0
+        return self._buyers.ids.size == 0 or self._sellers.ids.size == 0
 
     def remove(self, selection: "Selection") -> "PendingPool":
-        """The pool of the next round: this one without the selection's ids."""
-        return PendingPool(
-            *_drop(self.buyer_id_array, self.buy_fee_array, selection.buyer_ids),
-            *_drop(self.seller_id_array, self.sell_fee_array, selection.seller_ids),
-            self.round_index + 1,
-        )
+        """The pool of the next round: this one without the selection's ids.
+
+        A side whose chosen ids are the head of its rank order, as a selfish
+        selection's are, drops them by slicing; any other through one id mask.
+        """
+        pool = object.__new__(PendingPool)
+        pool._buyers = self._buyers.without(selection.buyer_ids)
+        pool._sellers = self._sellers.without(selection.seller_ids)
+        pool.round_index = self.round_index + 1
+        return pool
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PendingPool):
             return NotImplemented
         return self.round_index == other.round_index and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__[:4]
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("buyer_id_array", "buy_fee_array", "seller_id_array", "sell_fee_array")
         )
 
     def __repr__(self) -> str:
@@ -105,19 +119,76 @@ class PendingPool:
         )
 
 
+class _RankedSide:
+    """One side of a pending pool in fee-rank order.
+
+    The ``positive`` entries with a positive fee come first, fee descending,
+    equal fees in the order of the last tie draw, else by pool position; the
+    rest follow in an order nothing reads.  ``pos`` holds each entry's pool
+    position (its index when the pool was built), so sorting by it restores
+    pool order.  ``ties`` stays True while equal positive fees remain:
+    dropping entries never makes two fees equal.
+    """
+
+    __slots__ = ("ids", "fees", "pos", "positive", "ties", "_pool_order")
+
+    def __init__(self, ids, fees, pos, positive, ties, pool_order=None) -> None:
+        self.ids, self.fees, self.pos = ids, fees, pos
+        self.positive, self.ties = positive, ties
+        self._pool_order = pool_order
+
+    @classmethod
+    def from_pool_order(cls, side: str, ids, fees) -> "_RankedSide":
+        ids, fees = _frozen(ids, np.intp), _frozen(fees, float)
+        if ids.shape != fees.shape:
+            raise ValueError(f"{side} ids and fees differ in length: {ids.size} vs {fees.size}")
+        # Fee descending puts every positive fee first (nan sorts last).
+        order = (-fees).argsort(kind="stable")
+        positive = int(np.count_nonzero(fees > 0.0))  # zero-fee transactions are rejected
+        ranked = fees[order]
+        return cls(ids[order], ranked, order, positive, _has_equal(ranked[:positive]), (ids, fees))
+
+    def pool_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, fees) in pool order, read-only."""
+        if self._pool_order is None:
+            order = self.pos.argsort()
+            ids, fees = self.ids[order], self.fees[order]
+            ids.flags.writeable = fees.flags.writeable = False
+            self._pool_order = (ids, fees)
+        return self._pool_order
+
+    def redrawn(self, draws: np.ndarray) -> "_RankedSide":
+        """This side with its positive entries ranked by fee descending, then
+        by ``draws``, one per positive entry in pool order."""
+        n = self.positive
+        in_pool = self.pos[:n].argsort()
+        order = np.concatenate((in_pool[np.lexsort((draws, -self.fees[in_pool]))], np.arange(n, self.ids.size)))
+        return _RankedSide(self.ids[order], self.fees[order], self.pos[order], n, True, self._pool_order)
+
+    def without(self, chosen: tuple[int, ...]) -> "_RankedSide":
+        """This side without the chosen ids."""
+        size = len(chosen)
+        if chosen == tuple(self.ids[:size].tolist()):
+            keep = slice(size, None)
+            positive = max(self.positive - size, 0)
+        else:
+            chosen = np.asarray(chosen, dtype=np.intp)
+            unchosen = np.ones(max(self.ids.max(initial=-1), chosen.max(initial=-1)) + 1, dtype=bool)
+            unchosen[chosen] = False
+            keep = unchosen[self.ids]
+            positive = int(np.count_nonzero(keep[: self.positive]))
+        fees = self.fees[keep]
+        return _RankedSide(self.ids[keep], fees, self.pos[keep], positive, self.ties and _has_equal(fees[:positive]))
+
+
 def _frozen(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
 
 
-def _drop(ids: np.ndarray, fees: np.ndarray, chosen: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, fees) without the chosen ids, in pool order, through one id mask."""
-    chosen = np.asarray(chosen, dtype=np.intp)
-    unchosen = np.ones(max(ids.max(initial=-1), chosen.max(initial=-1)) + 1, dtype=bool)
-    unchosen[chosen] = False
-    keep = unchosen[ids]
-    return ids[keep], fees[keep]
+def _has_equal(sorted_values: np.ndarray) -> bool:
+    return bool((sorted_values[1:] == sorted_values[:-1]).any())
 
 
 @dataclass(frozen=True)
@@ -160,9 +231,11 @@ def _uniform_picks(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
     """
     drawn = counts > 1
     k = counts[drawn].astype(np.uint64)
+    picks = np.zeros(counts.size, dtype=np.int64)
+    if not k.size:
+        return picks
     words = rng.integers(0, 2**32, size=k.size, dtype=np.uint32)
     scaled = words * k
-    picks = np.zeros(counts.size, dtype=np.int64)
     if ((scaled & _LOW_WORD) < k).any():
         stream = iter(words.tolist())
 
@@ -201,12 +274,12 @@ def uniform_feasible_pairing(
     front, so every pick comes from one draw; the stream is that of one
     ``rng.integers(choices)`` call per seller.
     """
-    order_b = np.argsort(utilities, kind="stable")
+    order_b = utilities.argsort(kind="stable")
     r_sorted = utilities[order_b]
     b_sorted = buyer_ids[order_b].tolist()
-    order_s = np.argsort(-costs, kind="stable")
+    order_s = (-costs).argsort(kind="stable")
     # Buyers at sorted position >= lo are compatible with the seller.
-    lows = np.searchsorted(r_sorted, costs[order_s], side="left")
+    lows = r_sorted.searchsorted(costs[order_s], side="left")
     choices = len(b_sorted) - lows - np.arange(len(lows))
     if (choices < 1).any():
         raise ValueError("no feasible perfect matching for the given sides")
@@ -228,12 +301,12 @@ def _substream(rng: np.random.Generator, *key: int) -> np.random.Generator:
     """The child at index path ``key`` (one index per nesting level) that
     spawning from a fresh rng hands out, built alone; rng stays untouched."""
     seq = rng.bit_generator.seed_seq
-    child = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + key, pool_size=seq.pool_size)
+    entropy = seq.entropy
+    if isinstance(entropy, list) and all(0 <= word < 2**32 for word in entropy):
+        # The words SeedSequence would make of the list, without its per-entry coercion.
+        entropy = np.array(entropy, dtype=np.uint32)
+    child = np.random.SeedSequence(entropy, spawn_key=seq.spawn_key + key, pool_size=seq.pool_size)
     return np.random.Generator(type(rng.bit_generator)(child))
-
-
-def _has_equal(sorted_values: np.ndarray) -> bool:
-    return bool(np.any(sorted_values[1:] == sorted_values[:-1]))
 
 
 def _feasible_prefixes(utilities: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -297,9 +370,9 @@ def selfish_select(
 ) -> Selection:
     """Fee-maximizing feasible prefix selection for one block.
 
-    Checks every prefix i = 1..min(A, pending buyers, pending sellers) of the
-    fee-ranked transactions at once with the all-prefix Hall check
-    (O(_HALL_ROWS * A + A^2 / _HALL_ROWS) element operations in
+    Checks every prefix i = 1..min(A, positive-fee buyers, positive-fee
+    sellers) of the fee-ranked transactions at once with the all-prefix Hall
+    check (O(_HALL_ROWS * A + A^2 / _HALL_ROWS) element operations in
     A / _HALL_ROWS numpy blocks, O(_HALL_ROWS^2 + A) memory) and returns the
     feasible prefix with the highest fee total.
     Totals within a relative 1e-12 of it are tied, and ties are broken
@@ -309,38 +382,45 @@ def selfish_select(
     uniformly among all feasible pairings (the fee total does not depend on
     it).
 
+    The candidates are the head of the pool's fee-rank order, read by
+    slicing.  Fee ties are redrawn only while the pool holds equal positive
+    fees: one uniform draw per positive-fee transaction, buyers then sellers,
+    each side in pool order, and a side with equal fees is re-ranked by fee,
+    then draw.  The re-ranked order becomes the pool's rank order, so
+    ``PendingPool.remove`` slices the selection off its head.
+
     Draws come from the substreams ``key + (0,)`` (fee ties), ``key + (1,)``
-    (size ties) and ``key + (2,)`` (the pairing), each built only when needed.
+    (size ties) and ``key + (2,)`` (the pairing, not built for one pair),
+    each built only when needed.
     """
     if pool.is_empty:
         return _EMPTY
-    rng = np.random.default_rng(rng)
-    buy_fees, sell_fees = pool.buy_fee_array, pool.sell_fee_array
-    b_keep = np.flatnonzero(buy_fees > 0.0)  # zero-fee transactions are rejected
-    s_keep = np.flatnonzero(sell_fees > 0.0)
-    limit = min(instance.block_size, len(b_keep), len(s_keep))
+    buyers, sellers = pool._buyers, pool._sellers
+    limit = min(instance.block_size, buyers.positive, sellers.positive)
     if limit == 0:
         return _EMPTY
-
-    # Fee descending; a tie-break draw per transaction only matters on equal fees.
-    b_neg, s_neg = -buy_fees[b_keep], -sell_fees[s_keep]
-    b_order, s_order = np.argsort(b_neg, kind="stable"), np.argsort(s_neg, kind="stable")
-    if _has_equal(b_neg[b_order]) or _has_equal(s_neg[s_order]):
-        tie_rng = _substream(rng, *key, 0)
-        b_order = np.lexsort((tie_rng.random(len(b_neg)), b_neg))
-        s_order = np.lexsort((tie_rng.random(len(s_neg)), s_neg))
-    b_pos, s_pos = b_keep[b_order[:limit]], s_keep[s_order[:limit]]
-    buyer_ids = pool.buyer_id_array[b_pos]
-    seller_ids = pool.seller_id_array[s_pos]
+    rng = np.random.default_rng(rng)
+    if buyers.ties or sellers.ties:
+        # A side without equal fees keeps its order whatever it draws.
+        draws = _substream(rng, *key, 0).random(buyers.positive + sellers.positive)
+        if buyers.ties:
+            buyers = pool._buyers = buyers.redrawn(draws[: buyers.positive])
+        if sellers.ties:
+            sellers = pool._sellers = sellers.redrawn(draws[buyers.positive :])
+    buyer_ids, seller_ids = buyers.ids[:limit], sellers.ids[:limit]
     utilities = instance.utility_array[buyer_ids]
     costs = instance.cost_array[seller_ids]
-    fee_totals = np.cumsum(buy_fees[b_pos]) + np.cumsum(sell_fees[s_pos])
+    fee_totals = buyers.fees[:limit].cumsum() + sellers.fees[:limit].cumsum()
+    # One stable sort per side serves the full-prefix check and the pairing:
+    # buyers by utility ascending, sellers by cost descending.
+    order_b = utilities.argsort(kind="stable")
+    order_s = (-costs).argsort(kind="stable")
 
     # Kept fees are positive, so fee_totals never decreases: a feasible full
     # prefix whose total is not tied with the next shorter one is the only
     # top-tied size, and the all-prefix check cannot change the choice.
     best = float(fee_totals[-1])
-    if rank_feasible(utilities, costs) and (
+    if (utilities[order_b] >= costs[order_s[::-1]]).all() and (
         limit == 1 or fee_totals[-2] < best - 1e-12 * max(1.0, abs(best))
     ):
         size = limit
@@ -352,10 +432,17 @@ def selfish_select(
         best = float(feasible_totals.max())
         tied = feasible_sizes[feasible_totals >= best - 1e-12 * max(1.0, abs(best))]
         size = int(tied[_substream(rng, *key, 1).integers(len(tied))] if len(tied) > 1 else tied[0])
+        # A stable order restricted to a prefix is that prefix's stable order.
+        order_b, order_s = order_b[order_b < size], order_s[order_s < size]
 
     buyer_ids, seller_ids = buyer_ids[:size], seller_ids[:size]
-    pair_rng = _substream(rng, *key, 2)
-    pairing = uniform_feasible_pairing(buyer_ids, utilities[:size], seller_ids, costs[:size], pair_rng)
+    if size == 1:
+        pairing = ((int(buyer_ids[0]), int(seller_ids[0])),)
+    else:
+        # Sorted already, so the pairing's own stable sorts keep this order.
+        pairing = uniform_feasible_pairing(
+            buyer_ids[order_b], utilities[order_b], seller_ids[order_s], costs[order_s], _substream(rng, *key, 2)
+        )
     return Selection(
         buyer_ids=tuple(buyer_ids.tolist()),
         seller_ids=tuple(seller_ids.tolist()),

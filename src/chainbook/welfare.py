@@ -66,8 +66,8 @@ def social_welfare(
     participants pay, so the fee terms cancel and sw also equals matched
     surplus minus both sides' delay costs (reported as components).
     """
-    pairs = [(rec.block, b, s) for rec in trace.rounds for b, s in rec.pairs]
-    blocks, b, s = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+    flat = [x for rec in trace.rounds for b, s in rec.pairs for x in (rec.block, b, s)]
+    blocks, b, s = np.array(flat, dtype=np.intp).reshape(-1, 3).T
     r, c = instance.utility_array[b], instance.cost_array[s]
     qty = np.minimum(instance.buy_qty_array[b], instance.sell_qty_array[s])
     mid = (r + c) / 2.0

@@ -17,6 +17,7 @@ from chainbook.market import (
     miners_with_protocol_share,
     rank_feasible,
 )
+import chainbook.miners as miners_module
 from chainbook.miners import (
     _HALL_ROWS,
     PendingPool,
@@ -558,10 +559,15 @@ def _reference_horizon(instance, profile, rng):
 
 
 def test_substream_is_the_spawned_child():
+    # List entropy of 32-bit words takes a uint32-array shortcut; the rest does not.
     seeds = (
         lambda: np.random.SeedSequence(5),
         lambda: np.random.SeedSequence([3, 9]).spawn(3)[2],
         lambda: np.random.SeedSequence(123, pool_size=8),
+        lambda: np.random.SeedSequence([0, 2**32 - 1]),
+        lambda: np.random.SeedSequence([2**40, 3]),
+        lambda: np.random.SeedSequence(2**127 + 2**64 + 7),
+        lambda: np.random.SeedSequence(0),
     )
     for make_seq in seeds:
         for bit_generator in (np.random.PCG64, np.random.MT19937):
@@ -671,3 +677,119 @@ def test_pool_remove_matches_set_difference(buyer_ids, seller_ids, chosen_b, cho
     )
     selection = Selection(tuple(chosen_b), tuple(chosen_s), pairing=(), total_fee=0.0)
     assert pool.remove(selection) == _reference_remove(pool, selection)
+
+
+@pytest.mark.parametrize(
+    "sides, name",
+    [
+        (((0, 1, 2), (0.5,), (0, 1), (0.3, 0.2)), "buyer"),
+        (((0,), (0.5, 0.4, 0.3), (0, 1), (0.3, 0.2)), "buyer"),
+        (((0, 1), (0.5, 0.4), (0, 1, 2), (0.3, 0.2)), "seller"),
+    ],
+)
+def test_pool_rejects_ids_and_fees_of_unequal_length(sides, name):
+    with pytest.raises(ValueError, match=f"{name} ids and fees differ in length"):
+        PendingPool(*sides)
+
+
+def _pool_of(pool):
+    return PendingPool(pool.buyer_ids, pool.buy_fees, pool.seller_ids, pool.sell_fees, pool.round_index)
+
+
+def test_pool_rank_order_never_changes_a_selection():
+    # A pool reached by selfish rounds (head sliced off, ties redrawn in
+    # place) selects exactly what a fresh pool of the same transactions does.
+    fee_grid = np.array([0.0, 0.1, 0.2, 0.2, 0.5])
+    rng = np.random.default_rng(41)
+    sliced = 0
+    for case in range(150):
+        k, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        inst = build_instance(rng.integers(0, 5, k) / 4.0, rng.integers(0, 5, n) / 4.0,
+                              block_size=int(rng.integers(1, 4)))
+        pool = _pool(inst, rng.choice(fee_grid, k), rng.choice(fee_grid, n))
+        for round_number in range(4):
+            fresh = _pool_of(pool)
+            sel = selfish_select(pool, inst, case, (2 * round_number,))
+            assert sel == selfish_select(fresh, inst, case, (2 * round_number,))
+            after = pool.remove(sel)
+            assert after == _reference_remove(pool, sel)
+            sliced += not sel.is_empty
+            pool = after
+    assert sliced > 100
+
+
+def test_pool_mask_keeps_rank_and_pool_order():
+    # A protocol-following selection is not the rank head: it goes through the
+    # id mask, and the rest keeps fee-rank order and its pool-order view.
+    inst = build_instance([0.9, 0.8, 0.7, 0.6], [0.1, 0.2, 0.3, 0.4], block_size=4)
+    pool = _pool(inst, [0.2, 0.5, 0.2, 0.0], [0.3, 0.3, 0.1, 0.4])
+    sel = Selection(buyer_ids=(2,), seller_ids=(3, 0), pairing=(), total_fee=0.0)
+    after = pool.remove(sel)
+    assert after.buyer_ids == (0, 1, 3) and after.buy_fees == (0.2, 0.5, 0.0)
+    assert after.seller_ids == (1, 2) and after.sell_fees == (0.3, 0.1)
+    assert selfish_select(after, inst, 3) == selfish_select(_pool_of(after), inst, 3)
+
+
+def _feasible_matchings(utilities, costs):
+    """Every perfect matching with R >= C on all pairs, as buyer-per-seller tuples."""
+    n = len(costs)
+    return [perm for perm in itertools.permutations(range(n))
+            if all(utilities[perm[j]] >= costs[j] for j in range(n))]
+
+
+@pytest.mark.parametrize(
+    "utilities, costs",
+    [
+        ([0.9, 0.8, 0.7], [0.1, 0.2, 0.3]),  # all 6 feasible
+        ([0.5, 0.5, 0.75, 1.0], [0.25, 0.5, 0.5, 0.75]),  # value ties, R = C
+        ([1.0, 0.75, 0.5, 0.5, 0.25], [0.25, 0.0, 0.5, 0.25, 0.5]),
+        ([0.6, 0.6, 0.6, 0.6], [0.2, 0.6, 0.4, 0.6]),  # every buyer fits every seller
+    ],
+)
+def test_uniform_pairing_chi_square_over_enumerated_matchings(utilities, costs):
+    from scipy.stats import chisquare
+
+    utilities, costs = np.array(utilities), np.array(costs)
+    matchings = _feasible_matchings(utilities, costs)
+    assert len(matchings) > 1
+    buyer_ids, seller_ids = np.arange(len(utilities)) + 100, np.arange(len(costs)) + 200
+    rng = np.random.default_rng(len(matchings))
+    counts = Counter()
+    trials = 200 * len(matchings)
+    for _ in range(trials):
+        pairing = dict((s - 200, b - 100) for b, s in
+                       uniform_feasible_pairing(buyer_ids, utilities, seller_ids, costs, rng))
+        counts[tuple(pairing[j] for j in range(len(costs)))] += 1
+    assert set(counts) <= set(matchings)
+    observed = [counts[m] for m in matchings]
+    assert chisquare(observed).pvalue > 1e-3
+
+
+def test_forced_and_one_pair_pairings_draw_nothing(monkeypatch):
+    forced = (np.array([0, 1]), np.array([0.9, 0.3]), np.array([0, 1]), np.array([0.1, 0.5]))
+    one_pair = (np.array([4]), np.array([0.5]), np.array([7]), np.array([0.5]))
+    for sides, want in ((forced, {(0, 1), (1, 0)}), (one_pair, {(4, 7)})):
+        rng = np.random.default_rng(9)
+        assert set(uniform_feasible_pairing(*sides, rng)) == want
+        assert rng.random() == np.random.default_rng(9).random()
+    # A one-pair selection builds no pairing substream.
+    keys = []
+    real_substream = miners_module._substream
+    monkeypatch.setattr(miners_module, "_substream", lambda rng, *key: keys.append(key) or real_substream(rng, *key))
+    inst = build_instance([0.9, 0.8], [0.1], block_size=1)
+    sel = selfish_select(_pool(inst, [5.0, 5.0], [4.0]), inst, 1, (6,))
+    assert sel.size == 1 and keys == [(6, 0)]  # the fee-tie draw only
+
+
+@st.composite
+def _tied_value_sides(draw):
+    n = draw(st.integers(1, 6))
+    values = st.integers(0, 4).map(lambda v: v / 4.0)
+    return (draw(st.lists(values, min_size=n, max_size=n)), draw(st.lists(values, min_size=n, max_size=n)))
+
+
+@settings(max_examples=400)
+@given(_tied_value_sides())
+def test_rank_feasible_matches_exhaustive_check(sides):
+    utilities, costs = sides
+    assert rank_feasible(np.array(utilities), np.array(costs)) == _exhaustively_feasible(utilities, costs)

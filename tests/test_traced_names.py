@@ -2,6 +2,9 @@
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,3 +50,65 @@ def test_selection_attr_reads_a_mid_play_pool():
     selection_attr = _load_tracer()._selection_attr
     assert selection_attr((pool, inst, 7), {}, selection) == [selection.size, limit]
     assert selection_attr((), {"pool": pool, "instance": inst}, selection) == [selection.size, limit]
+
+
+_SPAN_COUNT_SCRIPT = r"""
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+import chainbook.cli  # loads every traced module
+from tracer import Tracer
+from chainbook import miners
+from chainbook.market import FeeProfile, Miner, MinerPolicy, build_instance, miners_with_protocol_share
+
+tracer = Tracer()
+tracer.install()
+miner_sets = (None, miners_with_protocol_share(0.3), (Miner(0, 0.5), Miner(1, 0.5)), miners_with_protocol_share(1.0))
+rng = np.random.default_rng(11)
+plays = []
+for case in range(80):
+    k, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    inst = build_instance(rng.integers(0, 5, k) / 4.0, rng.integers(0, 5, n) / 4.0,
+                          block_size=int(rng.integers(1, 4)), miners=miner_sets[case % 4])
+    fees = np.array([0.0, 0.1, 0.2, 0.2, 0.5])
+    profile = FeeProfile(tuple(rng.choice(fees, k)), tuple(rng.choice(fees, n)))
+    first = len(tracer.spans)
+    trace = miners.run_horizon(inst, profile, np.random.default_rng(case))
+    spans = [(tracer.names[s[2]], s[1]) for s in tracer.spans[first:]]
+    ids = {s[0]: tracer.names[s[2]] for s in tracer.spans[first:]}
+    matched = [pair for r in trace.rounds for pair in r.pairs]
+    plays.append({
+        "rounds": len(trace.rounds),
+        "horizon": inst.horizon,
+        "pool_left": len({b for b, _ in matched}) < k and len({s for _, s in matched}) < n,
+        "selfish": any(m.policy == MinerPolicy.SELFISH for m in inst.miners),
+        "names": [name for name, _ in spans],
+        "parents": [[name, ids.get(parent)] for name, parent in spans],
+    })
+print(json.dumps(plays))
+"""
+
+
+def test_traced_horizon_counts_rounds_and_selections():
+    # perfbench's rounds_per_horizon and select_fill_ratio read these counts.
+    # A subprocess, because installing the tracer rebinds module globals.
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _SPAN_COUNT_SCRIPT, str(root / "src"), str(root / "perfbench")],
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    plays = json.loads(out)
+    ended_empty = 0
+    for play in plays:
+        empty_round = play["rounds"] < play["horizon"] and play["pool_left"]
+        ended_empty += empty_round
+        rounds = play["names"].count("miners.run_round")
+        assert play["names"].count("miners.run_horizon") == 1
+        assert rounds == play["rounds"] + empty_round
+        assert play["names"].count("miners.selfish_select") == (rounds if play["selfish"] else 0)
+        for name, parent in play["parents"]:
+            if name in ("miners.selfish_select", "miners.recommend_matching"):
+                assert parent == "miners.run_round"
+            elif name == "miners.run_round":
+                assert parent == "miners.run_horizon"
+    assert 0 < ended_empty < len(plays)
