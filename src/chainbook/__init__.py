@@ -31,7 +31,6 @@ from .equilibrium import (
     expected_total_cost,
     msne,
     psne,
-    sample_fee,
     threshold_fees,
     verify_equilibrium,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "msne",
     "MixedStrategy",
     "expected_total_cost",
-    "sample_fee",
     "verify_equilibrium",
     "WelfareReport",
     "social_welfare",

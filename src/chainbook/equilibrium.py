@@ -35,17 +35,12 @@ __all__ = [
     "expected_total_cost",
     "MixedStrategy",
     "msne",
-    "sample_fee",
     "realize_profile",
     "equilibrium_profile",
     "DeviationReport",
     "IndifferenceReport",
     "verify_equilibrium",
 ]
-
-CDF_VALUE_TOL = 1e-10  # tolerance on the indifference equation when inverting the CDF
-SAMPLE_FEE_TOL = 1e-12  # fee-axis tolerance for inverse-transform sampling
-
 
 def crossing_index(instance: MarketInstance) -> int:
     """Last rank i with R_(i) >= C_(i); min(K, N) when the ranks never cross.
@@ -224,37 +219,15 @@ class MixedStrategy:
     non_mixer_fee: float
     target_cost: float  # cost at the lower support against all rivals ahead
 
-    def cdf(self, fee: float) -> float:
-        """P(mixed fee <= fee); exactly 0 at the lower and 1 at the upper support."""
-        if fee <= self.lower:
-            return 0.0
-        if fee >= self.upper:
-            return 1.0
-        lo, hi = 0.0, 1.0  # bisect on the rivals' outbid probability
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            gap = (
-                expected_total_cost(mid, fee, self.contenders, self.block_size, self.delay_cost)
-                - self.target_cost
-            )
-            if abs(gap) <= CDF_VALUE_TOL:
-                return 1.0 - mid
-            if gap < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-16:
-                break
-        return 1.0 - 0.5 * (lo + hi)
-
     def quantiles(self, u) -> np.ndarray:
         """Vectorized inverse CDF: cost is linear in the fee, so invert directly."""
         u = np.asarray(u, dtype=float)
         delay_term = self.delay_cost * _expected_blocks(1.0 - u, self.contenders - 1, self.block_size)
         return np.clip(self.target_cost - delay_term, self.lower, self.upper)
 
-    def cdf_batch(self, fees) -> np.ndarray:
-        """Vectorized CDF via bisection on the rivals' outbid probability."""
+    def cdf(self, fees) -> np.ndarray:
+        """Vectorized P(mixed fee <= fee), by bisection on the rivals' outbid
+        probability; exactly 0 at the lower and 1 at the upper support end."""
         fees = np.asarray(fees, dtype=float)
         lo = np.zeros_like(fees)
         hi = np.ones_like(fees)
@@ -306,23 +279,6 @@ def msne(instance: MarketInstance) -> tuple[MixedStrategy, MixedStrategy]:
     buy = build("buy", fees.sigma_buy, min(math.ceil(a_th / a) * a, n), instance.buyer_rank)
     sell = build("sell", fees.sigma_sell, min(math.ceil(a_th / a) * a, k), instance.seller_rank)
     return buy, sell
-
-
-def sample_fee(strategy: MixedStrategy, u: float) -> float:
-    """Inverse-transform sample: the fee f with cdf(f) = u, by bisection."""
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie strictly inside (0, 1)")
-    lo, hi = strategy.lower, strategy.upper
-    while hi - lo > SAMPLE_FEE_TOL:
-        mid = 0.5 * (lo + hi)
-        cost = expected_total_cost(
-            1.0 - u, mid, strategy.contenders, strategy.block_size, strategy.delay_cost
-        )
-        if cost < strategy.target_cost:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def realize_profile(
@@ -646,8 +602,8 @@ def _msne_indifference_report(
         expected_costs=tuple(costs),
         spread=spread,
         relative_spread=spread / mean_cost if mean_cost > 0 else math.inf,
-        cdf_at_lower=strategy.cdf(strategy.lower),
-        cdf_at_upper=strategy.cdf(strategy.upper),
+        cdf_at_lower=float(strategy.cdf(strategy.lower)),
+        cdf_at_upper=float(strategy.cdf(strategy.upper)),
         drop_out_gain=drop_out_gain,
         samples=mc_samples,
     )

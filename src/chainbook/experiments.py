@@ -2,13 +2,17 @@
 
 Scenarios sample populations from configured value distributions with
 :func:`chainbook.mechanism.sample_instance`, pick block sizes per mechanism,
-simulate equilibrium play over the horizon, and report welfare against the
+play each through :func:`chainbook.welfare.simulate_once` (so
+``quantize_fees`` holds in every scenario), and report welfare against the
 exact optimum.  Every replication's random stream is keyed by (seed, scenario
 coordinates, replication), so results are byte-identical across runs and
 across worker counts.  A population is drawn and built once per replication;
 the variants a paired comparison needs (block size, miner set) are derived
-from that one instance, and its optimum is computed once.  Every scenario
-summarizes its samples with :func:`chainbook.welfare.mean_stderr` and
+from that one instance, and its optimum is computed once.  ``blocksize_limit``
+reads both of its rows, the capped choice and the benchmark at
+min(benchmark, cap), from one capped search, so they share populations,
+streams and optimum.  Every scenario summarizes its samples with
+:func:`chainbook.welfare.mean_stderr` and
 :func:`chainbook.welfare.welfare_quotient`.
 """
 
@@ -23,8 +27,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import ValueDistribution
-from .equilibrium import equilibrium_profile
-from .market import MarketInstance, miners_with_protocol_share
+from .market import miners_with_protocol_share
 from .mechanism import (
     MechanismConfig,
     capped_search_report,
@@ -32,8 +35,7 @@ from .mechanism import (
     optimal_block_size_distributional,
     sample_instance,
 )
-from .miners import run_horizon
-from .welfare import mean_stderr, social_optimum, social_welfare, welfare_quotient
+from .welfare import mean_stderr, simulate_once, social_optimum, welfare_quotient
 
 __all__ = [
     "Scenario",
@@ -42,7 +44,6 @@ __all__ = [
     "ExperimentSpec",
     "load_config",
     "benchmark_block_size",
-    "simulate_once",
     "ComparisonSamples",
     "compare_mechanisms",
     "run_mechanism_comparison",
@@ -110,6 +111,7 @@ class HarnessConfig:
             sell_qty_dist=self.distributions["Q"],
             delay_cost=self.delay_cost,
             fee_unit=self.fee_unit,
+            quantize_fees=self.quantize_fees,
         )
 
     def to_jsonable(self) -> dict:
@@ -183,17 +185,6 @@ def benchmark_block_size(num_buyers: int, num_sellers: int) -> int:
     return m + (m % 2)
 
 
-def simulate_once(
-    config: HarnessConfig, instance: MarketInstance, rng: np.random.Generator
-) -> float:
-    """Realized welfare of one equilibrium play-through."""
-    profile = equilibrium_profile(instance, rng)
-    if config.quantize_fees:
-        profile = profile.quantized(config.fee_unit)
-    trace = run_horizon(instance, profile, rng)
-    return social_welfare(instance, trace, profile).sw
-
-
 @dataclass(frozen=True)
 class ComparisonSamples:
     """Per-replication welfare samples for each mechanism on shared populations."""
@@ -230,7 +221,7 @@ def _comparison_replication(args) -> tuple[int, dict[str, float], float, dict[st
         # mechanisms that induce the same play produce identical welfare, so
         # paired comparisons are exact rather than coin flips on pairing luck.
         rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 1]))
-        sw[variant] = simulate_once(config, inst, rng)
+        sw[variant] = simulate_once(inst, rng).sw
     return rep, sw, social_optimum(base), sizes
 
 
@@ -354,7 +345,7 @@ def _random_counts_period(args) -> tuple[int, float, float, int, int]:
     k_t = max(1, round(config.rho * n_t))
     rng = np.random.default_rng(np.random.SeedSequence([seed_key, period, 17]))
     inst = sample_instance(config.mechanism_config(k_t, n_t), a_fixed, rng)
-    return period, simulate_once(config, inst, rng), social_optimum(inst), n_t, k_t
+    return period, simulate_once(inst, rng).sw, social_optimum(inst), n_t, k_t
 
 
 def run_random_counts(
@@ -418,7 +409,11 @@ def run_random_counts(
 def run_blocksize_limit(
     spec: ExperimentSpec, config: HarnessConfig, max_block_size: int
 ) -> list[dict]:
-    """Capped brute-force block-size choice vs the benchmark under the same cap."""
+    """Capped brute-force block-size choice vs the benchmark under the same cap.
+
+    Both rows come from one capped search: the chosen size and the benchmark
+    size min(benchmark, cap), on the same populations and against their optimum.
+    """
     if max_block_size < 1:
         raise ValueError("max_block_size must be >= 1")
     rows: list[dict] = []
@@ -428,41 +423,23 @@ def run_blocksize_limit(
         report = capped_search_report(
             mc, max_block_size, mc_replications=spec.replications, rng_seed=spec.seed
         )
-        chosen = report.best_block_size
-        idx = report.block_sizes.index(chosen)
-
         a_bench = min(benchmark_block_size(k, n), max_block_size)
-        bench_sw = []
-        opt_samples = []
-        for rep in range(spec.replications):
-            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, n, rep, 99]))
-            inst = sample_instance(mc, a_bench, rng)
-            bench_sw.append(simulate_once(config, inst, rng))
-            opt_samples.append(social_optimum(inst))
-        opt_mean = float(np.mean(opt_samples))
-
-        rows.append(
-            {
-                "scenario": Scenario.BLOCK_SIZE_LIMIT.value,
-                "mechanism": "abs_capped",
-                "N": n,
-                "K": k,
-                "A": chosen,
-                "sw_mean": report.mean_welfare[idx],
-                "sw_stderr": report.stderr_welfare[idx],
-                "sw_opt": opt_mean,
-                "ratio": welfare_quotient(report.mean_welfare[idx], opt_mean),
-            }
-        )
-        rows.append(
-            _row(
-                Scenario.BLOCK_SIZE_LIMIT.value,
-                MechanismKind.BENCHMARK_MAX_BLOCK.value,
-                n,
-                k,
-                a_bench,
-                np.array(bench_sw),
-                opt_mean,
+        for mechanism, a in (
+            ("abs_capped", report.best_block_size),
+            (MechanismKind.BENCHMARK_MAX_BLOCK.value, a_bench),
+        ):
+            i = report.block_sizes.index(a)
+            rows.append(
+                {
+                    "scenario": Scenario.BLOCK_SIZE_LIMIT.value,
+                    "mechanism": mechanism,
+                    "N": n,
+                    "K": k,
+                    "A": a,
+                    "sw_mean": report.mean_welfare[i],
+                    "sw_stderr": report.stderr_welfare[i],
+                    "sw_opt": report.mean_optimum,
+                    "ratio": welfare_quotient(report.mean_welfare[i], report.mean_optimum),
+                }
             )
-        )
     return rows

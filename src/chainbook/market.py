@@ -111,6 +111,8 @@ class MarketInstance:
     them on first read.
 
     ``block_size`` counts buyer/seller *pairs* per block (2A transactions).
+    With ``quantize_fees`` every play rounds its equilibrium fees to whole
+    ``fee_unit``s (see :func:`chainbook.welfare.simulate_once`).
     ``horizon`` defaults to the smallest number of blocks that could record
     every possible pair, ceil(min(K, N) / A).
     """
@@ -123,6 +125,7 @@ class MarketInstance:
     block_size: int
     delay_cost: float = 0.0
     fee_unit: float = 1e-6
+    quantize_fees: bool = False
     horizon: int | None = None
 
     def __post_init__(self) -> None:
@@ -160,8 +163,8 @@ class MarketInstance:
         if not isinstance(other, MarketInstance):
             return NotImplemented
         return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _VALUE_ARRAYS) and (
-            (self.miners, self.block_size, self.delay_cost, self.fee_unit, self.horizon)
-            == (other.miners, other.block_size, other.delay_cost, other.fee_unit, other.horizon)
+            tuple(getattr(self, n) for n in _SCALAR_FIELDS)
+            == tuple(getattr(other, n) for n in _SCALAR_FIELDS)
         )
 
     # Built from the arrays on first read, never by the engine.
@@ -225,6 +228,7 @@ class MarketInstance:
 
 
 _VALUE_ARRAYS = ("utility_array", "cost_array", "buy_qty_array", "sell_qty_array")
+_SCALAR_FIELDS = ("miners", "block_size", "delay_cost", "fee_unit", "quantize_fees", "horizon")
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -266,6 +270,7 @@ def build_instance(
     miners: Sequence[Miner] | None = None,
     delay_cost: float = 0.0,
     fee_unit: float = 1e-6,
+    quantize_fees: bool = False,
     horizon: int | None = None,
 ) -> MarketInstance:
     """Assemble a MarketInstance from plain value arrays (unit quantities by default)."""
@@ -284,6 +289,7 @@ def build_instance(
         block_size=block_size,
         delay_cost=delay_cost,
         fee_unit=fee_unit,
+        quantize_fees=quantize_fees,
         horizon=horizon,
     )
 

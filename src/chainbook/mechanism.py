@@ -6,7 +6,9 @@ only, the designer solves N * C(eta) = K * (1 - R(eta)) for the market-
 clearing quantile eta and sets A = floor(N * (C(eta) + N**-psi)): the
 N**-psi term buys slack so that, as markets grow, all profitable pairs fit
 into a single block with high probability.  A hard cap is handled by a
-brute-force Monte Carlo search over block sizes.
+brute-force Monte Carlo search over block sizes; its report carries the
+mean optimum of the populations it played on, so every size's welfare is
+compared on paired populations.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ValueDistribution
-from .equilibrium import crossing_index, equilibrium_profile
+from .equilibrium import crossing_index
 from .market import MarketInstance, build_instance
-from .miners import run_horizon
-from .welfare import mean_stderr, social_welfare
+from .welfare import mean_stderr, simulate_once, social_optimum
 
 __all__ = [
     "MechanismConfig",
@@ -49,6 +50,7 @@ class MechanismConfig:
     sell_qty_dist: ValueDistribution
     delay_cost: float = 0.0
     fee_unit: float = 1e-6
+    quantize_fees: bool = False  # passed on, with fee_unit, to every sampled market
 
     def __post_init__(self) -> None:
         if not 0.0 < self.psi < 1.0:
@@ -114,15 +116,20 @@ def sample_instance(
         miners=miners,
         delay_cost=config.delay_cost,
         fee_unit=config.fee_unit,
+        quantize_fees=config.quantize_fees,
     )
 
 
 @dataclass(frozen=True)
 class CappedSearchReport:
+    """Welfare per candidate size; ``mean_optimum`` is the mean ``social_optimum``
+    of the same populations the sizes were played on."""
+
     best_block_size: int
     block_sizes: tuple[int, ...]
     mean_welfare: tuple[float, ...]
     stderr_welfare: tuple[float, ...]
+    mean_optimum: float
     replications: int
 
 
@@ -138,23 +145,22 @@ def capped_search_report(
     plays every block size on it, each from the generator state right after
     the draws (plays leave the generator's seed sequence alone), so every
     size sees the same participants and the same stream position.  The
-    comparison is paired and deterministic for a given seed.  Ties go to the
-    smaller block size.
+    comparison is paired and deterministic for a given seed, and the optimum
+    is taken from the same populations.  Ties go to the smaller block size.
     """
     if max_block_size < 1:
         raise ValueError("max_block_size must be >= 1")
     sizes = list(range(1, max_block_size + 1))
     samples: list[list[float]] = [[] for _ in sizes]
+    optima = []
     for rep in range(mc_replications):
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, rep]))
         base = sample_instance(config, 1, rng)
+        optima.append(social_optimum(base))
         drawn = rng.bit_generator.state
         for a, welfare in zip(sizes, samples):
             rng.bit_generator.state = drawn
-            instance = base.with_block_size(a)
-            profile = equilibrium_profile(instance, rng)
-            trace = run_horizon(instance, profile, rng)
-            welfare.append(social_welfare(instance, trace, profile).sw)
+            welfare.append(simulate_once(base.with_block_size(a), rng).sw)
     means, errs = zip(*(mean_stderr(welfare) for welfare in samples))
     best = sizes[int(np.argmax(means))]  # argmax returns the first, i.e. smallest, maximizer
     return CappedSearchReport(
@@ -162,6 +168,7 @@ def capped_search_report(
         block_sizes=tuple(sizes),
         mean_welfare=means,
         stderr_welfare=errs,
+        mean_optimum=float(np.mean(optima)),
         replications=mc_replications,
     )
 

@@ -1,11 +1,14 @@
-"""Social welfare accounting, the exact social optimum, and worst-case ratios.
+"""Equilibrium play, welfare accounting, the exact optimum, and worst-case ratios.
 
-Social welfare is the sum of all buyer, seller, and miner payoffs.  Fees are
-pure transfers from participants to the winning miners, so realized welfare
-reduces to matched surplus minus delay costs.  The social optimum is free to
-use one arbitrarily large block, which kills the delay term and reduces the
-problem to a maximum-weight bipartite matching with edge weight
-min(b, q) * (R - C) over compatible pairs.
+:func:`simulate_once` is the only play path (equilibrium fees, rounded to
+whole fee units when the market quantizes; the horizon; welfare): the capped
+block-size search, :func:`performance_ratio` and the experiment scenarios
+all play through it.  Social welfare is the sum of all buyer, seller, and
+miner payoffs.  Fees are pure transfers from participants to the winning
+miners, so realized welfare reduces to matched surplus minus delay costs.
+The social optimum is free to use one arbitrarily large block, which kills
+the delay term and reduces the problem to a maximum-weight bipartite
+matching with edge weight min(b, q) * (R - C) over compatible pairs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from . import equilibrium as eq
 
 __all__ = [
     "WelfareReport",
+    "simulate_once",
     "social_welfare",
     "social_optimum",
     "performance_ratio",
@@ -97,6 +101,20 @@ def social_welfare(
     )
 
 
+def simulate_once(instance: MarketInstance, rng: np.random.Generator) -> WelfareReport:
+    """Realized welfare of one equilibrium play-through of ``instance``.
+
+    The fees are the pure equilibrium when one exists, else a mixed draw
+    from ``rng``; with ``instance.quantize_fees`` they are rounded to whole
+    ``fee_unit``s before the horizon is played from the same ``rng``.
+    """
+    profile = eq.equilibrium_profile(instance, rng)
+    if instance.quantize_fees:
+        profile = profile.quantized(instance.fee_unit)
+    trace = run_horizon(instance, profile, rng)
+    return social_welfare(instance, trace, profile)
+
+
 def social_optimum(instance: MarketInstance) -> float:
     """Exact optimum welfare: max-weight matching, unmatched participants allowed.
 
@@ -150,29 +168,16 @@ def performance_ratio(
 ) -> WelfareReport:
     """Equilibrium welfare under a given block size, against the exact optimum.
 
-    Sets A, computes the stage-one equilibrium (pure when it exists, mixed
-    draws otherwise), simulates the horizon per replication, and reports the
-    mean realized welfare, the optimum, and their quotient.  A nonpositive
-    mean with a positive optimum is flagged as an infinite ratio.
+    Sets A and plays the stage-one equilibrium (pure when it exists, mixed
+    draws otherwise) once per replication, each from its own spawned seed,
+    and reports the mean realized welfare, the optimum, and their quotient.
+    A nonpositive mean with a positive optimum is flagged as an infinite ratio.
     """
     inst = instance.with_block_size(mechanism_block_size)
     sw_opt = social_optimum(inst)
-
-    pure = eq.psne(inst)
-    strategies = eq.msne(inst) if pure is None else None
-
     seeds = np.random.SeedSequence(rng_seed).spawn(mc_replications)
-    samples = []
-    surplus = delay = fees = 0.0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        profile = pure if pure is not None else eq.realize_profile(inst, strategies, rng)
-        trace = run_horizon(inst, profile, rng)
-        rep = social_welfare(inst, trace, profile)
-        samples.append(rep.sw)
-        surplus += rep.matched_surplus
-        delay += rep.delay_total
-        fees += rep.fee_total
+    reports = [simulate_once(inst, np.random.default_rng(seed)) for seed in seeds]
+    samples = [rep.sw for rep in reports]
 
     n = len(samples)
     sw_mean, stderr = mean_stderr(samples)
@@ -184,9 +189,9 @@ def performance_ratio(
         ratio = math.inf
     return WelfareReport(
         sw=sw_mean,
-        matched_surplus=surplus / n,
-        delay_total=delay / n,
-        fee_total=fees / n,
+        matched_surplus=sum(rep.matched_surplus for rep in reports) / n,
+        delay_total=sum(rep.delay_total for rep in reports) / n,
+        fee_total=sum(rep.fee_total for rep in reports) / n,
         sw_opt=sw_opt,
         ratio=ratio,
         sw_stderr=stderr,

@@ -43,6 +43,7 @@ from chainbook.mechanism import (
 from chainbook.miners import PendingPool, selfish_select
 from chainbook.welfare import (
     performance_ratio,
+    simulate_once,
     social_optimum,
     unbounded_poa_witness,
 )
@@ -278,19 +279,13 @@ def _mean_performance_ratio(n: int, replications: int, seed: int) -> float:
         delay_cost=0.01,
     )
     a = optimal_block_size_distributional(config)
-    from chainbook.equilibrium import equilibrium_profile
-    from chainbook.miners import run_horizon
-    from chainbook.welfare import social_welfare
-
     sws, opts = [], []
     for rep in range(replications):
         rng = np.random.default_rng(np.random.SeedSequence([seed, n, rep]))
         inst = build_instance(
             rng.random(n), rng.random(n), block_size=a, delay_cost=config.delay_cost
         )
-        profile = equilibrium_profile(inst, rng)
-        trace = run_horizon(inst, profile, rng)
-        sws.append(social_welfare(inst, trace, profile).sw)
+        sws.append(simulate_once(inst, rng).sw)
         opts.append(social_optimum(inst))
     return float(np.mean(sws) / np.mean(opts))
 

@@ -15,7 +15,6 @@ from chainbook.equilibrium import (
     msne,
     psne,
     realize_profile,
-    sample_fee,
     threshold_fees,
     verify_equilibrium,
 )
@@ -225,21 +224,19 @@ def test_msne_mixers_and_pure_fees():
     assert buy.upper == pytest.approx(buy.lower + 0.05)  # ceil(4/2) - 1 = 1 block
 
 
-def test_sample_fee_inverts_cdf():
+def test_quantiles_invert_cdf():
     buy, _ = msne(_two_contender_instance())
-    assert sample_fee(buy, 0.5) == pytest.approx(0.6, abs=1e-9)
-    assert sample_fee(buy, 1e-9) == pytest.approx(buy.lower, abs=1e-6)
-    assert sample_fee(buy, 1.0 - 1e-9) == pytest.approx(buy.upper, abs=1e-6)
-    with pytest.raises(ValueError):
-        sample_fee(buy, 0.0)
+    assert buy.quantiles(0.5) == pytest.approx(0.6, abs=1e-9)
+    assert buy.quantiles(1e-9) == pytest.approx(buy.lower, abs=1e-6)
+    assert buy.quantiles(1.0 - 1e-9) == pytest.approx(buy.upper, abs=1e-6)
+    # The support ends are the quantiles at 0 and 1.
+    assert buy.quantiles([0.0, 1.0]) == pytest.approx([buy.lower, buy.upper], abs=1e-12)
 
 
-def test_sample_fee_agrees_with_vectorized_quantiles():
+def test_cdf_inverts_quantiles():
     buy, _ = msne(_two_contender_instance())
     us = np.linspace(0.01, 0.99, 17)
-    vectorized = buy.quantiles(us)
-    scalar = np.array([sample_fee(buy, u) for u in us])
-    assert np.allclose(vectorized, scalar, atol=1e-9)
+    assert np.allclose(buy.cdf(buy.quantiles(us)), us, atol=1e-9)
 
 
 def _random_strategy(rng):
@@ -269,11 +266,10 @@ def test_cdf_satisfies_indifference_equation():
         if strat.upper <= strat.lower:  # degenerate: one block, no mixing spread
             continue
         fees = np.linspace(strat.lower, strat.upper, 22)[1:-1]
-        for fee in fees:
-            cost = expected_total_cost(
-                1.0 - strat.cdf(fee), fee, strat.contenders, strat.block_size, strat.delay_cost
-            )
-            assert cost == pytest.approx(strat.target_cost, abs=1e-8)
+        costs = expected_total_cost(
+            1.0 - strat.cdf(fees), fees, strat.contenders, strat.block_size, strat.delay_cost
+        )
+        assert costs == pytest.approx(np.full(len(fees), strat.target_cost), abs=1e-8)
 
 
 def test_sampling_matches_cdf_distribution():
@@ -281,7 +277,7 @@ def test_sampling_matches_cdf_distribution():
     rng = np.random.default_rng(17)
     n = 100_000
     draws = np.sort(buy.sample(rng, n))
-    theoretical = buy.cdf_batch(draws)
+    theoretical = buy.cdf(draws)
     empirical_hi = np.arange(1, n + 1) / n
     empirical_lo = np.arange(0, n) / n
     ks_distance = max(
@@ -291,12 +287,13 @@ def test_sampling_matches_cdf_distribution():
     assert ks_distance < 0.01
 
 
-def test_cdf_batch_matches_scalar_cdf():
+def test_cdf_round_trips_and_clips_to_support():
     buy, _ = msne(_two_contender_instance())
     fees = np.linspace(buy.lower - 0.1, buy.upper + 0.1, 23)
-    batch = buy.cdf_batch(fees)
-    scalar = np.array([buy.cdf(f) for f in fees])
-    assert np.allclose(batch, scalar, atol=1e-9)
+    probs = buy.cdf(fees)
+    inside = (fees > buy.lower) & (fees < buy.upper)
+    assert np.all(probs[fees <= buy.lower] == 0.0) and np.all(probs[fees >= buy.upper] == 1.0)
+    assert np.allclose(buy.quantiles(probs[inside]), fees[inside], atol=1e-9)
 
 
 def test_support_spread_formula():

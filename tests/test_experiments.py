@@ -19,6 +19,7 @@ from chainbook.experiments import (
     run_mechanism_comparison,
     run_random_counts,
 )
+from chainbook.miners import PendingPool
 from chainbook.reporting import emit_report
 
 
@@ -104,6 +105,47 @@ def test_blocksize_limit_cap_one():
     rows = run_blocksize_limit(spec, _separated_config(), max_block_size=1)
     abs_row = next(r for r in rows if r["mechanism"] == "abs_capped")
     assert abs_row["A"] == 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_blocksize_limit_rows_are_paired(seed):
+    spec = ExperimentSpec(
+        scenario=Scenario.BLOCK_SIZE_LIMIT, replications=2, seed=seed, seller_grid=(20,)
+    )
+    rows = run_blocksize_limit(spec, HarnessConfig(), max_block_size=10)
+    for capped, bench in zip(rows[::2], rows[1::2]):
+        assert (capped["mechanism"], bench["mechanism"]) == ("abs_capped", "benchmark_max_block")
+        assert capped["sw_opt"] == bench["sw_opt"]
+        assert capped["ratio"] <= 1.0 and bench["ratio"] <= 1.0
+        assert capped["sw_mean"] >= bench["sw_mean"]
+
+
+@pytest.mark.parametrize("path", ["blocksize_limit", "cli_simulate", "cli_mechanism"])
+def test_every_play_quantizes_fees(path, tmp_path, monkeypatch):
+    unit = 1e-3
+    played = []
+    from_instance = PendingPool.from_instance.__func__
+
+    def recording(cls, instance, profile):
+        played.append(profile.buy_fees + profile.sell_fees)
+        return from_instance(cls, instance, profile)
+
+    monkeypatch.setattr(PendingPool, "from_instance", classmethod(recording))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"epsilon": unit, "quantize_fees": True}), encoding="utf-8")
+    if path == "blocksize_limit":
+        spec = ExperimentSpec(
+            scenario=Scenario.BLOCK_SIZE_LIMIT, replications=3, seed=1, seller_grid=(10,)
+        )
+        run_blocksize_limit(spec, load_config(str(config_path)), max_block_size=5)
+    elif path == "cli_simulate":
+        _cli_rows(tmp_path, "simulate", "--config", str(config_path), "--replications", "3")
+    else:
+        _cli_rows(
+            tmp_path, "mechanism", "--config", str(config_path), "--a-max", "3", "--replications", "2"
+        )
+    off_grid = [fees for fees in played if any(f != round(f / unit) * unit for f in fees)]
+    assert played and off_grid == []
 
 
 def test_raising_protocol_share_never_lowers_welfare_here():
@@ -228,7 +270,8 @@ PINNED_ROWS = {
     "comparison": "1482fa2f03cd27a090e894e25958df0f95a5047401f7d365149954defe5da8f0",
     "comparison_quantized": "5cc034b5df38ba6f8b33f3fca3ad8d19339f084c5e5c0e10391d5d045ed5e679",
     "random_counts": "b2e150c0accfc1846523490b3cd8357858828ffdb99cae62b05b0d36af4e2ec6",
-    "blocksize_limit": "a2a59012e215ace5ebddd9aa0585f4c4aca9d2e7c3600a41b490461c43053f84",
+    # Both rows read from one capped search, on its populations and their optimum.
+    "blocksize_limit": "2773e7879427fde2a5d16cc4a72d6e1703aca979966e465d43e725d8ae25cf6b",
     "cli_simulate": "75bfebf819c04adb5486833f70e2eb7b5bac0885b9e58c22f3454471b2e872c5",
     "cli_equilibrium": "b3ae3214702ff605c5c7e948e1b32c9b88726c0413687cbf77758c0e7fa746ab",
     "cli_mechanism": "bb4f7079639c4c2a9492d5038cf519ea52e3cdc78c72025963106717b7960f1f",

@@ -112,3 +112,50 @@ def test_traced_horizon_counts_rounds_and_selections():
             elif name == "miners.run_round":
                 assert parent == "miners.run_horizon"
     assert 0 < ended_empty < len(plays)
+
+
+_PLAY_PATH_SCRIPT = r"""
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+import chainbook.cli  # loads every traced module
+from tracer import Tracer
+from chainbook import experiments as xp, welfare
+from chainbook.market import build_instance
+
+tracer = Tracer()
+tracer.install()
+
+def play_spans(run):
+    first = len(tracer.spans)
+    run()
+    spans = tracer.spans[first:]
+    names = {s[0]: tracer.names[s[2]] for s in spans}
+    return {
+        "simulate_once": sum(name == "experiments.simulate_once" for name in names.values()),
+        "horizon_parents": [names.get(s[1]) for s in spans if names[s[0]] == "miners.run_horizon"],
+    }
+
+spec = xp.ExperimentSpec(scenario=xp.Scenario.BLOCK_SIZE_LIMIT, replications=3, seed=1, seller_grid=(6, 10))
+rng = np.random.default_rng(5)
+inst = build_instance(rng.random(8), rng.random(8), block_size=1, delay_cost=0.05)
+print(json.dumps({
+    "blocksize_limit": play_spans(lambda: xp.run_blocksize_limit(spec, xp.HarnessConfig(), 4)),
+    "performance_ratio": play_spans(lambda: welfare.performance_ratio(inst, 2, mc_replications=5, rng_seed=3)),
+}))
+"""
+
+
+def test_every_play_runs_through_simulate_once():
+    # A second play path would show as a run_horizon span with another parent.
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _PLAY_PATH_SCRIPT, str(root / "src"), str(root / "perfbench")],
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    runs = json.loads(out)
+    for run in runs.values():
+        assert run["horizon_parents"]
+        assert set(run["horizon_parents"]) == {"experiments.simulate_once"}
+    assert runs["blocksize_limit"]["simulate_once"] == 3 * 4 * 2  # replications x cap x grid
+    assert runs["performance_ratio"]["simulate_once"] == 5
