@@ -30,7 +30,7 @@ from .mechanism import (
     optimal_block_size_distributional,
     sample_instance,
 )
-from .reporting import emit_report
+from .reporting import emit_report, result_row
 from .welfare import performance_ratio, unbounded_poa_witness, welfare_quotient
 
 
@@ -115,25 +115,14 @@ def _cmd_ingest(args) -> None:
     if args.columns:
         column_map = dict(pair.split("=", 1) for pair in args.columns.split(","))
     ds = ingest_csv(args.input, column_map=column_map)
-    fitted = ds.to_distributions()
-    rows = [
-        {
-            "scenario": "ingest",
-            "mechanism": "dataset",
-            "N": len(ds),
-            "K": len(ds),
-            "A": "",
-            "sw_mean": "",
-            "sw_stderr": "",
-            "sw_opt": "",
-            "ratio": "",
-            "norm_offset": ds.norm_offset,
-            "norm_scale": ds.norm_scale,
-            "price_to_value_ratio": ds.price_to_value_ratio,
-            "distributions": {k: v.to_config() for k, v in fitted.items()},
-        }
-    ]
-    _write(args, rows, None)
+    row = result_row(
+        "ingest", "dataset", len(ds), len(ds),
+        norm_offset=ds.norm_offset,
+        norm_scale=ds.norm_scale,
+        price_to_value_ratio=ds.price_to_value_ratio,
+        distributions={k: v.to_config() for k, v in ds.to_distributions().items()},
+    )
+    _write(args, [row], None)
 
 
 def _cmd_equilibrium(args) -> None:
@@ -142,28 +131,17 @@ def _cmd_equilibrium(args) -> None:
     a_th = eq.crossing_index(inst)
     fees = eq.threshold_fees(inst)
     pure = eq.psne(inst)
-    row = {
-        "scenario": "equilibrium",
-        "mechanism": "psne" if pure is not None else "msne",
-        "N": inst.num_sellers,
-        "K": inst.num_buyers,
-        "A": inst.block_size,
-        "crossing_index": a_th,
-        "sigma_buy": fees.sigma_buy,
-        "sigma_sell": fees.sigma_sell,
-        "sw_mean": "",
-        "sw_stderr": "",
-        "sw_opt": "",
-        "ratio": "",
-    }
+    row = result_row(
+        "equilibrium", "psne" if pure is not None else "msne",
+        inst.num_sellers, inst.num_buyers, inst.block_size,
+        crossing_index=a_th, sigma_buy=fees.sigma_buy, sigma_sell=fees.sigma_sell,
+    )
     if pure is None:
         buy, sell = eq.msne(inst)
         row.update(
-            {
-                "buy_support": [buy.lower, buy.upper],
-                "sell_support": [sell.lower, sell.upper],
-                "contenders": buy.contenders,
-            }
+            buy_support=[buy.lower, buy.upper],
+            sell_support=[sell.lower, sell.upper],
+            contenders=buy.contenders,
         )
     _write(args, [row], config)
 
@@ -174,71 +152,35 @@ def _cmd_simulate(args) -> None:
     report = performance_ratio(
         inst, inst.block_size, mc_replications=args.replications, rng_seed=args.seed
     )
-    rows = [
-        {
-            "scenario": "simulate",
-            "mechanism": "equilibrium",
-            "N": inst.num_sellers,
-            "K": inst.num_buyers,
-            "A": inst.block_size,
-            "sw_mean": report.sw,
-            "sw_stderr": report.sw_stderr,
-            "sw_opt": report.sw_opt,
-            "ratio": welfare_quotient(report.sw, report.sw_opt),
-        }
-    ]
-    _write(args, rows, config)
+    row = result_row(
+        "simulate", "equilibrium", inst.num_sellers, inst.num_buyers, inst.block_size,
+        report.sw, report.sw_stderr, report.sw_opt, welfare_quotient(report.sw, report.sw_opt),
+    )
+    _write(args, [row], config)
 
 
 def _cmd_mechanism(args) -> None:
     config = _load(args)
-    mc = config.mechanism_config(config.num_buyers, config.num_sellers)
-    rows = []
+    n, k = config.num_sellers, config.num_buyers
+    mc = config.mechanism_config(k, n)
     a_dist = optimal_block_size_distributional(mc)
-    rows.append(
-        {
-            "scenario": "mechanism",
-            "mechanism": xp.MechanismKind.ABS_DISTRIBUTIONAL.value,
-            "N": config.num_sellers,
-            "K": config.num_buyers,
-            "A": a_dist,
-            "sw_mean": "",
-            "sw_stderr": "",
-            "sw_opt": "",
-            "ratio": "",
-        }
-    )
     inst = _sample_market(config, a_dist, args.seed)
-    rows.append(
-        {
-            "scenario": "mechanism",
-            "mechanism": xp.MechanismKind.ABS_COMPLETE.value,
-            "N": inst.num_sellers,
-            "K": inst.num_buyers,
-            "A": optimal_block_size_complete(inst),
-            "sw_mean": "",
-            "sw_stderr": "",
-            "sw_opt": "",
-            "ratio": "",
-        }
-    )
+    rows = [
+        result_row("mechanism", xp.MechanismKind.ABS_DISTRIBUTIONAL.value, n, k, a_dist),
+        result_row(
+            "mechanism", xp.MechanismKind.ABS_COMPLETE.value, n, k, optimal_block_size_complete(inst)
+        ),
+    ]
     if args.a_max is not None:
         report = capped_search_report(
             mc, args.a_max, mc_replications=args.replications, rng_seed=args.seed
         )
         idx = report.block_sizes.index(report.best_block_size)
         rows.append(
-            {
-                "scenario": "mechanism",
-                "mechanism": "abs_capped",
-                "N": config.num_sellers,
-                "K": config.num_buyers,
-                "A": report.best_block_size,
-                "sw_mean": report.mean_welfare[idx],
-                "sw_stderr": report.stderr_welfare[idx],
-                "sw_opt": "",
-                "ratio": "",
-            }
+            result_row(
+                "mechanism", "abs_capped", n, k, report.best_block_size,
+                report.mean_welfare[idx], report.stderr_welfare[idx],
+            )
         )
     _write(args, rows, config)
 
@@ -250,17 +192,11 @@ def _cmd_poa(args) -> None:
     for name, inst in (("oversized_block", high), ("undersized_block", low)):
         report = performance_ratio(inst, inst.block_size, mc_replications=8, rng_seed=args.seed)
         rows.append(
-            {
-                "scenario": xp.Scenario.POA_WITNESS.value,
-                "mechanism": name,
-                "N": inst.num_sellers,
-                "K": inst.num_buyers,
-                "A": inst.block_size,
-                "sw_mean": report.sw,
-                "sw_stderr": report.sw_stderr,
-                "sw_opt": report.sw_opt,
-                "ratio": report.ratio,
-            }
+            result_row(
+                xp.Scenario.POA_WITNESS.value, name,
+                inst.num_sellers, inst.num_buyers, inst.block_size,
+                report.sw, report.sw_stderr, report.sw_opt, report.ratio,
+            )
         )
     _write(args, rows, config)
 

@@ -36,7 +36,6 @@ class OrderDataset:
     ask_prices: tuple[float, ...]
     bid_qtys: tuple[float, ...]
     ask_qtys: tuple[float, ...]
-    timestamps: tuple[str, ...] = ()
     price_to_value_ratio: float = PRICE_TO_VALUE_RATIO
     norm_offset: float = 0.0
     norm_scale: float = 1.0
@@ -92,7 +91,6 @@ def ingest_csv(
     path: str,
     column_map: dict[str, str] | None = None,
     price_to_value_ratio: float = PRICE_TO_VALUE_RATIO,
-    timestamp_column: str | None = None,
 ) -> OrderDataset:
     """Load an order CSV into an OrderDataset.
 
@@ -107,7 +105,7 @@ def ingest_csv(
             raise ValueError(f"unknown logical columns: {sorted(unknown)}")
         columns.update(column_map)
 
-    bid_p, ask_p, bid_q, ask_q, stamps = [], [], [], [], []
+    bid_p, ask_p, bid_q, ask_q = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -122,8 +120,6 @@ def ingest_csv(
             ask_p.append(_parse_positive(row[columns["ask_price"]], columns["ask_price"], row_number))
             bid_q.append(_parse_positive(row[columns["bid_qty"]], columns["bid_qty"], row_number))
             ask_q.append(_parse_positive(row[columns["ask_qty"]], columns["ask_qty"], row_number))
-            if timestamp_column is not None:
-                stamps.append(row.get(timestamp_column, ""))
     if not bid_p:
         raise ValueError(f"{path}: no data rows")
 
@@ -137,7 +133,6 @@ def ingest_csv(
         ask_prices=tuple(ask_p),
         bid_qtys=tuple(bid_q),
         ask_qtys=tuple(ask_q),
-        timestamps=tuple(stamps),
         price_to_value_ratio=price_to_value_ratio,
         norm_offset=offset,
         norm_scale=scale,

@@ -2,7 +2,8 @@
 
 Utilities and costs live on [0, 1]; quantities on [b_lo, b_hi].  Each
 distribution exposes a CDF, an inverse CDF, a support, and sampling via
-inverse transform.  Objects are immutable and safe to share across workers.
+inverse transform.  Objects are immutable and pickle as their config
+(:meth:`ValueDistribution.to_config`), so they travel to process workers.
 """
 
 from __future__ import annotations
@@ -50,11 +51,15 @@ class ValueDistribution:
         return float(np.mean(self.ppf(u)))
 
     def to_config(self) -> dict:
-        """Round-trippable description (see :func:`from_config`); lambdas don't pickle."""
+        """Round-trippable description: ``from_config(d.to_config())`` rebuilds ``d``."""
         if self.kind == "empirical":
             return {"kind": "empirical", "samples": list(self.params["samples"]),
                     "support": list(self.support)}
         return {"kind": self.kind, **{k: v for k, v in self.params.items() if k != "n"}}
+
+    def __reduce__(self):
+        # The CDF and inverse are closures, which don't pickle; the config does.
+        return from_config, (self.to_config(),)
 
 
 def uniform(lo: float, hi: float) -> ValueDistribution:

@@ -13,7 +13,12 @@ reads both of its rows, the capped choice and the benchmark at
 min(benchmark, cap), from one capped search, so they share populations,
 streams and optimum.  Every scenario summarizes its samples with
 :func:`chainbook.welfare.mean_stderr` and
-:func:`chainbook.welfare.welfare_quotient`.
+:func:`chainbook.welfare.welfare_quotient`, and writes its rows with
+:func:`chainbook.reporting.result_row`.
+
+Process workers receive the :class:`HarnessConfig` itself (its
+distributions pickle as their configs) through ``functools.partial``, and
+``Executor.map`` returns their results in task order.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .mechanism import (
     optimal_block_size_distributional,
     sample_instance,
 )
+from .reporting import result_row
 from .welfare import mean_stderr, simulate_once, social_optimum, welfare_quotient
 
 __all__ = [
@@ -74,9 +81,28 @@ def _default_distributions() -> dict[str, ValueDistribution]:
     }
 
 
+# Config file key -> (HarnessConfig field, type); "distributions" is handled apart.
+_CONFIG_KEYS = {
+    "K": ("num_buyers", int),
+    "N": ("num_sellers", int),
+    "rho": ("rho", float),
+    "d": ("delay_cost", float),
+    "epsilon": ("fee_unit", float),
+    "psi": ("psi", float),
+    "b_lo": ("b_lo", float),
+    "b_hi": ("b_hi", float),
+    "non_selfish_fraction": ("non_selfish_fraction", float),
+    "quantize_fees": ("quantize_fees", bool),
+}
+
+
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Market-level knobs shared by all scenarios (mirrors the config file keys)."""
+    """Market-level knobs shared by all scenarios (the config file keys in ``_CONFIG_KEYS``).
+
+    It pickles as is (each distribution pickles as its config), so scenario
+    workers receive it directly.
+    """
 
     num_buyers: int = 50
     num_sellers: int = 50
@@ -116,47 +142,31 @@ class HarnessConfig:
 
     def to_jsonable(self) -> dict:
         return {
-            "K": self.num_buyers,
-            "N": self.num_sellers,
-            "rho": self.rho,
-            "d": self.delay_cost,
-            "epsilon": self.fee_unit,
-            "psi": self.psi,
-            "b_lo": self.b_lo,
-            "b_hi": self.b_hi,
-            "non_selfish_fraction": self.non_selfish_fraction,
-            "quantize_fees": self.quantize_fees,
+            **{key: getattr(self, name) for key, (name, _) in _CONFIG_KEYS.items()},
             "distributions": {k: v.to_config() for k, v in self.distributions.items()},
         }
 
 
 def load_config(path: str) -> HarnessConfig:
-    """Read the key-value config file (JSON: K, N, rho, d, epsilon, psi, ...)."""
+    """Read the key-value config file (JSON: K, N, rho, d, epsilon, psi, ...).
+
+    Absent keys take the :class:`HarnessConfig` defaults, except that a bare
+    ``b_lo`` also sets ``b_hi``.
+    """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if "b_lo" in raw:
+        raw.setdefault("b_hi", raw["b_lo"])
+    given = raw.get("distributions", {})
     dists = _default_distributions()
-    for key, spec in raw.get("distributions", {}).items():
+    for key, spec in given.items():
         if key not in dists:
             raise ValueError(f"unknown distribution key {key!r} (expected R, C, B, Q)")
         dists[key] = dist.from_config(spec)
-    b_lo = float(raw.get("b_lo", 1.0))
-    b_hi = float(raw.get("b_hi", b_lo))
-    config = HarnessConfig(
-        num_buyers=int(raw.get("K", 50)),
-        num_sellers=int(raw.get("N", 50)),
-        rho=float(raw.get("rho", 1.0)),
-        delay_cost=float(raw.get("d", 0.01)),
-        fee_unit=float(raw.get("epsilon", 1e-6)),
-        psi=float(raw.get("psi", 0.85)),
-        b_lo=b_lo,
-        b_hi=b_hi,
-        non_selfish_fraction=float(raw.get("non_selfish_fraction", 0.0)),
-        quantize_fees=bool(raw.get("quantize_fees", False)),
-        distributions=dists,
-    )
-    if "b_lo" in raw or "b_hi" in raw:  # quantities U[b_lo, b_hi] unless B or Q is given
-        given = raw.get("distributions", {})
-        derived = {k: dist.uniform(b_lo, b_hi) for k in ("B", "Q") if k not in given}
+    fields = {name: cast(raw[key]) for key, (name, cast) in _CONFIG_KEYS.items() if key in raw}
+    config = HarnessConfig(**fields, distributions=dists)
+    if "b_hi" in raw:  # b_lo or b_hi set: quantities U[b_lo, b_hi] unless B or Q is given
+        derived = {k: dist.uniform(config.b_lo, config.b_hi) for k in ("B", "Q") if k not in given}
         config = replace(config, distributions={**dists, **derived})
     return config
 
@@ -199,10 +209,13 @@ class ComparisonSamples:
 _COMPARISON_VARIANTS = ("abs_distributional", "abs_non_selfish", "benchmark_max_block", "abs_complete")
 
 
-def _comparison_replication(args) -> tuple[int, dict[str, float], float, dict[str, float]]:
-    """One paired replication across all mechanism variants (worker-safe args)."""
-    config_raw, n_sellers, a_dist, fraction, seed_key, rep = args
-    config = _config_from_jsonable(config_raw)
+def _comparison_replication(
+    config: HarnessConfig, n_sellers: int, a_dist: int, fraction: float, seed_key: int, rep: int
+) -> tuple[dict[str, float], float, dict[str, float]]:
+    """One paired replication across all mechanism variants: welfare, optimum, sizes.
+
+    A module-level function of picklable arguments, so process workers can run it.
+    """
     num_buyers = max(1, round(config.rho * n_sellers))
     draw_rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 0]))
     base = sample_instance(config.mechanism_config(num_buyers, n_sellers), 1, draw_rng)
@@ -222,33 +235,15 @@ def _comparison_replication(args) -> tuple[int, dict[str, float], float, dict[st
         # paired comparisons are exact rather than coin flips on pairing luck.
         rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 1]))
         sw[variant] = simulate_once(inst, rng).sw
-    return rep, sw, social_optimum(base), sizes
+    return sw, social_optimum(base), sizes
 
 
-def _config_from_jsonable(raw) -> HarnessConfig:
-    if isinstance(raw, HarnessConfig):
-        return raw
-    dists = {k: dist.from_config(v) for k, v in raw["distributions"].items()}
-    return HarnessConfig(
-        num_buyers=raw["K"],
-        num_sellers=raw["N"],
-        rho=raw["rho"],
-        delay_cost=raw["d"],
-        fee_unit=raw["epsilon"],
-        psi=raw["psi"],
-        b_lo=raw["b_lo"],
-        b_hi=raw["b_hi"],
-        non_selfish_fraction=raw["non_selfish_fraction"],
-        quantize_fees=raw["quantize_fees"],
-        distributions=dists,
-    )
-
-
-def _run_tasks(tasks, worker, threads: int):
+def _run_tasks(threads: int, worker, *iterables) -> list:
+    """``map(worker, *iterables)`` in task order, over ``threads`` processes if above 1."""
     if threads <= 1:
-        return [worker(t) for t in tasks]
+        return list(map(worker, *iterables))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks))
+        return list(pool.map(worker, *iterables))
 
 
 def compare_mechanisms(
@@ -262,40 +257,17 @@ def compare_mechanisms(
     """Paired-population welfare samples for every comparison variant at one N."""
     num_buyers = max(1, round(config.rho * num_sellers))
     a_dist = optimal_block_size_distributional(config.mechanism_config(num_buyers, num_sellers))
-    raw = config.to_jsonable()
-    tasks = [
-        (raw, num_sellers, a_dist, non_selfish_fraction, seed, rep) for rep in range(replications)
-    ]
-    results = _run_tasks(tasks, _comparison_replication, threads)
-    results.sort(key=lambda t: t[0])
-
-    samples = {v: np.array([r[1][v] for r in results]) for v in _COMPARISON_VARIANTS}
-    optimum = np.array([r[2] for r in results])
-    mean_sizes: dict[str, float] = {}
-    for v in _COMPARISON_VARIANTS:
-        mean_sizes[v] = float(np.mean([r[3][v] for r in results]))
+    worker = partial(
+        _comparison_replication, config, num_sellers, a_dist, non_selfish_fraction, seed
+    )
+    welfare, optima, sizes = zip(*_run_tasks(threads, worker, range(replications)))
     return ComparisonSamples(
         num_sellers=num_sellers,
         num_buyers=num_buyers,
-        block_sizes=mean_sizes,
-        samples=samples,
-        optimum=optimum,
+        block_sizes={v: float(np.mean([s[v] for s in sizes])) for v in _COMPARISON_VARIANTS},
+        samples={v: np.array([sw[v] for sw in welfare]) for v in _COMPARISON_VARIANTS},
+        optimum=np.array(optima),
     )
-
-
-def _row(scenario: str, mechanism: str, n: int, k: int, a: float, sw: np.ndarray, opt: float) -> dict:
-    mean, stderr = mean_stderr(sw)
-    return {
-        "scenario": scenario,
-        "mechanism": mechanism,
-        "N": n,
-        "K": k,
-        "A": a,
-        "sw_mean": mean,
-        "sw_stderr": stderr,
-        "sw_opt": opt,
-        "ratio": welfare_quotient(mean, opt),
-    }
 
 
 def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> list[dict]:
@@ -312,40 +284,36 @@ def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> lis
             config, n, config.non_selfish_fraction, spec.replications, spec.seed, spec.threads
         )
         opt_mean = float(comp.optimum.mean())
-        for variant in _COMPARISON_VARIANTS:
+        series = [
+            (variant, comp.block_sizes[variant], comp.samples[variant])
+            for variant in _COMPARISON_VARIANTS
+        ]
+        series.append(("social_optimum", comp.block_sizes["benchmark_max_block"], comp.optimum))
+        for variant, a, sw in series:
             label = variant if variant != "abs_non_selfish" else "abs_non_selfish_recommending"
+            mean, stderr = mean_stderr(sw)
             rows.append(
-                _row(
-                    Scenario.MECHANISM_COMPARISON.value,
-                    label,
-                    n,
-                    comp.num_buyers,
-                    comp.block_sizes[variant],
-                    comp.samples[variant],
-                    opt_mean,
+                result_row(
+                    Scenario.MECHANISM_COMPARISON.value, label, n, comp.num_buyers, a,
+                    mean, stderr, opt_mean, welfare_quotient(mean, opt_mean),
                 )
             )
-        rows.append(
-            _row(
-                Scenario.MECHANISM_COMPARISON.value,
-                "social_optimum",
-                n,
-                comp.num_buyers,
-                comp.block_sizes["benchmark_max_block"],
-                comp.optimum,
-                opt_mean,
-            )
-        )
     return rows
 
 
-def _random_counts_period(args) -> tuple[int, float, float, int, int]:
-    config_raw, n_t, a_fixed, seed_key, period = args
-    config = _config_from_jsonable(config_raw)
+def _random_counts_period(
+    config: HarnessConfig, a_fixed: int, seed_key: int, period: int, n_t: int
+) -> dict:
+    """The report row of one period: its own counts, population and stream."""
     k_t = max(1, round(config.rho * n_t))
     rng = np.random.default_rng(np.random.SeedSequence([seed_key, period, 17]))
     inst = sample_instance(config.mechanism_config(k_t, n_t), a_fixed, rng)
-    return period, simulate_once(inst, rng).sw, social_optimum(inst), n_t, k_t
+    sw, opt = simulate_once(inst, rng).sw, social_optimum(inst)
+    return result_row(
+        Scenario.RANDOM_COUNTS.value, MechanismKind.ABS_DISTRIBUTIONAL.value, n_t, k_t, a_fixed,
+        sw, 0.0, opt, welfare_quotient(sw, opt),
+        period=period,
+    )
 
 
 def run_random_counts(
@@ -364,46 +332,16 @@ def run_random_counts(
     mean_k = max(1, round(config.rho * mean_n))
     a_fixed = optimal_block_size_distributional(config.mechanism_config(mean_k, mean_n))
 
-    raw = config.to_jsonable()
-    tasks = [(raw, n_t, a_fixed, spec.seed, t) for t, n_t in enumerate(counts)]
-    results = _run_tasks(tasks, _random_counts_period, spec.threads)
-    results.sort(key=lambda t: t[0])
-
-    rows = []
-    ratios = []
-    for period, sw, opt, n_t, k_t in results:
-        ratio = welfare_quotient(sw, opt)
-        ratios.append(ratio)
-        rows.append(
-            {
-                "scenario": Scenario.RANDOM_COUNTS.value,
-                "mechanism": MechanismKind.ABS_DISTRIBUTIONAL.value,
-                "period": period,
-                "N": n_t,
-                "K": k_t,
-                "A": a_fixed,
-                "sw_mean": sw,
-                "sw_stderr": 0.0,
-                "sw_opt": opt,
-                "ratio": ratio,
-            }
-        )
-    sw_mean, sw_stderr = mean_stderr([r[1] for r in results])
-    rows.append(
-        {
-            "scenario": Scenario.RANDOM_COUNTS.value,
-            "mechanism": "summary",
-            "N": mean_n,
-            "K": mean_k,
-            "A": a_fixed,
-            "sw_mean": sw_mean,
-            "sw_stderr": sw_stderr,
-            "sw_opt": float(np.mean([r[2] for r in results])),
-            "ratio": float(np.mean(ratios)),
-            "ratio_std": float(np.std(ratios)),
-        }
+    worker = partial(_random_counts_period, config, a_fixed, spec.seed)
+    rows = _run_tasks(spec.threads, worker, range(len(counts)), counts)
+    ratios = [r["ratio"] for r in rows]
+    sw_mean, sw_stderr = mean_stderr([r["sw_mean"] for r in rows])
+    summary = result_row(
+        Scenario.RANDOM_COUNTS.value, "summary", mean_n, mean_k, a_fixed,
+        sw_mean, sw_stderr, float(np.mean([r["sw_opt"] for r in rows])), float(np.mean(ratios)),
+        ratio_std=float(np.std(ratios)),
     )
-    return rows
+    return [*rows, summary]
 
 
 def run_blocksize_limit(
@@ -429,17 +367,11 @@ def run_blocksize_limit(
             (MechanismKind.BENCHMARK_MAX_BLOCK.value, a_bench),
         ):
             i = report.block_sizes.index(a)
+            sw, opt = report.mean_welfare[i], report.mean_optimum
             rows.append(
-                {
-                    "scenario": Scenario.BLOCK_SIZE_LIMIT.value,
-                    "mechanism": mechanism,
-                    "N": n,
-                    "K": k,
-                    "A": a,
-                    "sw_mean": report.mean_welfare[i],
-                    "sw_stderr": report.stderr_welfare[i],
-                    "sw_opt": report.mean_optimum,
-                    "ratio": welfare_quotient(report.mean_welfare[i], report.mean_optimum),
-                }
+                result_row(
+                    Scenario.BLOCK_SIZE_LIMIT.value, mechanism, n, k, a,
+                    sw, report.stderr_welfare[i], opt, welfare_quotient(sw, opt),
+                )
             )
     return rows

@@ -7,7 +7,7 @@ import io
 import json
 from importlib import metadata
 
-__all__ = ["emit_report", "report_payload", "CSV_COLUMNS"]
+__all__ = ["emit_report", "report_payload", "result_row", "CSV_COLUMNS"]
 
 CSV_COLUMNS = [
     "scenario",
@@ -21,6 +21,33 @@ CSV_COLUMNS = [
     "sw_opt",
     "ratio",
 ]
+
+
+def result_row(
+    scenario: str,
+    mechanism: str,
+    n: int,
+    k: int,
+    a="",
+    sw_mean="",
+    sw_stderr="",
+    sw_opt="",
+    ratio="",
+    **extra,
+) -> dict:
+    """One report row: the fixed fields (blank where a command has no value) plus extras."""
+    return {
+        "scenario": scenario,
+        "mechanism": mechanism,
+        "N": n,
+        "K": k,
+        "A": a,
+        "sw_mean": sw_mean,
+        "sw_stderr": sw_stderr,
+        "sw_opt": sw_opt,
+        "ratio": ratio,
+        **extra,
+    }
 
 
 def _version() -> str:

@@ -56,9 +56,6 @@ class WelfareReport:
     sw_opt: float | None = None
     ratio: float | None = None
     sw_stderr: float = 0.0
-    sw_min: float | None = None
-    sw_max: float | None = None
-    replications: int = 1
 
 
 def social_welfare(
@@ -195,9 +192,6 @@ def performance_ratio(
         sw_opt=sw_opt,
         ratio=ratio,
         sw_stderr=stderr,
-        sw_min=float(np.min(samples)),
-        sw_max=float(np.max(samples)),
-        replications=n,
     )
 
 

@@ -1,5 +1,7 @@
 """Distribution tests: parametric shapes, empirical fits, round-trips."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,29 @@ def test_config_roundtrip():
         assert rebuilt.kind == d.kind
         xs = np.linspace(*d.support, 17)
         assert np.allclose(rebuilt.cdf(xs), d.cdf(xs), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        dist.uniform(0.1, 0.7),
+        dist.beta(2.0, 3.0, 0.0, 0.5),
+        dist.lognormal_truncated(0.0, 0.5, 0.1, 3.0),
+        dist.point_mass(1.5),
+        dist.fit_empirical([0.9, 0.1, 0.4, 0.4], (0.0, 1.0)),
+    ],
+    ids=lambda d: d.kind,
+)
+def test_pickle_rebuilds_from_config(d):
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy.to_config() == d.to_config()
+    assert copy.support == d.support
+    xs = np.linspace(*d.support, 17)
+    us = np.linspace(0.0, 1.0, 17)
+    assert np.array_equal(copy.cdf(xs), d.cdf(xs))
+    assert np.array_equal(copy.ppf(us), d.ppf(us))
+    draws = [x.sample(np.random.default_rng(4), 50) for x in (copy, d)]
+    assert np.array_equal(draws[0], draws[1])
 
 
 def test_from_config_unknown_kind():

@@ -157,25 +157,60 @@ def test_raising_protocol_share_never_lowers_welfare_here():
     )
 
 
+def _beta_empirical_config(**overrides):
+    return _separated_config(
+        distributions={
+            "R": dist.beta(2.0, 2.0, 0.5, 1.0),
+            "C": dist.fit_empirical([0.05, 0.2, 0.3, 0.3, 0.45], (0.0, 0.5)),
+            "B": dist.point_mass(1.0),
+            "Q": dist.uniform(1.0, 2.0),
+        },
+        **overrides,
+    )
+
+
 def test_reports_reproducible_across_runs_and_threads():
-    config = _separated_config()
-    spec1 = ExperimentSpec(
-        scenario=Scenario.MECHANISM_COMPARISON, replications=6, seed=21, seller_grid=(8,)
-    )
-    rows_a = run_mechanism_comparison(spec1, config)
-    rows_b = run_mechanism_comparison(spec1, config)
-    spec2 = ExperimentSpec(
-        scenario=Scenario.MECHANISM_COMPARISON,
-        replications=6,
-        seed=21,
-        seller_grid=(8,),
-        threads=2,
-    )
-    rows_c = run_mechanism_comparison(spec2, config)
-    text_a = emit_report(rows_a, "json", None, config.to_jsonable(), 21)
-    text_b = emit_report(rows_b, "json", None, config.to_jsonable(), 21)
-    text_c = emit_report(rows_c, "json", None, config.to_jsonable(), 21)
-    assert text_a == text_b == text_c
+    # Workers receive the config by pickle, so every distribution kind must
+    # arrive rebuilt to the same numbers.
+    for config in (_separated_config(), _beta_empirical_config(non_selfish_fraction=0.2)):
+        spec1 = ExperimentSpec(
+            scenario=Scenario.MECHANISM_COMPARISON, replications=6, seed=21, seller_grid=(8,)
+        )
+        rows_a = run_mechanism_comparison(spec1, config)
+        rows_b = run_mechanism_comparison(spec1, config)
+        spec2 = ExperimentSpec(
+            scenario=Scenario.MECHANISM_COMPARISON,
+            replications=6,
+            seed=21,
+            seller_grid=(8,),
+            threads=2,
+        )
+        rows_c = run_mechanism_comparison(spec2, config)
+        text_a = emit_report(rows_a, "json", None, config.to_jsonable(), 21)
+        text_b = emit_report(rows_b, "json", None, config.to_jsonable(), 21)
+        text_c = emit_report(rows_c, "json", None, config.to_jsonable(), 21)
+        assert text_a == text_b == text_c
+
+
+@pytest.mark.parametrize(
+    "config", [_separated_config(), _beta_empirical_config()], ids=["uniform", "beta_empirical"]
+)
+def test_random_counts_same_bytes_on_two_threads(config):
+    texts = [
+        emit_report(
+            run_random_counts(
+                ExperimentSpec(scenario=Scenario.RANDOM_COUNTS, seed=8, threads=threads),
+                config,
+                [6, 10, 8, 12],
+            ),
+            "json",
+            None,
+            config.to_jsonable(),
+            8,
+        )
+        for threads in (1, 2)
+    ]
+    assert texts[0] == texts[1]
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -257,6 +292,14 @@ def _rows_sha256(rows):
     return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
 
 
+_ORDERS_CSV = """bid_price,ask_price,bid_qty,ask_qty
+105.0,94.5,2.0,1.5
+110.25,99.75,1.0,3.0
+120.75,89.25,0.5,0.5
+98.0,101.5,1.5,2.0
+"""
+
+
 def _cli_rows(tmp_path, *argv):
     out = tmp_path / f"{argv[0]}.json"
     assert main([*argv, "--out", str(out)]) == 0
@@ -276,10 +319,13 @@ PINNED_ROWS = {
     "cli_equilibrium": "b3ae3214702ff605c5c7e948e1b32c9b88726c0413687cbf77758c0e7fa746ab",
     "cli_mechanism": "bb4f7079639c4c2a9492d5038cf519ea52e3cdc78c72025963106717b7960f1f",
     "cli_poa": "70adcd3ce64838c2d790ccac752b727dfece58c8a068d9a902ce1516d119e8d9",
+    "cli_ingest": "412a1a3e30c2e5c5cc0f33f2cd10436b48e16803953a3f18bb882e491f2a4aa7",
 }
 
 
 def test_report_rows_pinned(tmp_path):
+    orders = tmp_path / "orders.csv"
+    orders.write_text(_ORDERS_CSV, encoding="utf-8")
     comparison = Scenario.MECHANISM_COMPARISON
     rows = {
         "comparison": run_mechanism_comparison(
@@ -306,6 +352,7 @@ def test_report_rows_pinned(tmp_path):
             tmp_path, "mechanism", "--a-max", "3", "--replications", "4", "--seed", "2"
         ),
         "cli_poa": _cli_rows(tmp_path, "poa", "--target", "50", "--seed", "1"),
+        "cli_ingest": _cli_rows(tmp_path, "ingest", "--input", str(orders)),
     }
     assert {case: _rows_sha256(r) for case, r in rows.items()} == PINNED_ROWS
 
