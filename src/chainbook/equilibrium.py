@@ -45,16 +45,9 @@ __all__ = [
 def crossing_index(instance: MarketInstance) -> int:
     """Last rank i with R_(i) >= C_(i); min(K, N) when the ranks never cross.
 
-    The rank-i utility is nonincreasing and the rank-i cost nondecreasing, so
-    the difference crosses zero at most once.
+    Found once per population (``MarketInstance.crossing_index``).
     """
-    m = min(instance.num_buyers, instance.num_sellers)
-    covered = (
-        instance.utility_array[instance.buyer_rank[:m]]
-        >= instance.cost_array[instance.seller_rank[:m]]
-    )
-    crossings = np.flatnonzero(covered[:-1] & ~covered[1:])
-    return int(crossings[0]) + 1 if crossings.size else m
+    return instance.crossing_index
 
 
 @dataclass(frozen=True)
@@ -300,11 +293,10 @@ def equilibrium_profile(
     instance: MarketInstance,
     rng: np.random.Generator | int | None = None,
 ) -> FeeProfile:
-    """One equilibrium fee profile: the pure one if it exists, else a mixed draw."""
-    pure = psne(instance)
-    if pure is not None:
-        return pure
-    return realize_profile(instance, msne(instance), rng)
+    """One equilibrium fee profile: the pure one if it exists, else a mixed
+    draw.  The equilibrium itself is found once per instance."""
+    found = instance.equilibrium
+    return found if isinstance(found, FeeProfile) else realize_profile(instance, found, rng)
 
 
 # --------------------------------------------------------------------------

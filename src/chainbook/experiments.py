@@ -24,6 +24,7 @@ distributions pickle as their configs) through ``functools.partial``, and
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -226,24 +227,27 @@ def _comparison_replication(
         "benchmark_max_block": benchmark_block_size(num_buyers, n_sellers),
         "abs_complete": optimal_block_size_complete(base),
     }
+    # One play generator per replication, rewound for every variant:
+    # mechanisms that induce the same play produce identical welfare, so
+    # paired comparisons are exact rather than coin flips on pairing luck.
+    rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 1]))
+    start = rng.bit_generator.state
     sw: dict[str, float] = {}
     for variant in _COMPARISON_VARIANTS:
         miners = miners_with_protocol_share(fraction) if variant == "abs_non_selfish" else None
-        inst = base.with_block_size(sizes[variant], miners)
-        # One simulation stream per replication, shared by every variant:
-        # mechanisms that induce the same play produce identical welfare, so
-        # paired comparisons are exact rather than coin flips on pairing luck.
-        rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 1]))
-        sw[variant] = simulate_once(inst, rng).sw
+        rng.bit_generator.state = start
+        sw[variant] = simulate_once(base.with_block_size(sizes[variant], miners), rng).sw
     return sw, social_optimum(base), sizes
 
 
 def _run_tasks(threads: int, worker, *iterables) -> list:
-    """``map(worker, *iterables)`` in task order, over ``threads`` processes if above 1."""
+    """``map(worker, *iterables)`` in task order, over ``threads`` processes if
+    above 1, each taking contiguous chunks: ``worker`` is pickled once per chunk."""
     if threads <= 1:
         return list(map(worker, *iterables))
+    chunksize = max(1, math.ceil(len(iterables[0]) / threads))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, *iterables))
+        return list(pool.map(worker, *iterables, chunksize=chunksize))
 
 
 def compare_mechanisms(

@@ -22,7 +22,7 @@ functions, so they are safe to use concurrently without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -137,6 +137,10 @@ class MarketInstance:
         object.__setattr__(self, "sell_qty_array", sell_qty)
         if len(utilities) < 1 or len(costs) < 1:
             raise ValueError("need at least one buyer and one seller")
+        self._check_terms()
+
+    def _check_terms(self) -> None:
+        """Check the block size, delay cost, fee unit and miners; derive or check the horizon."""
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if self.delay_cost < 0.0:
@@ -148,7 +152,7 @@ class MarketInstance:
         total_power = math.fsum(m.power for m in self.miners)
         if abs(total_power - 1.0) > 1e-12:
             raise ValueError(f"miner powers sum to {total_power}, expected 1")
-        min_side = min(len(utilities), len(costs))
+        min_side = min(len(self.utility_array), len(self.cost_array))
         floor_horizon = math.ceil(min_side / self.block_size)
         if self.horizon is None:
             object.__setattr__(self, "horizon", floor_horizon)
@@ -186,9 +190,9 @@ class MarketInstance:
     def num_sellers(self) -> int:
         return len(self.cost_array)
 
-    # Read-only, built on first use and shared with every with_block_size
-    # variant.  The engine reads the arrays directly; utilities(), costs()
-    # and the quantity getters hand out copies.
+    # Built on first use and shared with every with_block_size variant, the
+    # arrays read-only.  The engine reads the arrays directly; utilities(),
+    # costs() and the quantity getters hand out copies.
     @cached_property
     def buyer_rank(self) -> np.ndarray:
         """Buyer positions by utility descending, ties by position."""
@@ -198,6 +202,26 @@ class MarketInstance:
     def seller_rank(self) -> np.ndarray:
         """Seller positions by cost ascending, ties by position."""
         return _read_only(np.argsort(self.cost_array, kind="stable"))
+
+    @cached_property
+    def crossing_index(self) -> int:
+        """Last rank i with R_(i) >= C_(i); min(K, N) when the ranks never cross.
+
+        The rank-i utility is nonincreasing and the rank-i cost nondecreasing,
+        so the difference crosses zero at most once.
+        """
+        m = min(self.num_buyers, self.num_sellers)
+        covered = self.utility_array[self.buyer_rank[:m]] >= self.cost_array[self.seller_rank[:m]]
+        crossings = np.flatnonzero(covered[:-1] & ~covered[1:])
+        return int(crossings[0]) + 1 if crossings.size else m
+
+    @cached_property
+    def equilibrium(self):
+        """The pure equilibrium ``FeeProfile`` if one exists, else the two mixed
+        strategies; found once, and not shared with ``with_block_size`` variants."""
+        from .equilibrium import msne, psne
+
+        return psne(self) or msne(self)
 
     def utilities(self) -> np.ndarray:
         return self.utility_array.copy()
@@ -215,15 +239,14 @@ class MarketInstance:
         self, block_size: int, miners: Sequence[Miner] | None = None
     ) -> "MarketInstance":
         """Same market under a different block size (horizon re-derived) and,
-        if given, another miner set.  The variant shares this instance's arrays."""
-        variant = replace(
-            self,
-            block_size=block_size,
-            miners=self.miners if miners is None else tuple(miners),
-            horizon=None,
-        )
-        for name in ("buyer_rank", "seller_rank"):
-            variant.__dict__[name] = getattr(self, name)
+        if given, another miner set.  The variant shares this instance's arrays,
+        already checked, its rank arrays and its crossing index."""
+        variant = object.__new__(MarketInstance)
+        shared = (*_VALUE_ARRAYS, *_SCALAR_FIELDS, "buyer_rank", "seller_rank", "crossing_index")
+        variant.__dict__.update({name: getattr(self, name) for name in shared}, block_size=block_size, horizon=None)
+        if miners is not None:
+            variant.__dict__["miners"] = tuple(miners)
+        variant._check_terms()
         return variant
 
 

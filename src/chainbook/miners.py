@@ -1,7 +1,7 @@
 """Miner block filling: selfish prefix selection and the matching recommendation.
 
 A selfish miner ranks pending transactions by fee (ties shuffled with the
-round's seed, zero-fee transactions rejected) and keeps, among prefix sizes
+round's draws, zero-fee transactions rejected) and keeps, among prefix sizes
 i = 1..min(A, pending buyers, pending sellers), the feasible prefix with the
 largest fee total.  Feasibility of every prefix comes from one all-prefix
 Hall check in A / ``_HALL_ROWS`` vectorized numpy blocks, each evaluated
@@ -11,14 +11,15 @@ adopts the welfare-greedy matching recommendation.  One winner per round is
 drawn with the miners' power weights; its selection is appended to the chain
 and removed from the pending pool.
 
-Randomness: round t (from 0) of a play draws only from children of the play
-generator's seed sequence, at the spawn keys ``(2t, 0)`` (fee ties),
-``(2t, 1)`` (size ties), ``(2t, 2)`` (pairing) and ``(2t + 1,)`` (winner):
-the children that spawning from a fresh generator hands out.  A selection
-whose full prefix is feasible and clears every shorter total skips the
-all-prefix check, and a pairing takes all its picks from one draw of raw
-32-bit words, with the values and stream of one bounded draw per seller; a
-one-pair selection draws no pairing at all.
+Randomness: a play draws from one ``Philox`` generator, keyed from child
+``(0,)`` of the play generator's seed sequence.  Round t (from 0) reads
+purpose p (0 fee ties, 1 size ties, 2 pairing, 3 winner) from its window,
+the counter ``(0, 0, p, t)``, so no window's draws move another's: the
+pairing ignores the tie draws, and rounds align across block sizes and
+variants.  A round draws its winner first and only that policy selects.
+A full prefix that is feasible and clears every shorter total skips the
+all-prefix check; a pairing takes its picks in one bounded integer draw,
+and a one-pair selection draws none.
 
 ``PendingPool`` keeps each side ranked once per play: positive fees first,
 fee descending, each entry with its pool position.  A selection reads its
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .market import (
     FeeProfile,
@@ -214,47 +214,6 @@ _EMPTY = Selection(buyer_ids=(), seller_ids=(), pairing=(), total_fee=0.0)
 # Prefixes per block of the all-prefix Hall check; bounds its working memory.
 _HALL_ROWS = 64
 
-_LOW_WORD, _HIGH_SHIFT = np.uint64(0xFFFFFFFF), np.uint64(32)
-
-
-def _uniform_picks(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-    """``[rng.integers(k) for k in counts]`` (each 1 <= k < 2**32) from one draw,
-    leaving rng where those calls leave it.
-
-    For such k the scalar call takes one 32-bit word u per attempt, returns
-    (u * k) >> 32, and rejects u (Lemire) when the low 32 bits of u * k fall
-    below (2**32 - k) % k; k = 1 takes no word.  A full-range uint32 array
-    draw returns exactly the next words the scalar calls would take.  A
-    rejection is possible only where the low bits fall below k (probability
-    below k / 2**32 per draw); then the picks are redone one by one over the
-    same words, drawing further words as rejections use them up.
-    """
-    drawn = counts > 1
-    k = counts[drawn].astype(np.uint64)
-    picks = np.zeros(counts.size, dtype=np.int64)
-    if not k.size:
-        return picks
-    words = rng.integers(0, 2**32, size=k.size, dtype=np.uint32)
-    scaled = words * k
-    if ((scaled & _LOW_WORD) < k).any():
-        stream = iter(words.tolist())
-
-        def word() -> int:
-            u = next(stream, None)
-            return int(rng.integers(0, 2**32, dtype=np.uint32)) if u is None else u
-
-        redone = []
-        for bound in k.tolist():
-            threshold = (2**32 - bound) % bound
-            m = word() * bound
-            while (m & 0xFFFFFFFF) < threshold:
-                m = word() * bound
-            redone.append(m >> 32)
-        picks[drawn] = redone
-    else:
-        picks[drawn] = scaled >> _HIGH_SHIFT
-    return picks
-
 
 def uniform_feasible_pairing(
     buyer_ids: np.ndarray,
@@ -271,8 +230,8 @@ def uniform_feasible_pairing(
     uniformly among the not-yet-used compatible buyers at each step therefore
     samples exactly uniformly over all feasible perfect matchings.  The number
     of choices at step j, (buyers compatible with seller j) - j, is known up
-    front, so every pick comes from one draw; the stream is that of one
-    ``rng.integers(choices)`` call per seller.
+    front, so every pick comes from one ``rng.integers`` call over the steps
+    with more than one choice; a forced pairing draws nothing.
     """
     order_b = utilities.argsort(kind="stable")
     r_sorted = utilities[order_b]
@@ -283,7 +242,11 @@ def uniform_feasible_pairing(
     choices = len(b_sorted) - lows - np.arange(len(lows))
     if (choices < 1).any():
         raise ValueError("no feasible perfect matching for the given sides")
-    picks = _uniform_picks(rng, choices).tolist()
+    drawn = choices > 1
+    picks = np.zeros_like(choices)
+    if drawn.any():
+        picks[drawn] = rng.integers(choices[drawn])
+    picks = picks.tolist()
 
     pairs: list[tuple[int, int]] = []
     active: list[int] = []  # positions into b_sorted, compatible and unused
@@ -297,16 +260,35 @@ def uniform_feasible_pairing(
     return tuple(pairs)
 
 
-def _substream(rng: np.random.Generator, *key: int) -> np.random.Generator:
-    """The child at index path ``key`` (one index per nesting level) that
-    spawning from a fresh rng hands out, built alone; rng stays untouched."""
-    seq = rng.bit_generator.seed_seq
-    entropy = seq.entropy
-    if isinstance(entropy, list) and all(0 <= word < 2**32 for word in entropy):
-        # The words SeedSequence would make of the list, without its per-entry coercion.
-        entropy = np.array(entropy, dtype=np.uint32)
-    child = np.random.SeedSequence(entropy, spawn_key=seq.spawn_key + key, pool_size=seq.pool_size)
-    return np.random.Generator(type(rng.bit_generator)(child))
+# A window's purpose: the third word of its counter.
+_FEE_TIES, _SIZE_TIES, _PAIRING, _WINNER = range(4)
+
+
+class _Windows:
+    """The keyed draws of one play: ``windows(t, p)`` is one generator reset
+    to ``Generator(Philox(key=key, counter=(0, 0, p, t)))``, where ``key`` is
+    that of a ``Philox`` seeded with child ``(0,)`` of rng's seed sequence."""
+
+    __slots__ = ("_generator", "_state")
+
+    def __init__(self, rng: np.random.Generator | int | None) -> None:
+        seq = np.random.default_rng(rng).bit_generator.seed_seq
+        entropy = seq.entropy
+        if isinstance(entropy, list) and all(0 <= word < 2**32 for word in entropy):
+            # The words SeedSequence would make of the list, without its per-entry coercion.
+            entropy = np.array(entropy, dtype=np.uint32)
+        child = np.random.SeedSequence(entropy, spawn_key=(*seq.spawn_key, 0), pool_size=seq.pool_size)
+        self._generator = np.random.Generator(np.random.Philox(child))
+        self._state = self._generator.bit_generator.state  # a fresh state: nothing buffered
+
+    @classmethod
+    def of(cls, rng) -> "_Windows":
+        return rng if isinstance(rng, cls) else cls(rng)
+
+    def __call__(self, round_number: int, purpose: int) -> np.random.Generator:
+        self._state["state"]["counter"][2:] = purpose, round_number
+        self._generator.bit_generator.state = self._state
+        return self._generator
 
 
 def _feasible_prefixes(utilities: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -366,7 +348,7 @@ def selfish_select(
     pool: PendingPool,
     instance: MarketInstance,
     rng: np.random.Generator | int | None = None,
-    key: tuple[int, ...] = (),
+    round_number: int = 0,
 ) -> Selection:
     """Fee-maximizing feasible prefix selection for one block.
 
@@ -389,9 +371,9 @@ def selfish_select(
     then draw.  The re-ranked order becomes the pool's rank order, so
     ``PendingPool.remove`` slices the selection off its head.
 
-    Draws come from the substreams ``key + (0,)`` (fee ties), ``key + (1,)``
-    (size ties) and ``key + (2,)`` (the pairing, not built for one pair),
-    each built only when needed.
+    Draws come from round ``round_number``'s windows of the play generator
+    rng (see the module docstring): fee ties, size ties and the pairing (not
+    drawn for one pair), each read only when needed.
     """
     if pool.is_empty:
         return _EMPTY
@@ -399,10 +381,10 @@ def selfish_select(
     limit = min(instance.block_size, buyers.positive, sellers.positive)
     if limit == 0:
         return _EMPTY
-    rng = np.random.default_rng(rng)
+    windows = _Windows.of(rng)
     if buyers.ties or sellers.ties:
         # A side without equal fees keeps its order whatever it draws.
-        draws = _substream(rng, *key, 0).random(buyers.positive + sellers.positive)
+        draws = windows(round_number, _FEE_TIES).random(buyers.positive + sellers.positive)
         if buyers.ties:
             buyers = pool._buyers = buyers.redrawn(draws[: buyers.positive])
         if sellers.ties:
@@ -431,7 +413,7 @@ def selfish_select(
         feasible_totals = fee_totals[feasible_sizes - 1]
         best = float(feasible_totals.max())
         tied = feasible_sizes[feasible_totals >= best - 1e-12 * max(1.0, abs(best))]
-        size = int(tied[_substream(rng, *key, 1).integers(len(tied))] if len(tied) > 1 else tied[0])
+        size = int(tied[windows(round_number, _SIZE_TIES).integers(len(tied))] if len(tied) > 1 else tied[0])
         # A stable order restricted to a prefix is that prefix's stable order.
         order_b, order_s = order_b[order_b < size], order_s[order_s < size]
 
@@ -441,7 +423,7 @@ def selfish_select(
     else:
         # Sorted already, so the pairing's own stable sorts keep this order.
         pairing = uniform_feasible_pairing(
-            buyer_ids[order_b], utilities[order_b], seller_ids[order_s], costs[order_s], _substream(rng, *key, 2)
+            buyer_ids[order_b], utilities[order_b], seller_ids[order_s], costs[order_s], windows(round_number, _PAIRING)
         )
     return Selection(
         buyer_ids=tuple(buyer_ids.tolist()),
@@ -479,6 +461,8 @@ def recommend_matching(pool: PendingPool, instance: MarketInstance) -> Selection
         # Homogeneous quantities: assortative pairing of positive-gain ranks is optimal.
         rows, cols = np.argsort(-r, kind="stable"), np.argsort(c, kind="stable")
     else:
+        from scipy.optimize import linear_sum_assignment  # loaded only for heterogeneous quantities
+
         rows, cols = linear_sum_assignment(np.maximum(gain, 0.0), maximize=True)
     chosen = [(i, j, gain[i, j]) for i, j in zip(rows, cols) if gain[i, j] > 0.0]
     chosen.sort(key=lambda t: -t[2])
@@ -501,42 +485,37 @@ def run_round(
     rng: np.random.Generator | int | None = None,
     round_number: int = 0,
 ) -> tuple[RoundRecord | None, PendingPool]:
-    """Play one mining round: per-policy selections, a power-weighted winner draw.
+    """Play one mining round: a power-weighted winner draw, then its selection.
 
     All selfish miners compute identical selections (the selection does not
-    depend on miner identity), so each policy's selection is computed once.
-    Returns ``(None, pool)`` when no miner can include anything, leaving the
-    pool untouched.  Draws come from the substreams ``(2 * round_number,)``
-    (selection) and ``(2 * round_number + 1,)`` (winner, with several miners).
+    depend on miner identity), so only the winner's policy selects.  The
+    other policy selects only when the winner's selection is empty: if every
+    selection is empty, no miner can include anything and the result is
+    ``(None, pool)``, the pool untouched; otherwise the empty block is
+    recorded.  Draws come from round ``round_number``'s windows of the play
+    generator rng: the winner's (with several miners) and the selection's.
     """
-    rng = np.random.default_rng(rng)
-    policies = {m.policy for m in instance.miners}
-    selections: dict[MinerPolicy, Selection] = {}
-    if MinerPolicy.SELFISH in policies:
-        selections[MinerPolicy.SELFISH] = selfish_select(pool, instance, rng, (2 * round_number,))
-    if MinerPolicy.PROTOCOL_FOLLOWING in policies:
-        selections[MinerPolicy.PROTOCOL_FOLLOWING] = recommend_matching(pool, instance)
-
-    if all(sel.is_empty for sel in selections.values()):
-        return None, pool
-
-    if len(instance.miners) == 1:
-        winner = instance.miners[0]
+    windows = _Windows.of(rng)
+    miners = instance.miners
+    if len(miners) == 1:
+        winner = miners[0]
     else:
         # The arithmetic of Generator.choice(n, p=powers), without its checks:
         # MarketInstance already validated the powers.
-        cdf = np.cumsum([m.power for m in instance.miners])
+        cdf = np.cumsum([m.power for m in miners])
         cdf /= cdf[-1]
-        draw = _substream(rng, 2 * round_number + 1).random()
-        winner = instance.miners[int(np.searchsorted(cdf, draw, side="right"))]
-    sel = selections[winner.policy]
+        draw = windows(round_number, _WINNER).random()
+        winner = miners[int(np.searchsorted(cdf, draw, side="right"))]
 
-    record = RoundRecord(
-        block=pool.round_index,
-        winner_id=winner.id,
-        pairs=sel.pairing,
-    )
-    return record, pool.remove(sel)
+    def select(policy: MinerPolicy) -> Selection:
+        if policy is MinerPolicy.SELFISH:
+            return selfish_select(pool, instance, windows, round_number)
+        return recommend_matching(pool, instance)
+
+    sel = select(winner.policy)
+    if sel.is_empty and all(select(p).is_empty for p in {m.policy for m in miners} - {winner.policy}):
+        return None, pool
+    return RoundRecord(block=pool.round_index, winner_id=winner.id, pairs=sel.pairing), pool.remove(sel)
 
 
 def run_horizon(
@@ -546,15 +525,16 @@ def run_horizon(
 ) -> MatchTrace:
     """Simulate rounds 1..T (stopping early once nothing more can be included).
 
-    Substreams depend on rng's seed sequence, not its state: one play per seed.
+    Every round reads its windows of one ``Philox`` generator keyed from
+    rng's seed sequence, not its state: one play per seed.
     """
-    rng = np.random.default_rng(rng)
+    windows = _Windows(rng)
     pool = PendingPool.from_instance(instance, profile)
     rounds: list[RoundRecord] = []
     for round_number in range(instance.horizon):
         if pool.is_empty:
             break
-        record, pool = run_round(pool, instance, rng, round_number)
+        record, pool = run_round(pool, instance, windows, round_number)
         if record is None:
             break
         rounds.append(record)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .market import (
     FeeProfile,
@@ -135,6 +134,8 @@ def social_optimum(instance: MarketInstance) -> float:
     weights = np.minimum(bq[:, None], sq[None, :]) * (r[:, None] - c[None, :])
     weights = np.where(r[:, None] >= c[None, :], weights, 0.0)
     weights = np.maximum(weights, 0.0)
+    from scipy.optimize import linear_sum_assignment  # loaded only for heterogeneous quantities
+
     rows, cols = linear_sum_assignment(weights, maximize=True)
     return float(weights[rows, cols].sum())
 

@@ -199,6 +199,29 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def test_homogeneous_runs_leave_scipy_optimize_unloaded(tmp_path):
+    # The assignment solver's import (scipy.optimize, with scipy.linalg,
+    # scipy.sparse and scipy.fft) takes about 0.6 s; only heterogeneous
+    # quantities need it, and they load it when they first solve.
+    heterogeneous = tmp_path / "heterogeneous.json"
+    heterogeneous.write_text(json.dumps({"K": 6, "N": 6, "b_lo": 1.0, "b_hi": 3.0}), encoding="utf-8")
+    args = ["experiment", "--scenario", "mechanism_comparison", "--sellers", "6", "--replications", "2",
+            "--non-selfish", "0.3", "--out", str(tmp_path / "out.json")]
+    code = (
+        "import sys\n"
+        "solver = ('scipy.optimize', 'scipy.linalg', 'scipy.sparse', 'scipy.fft')\n"
+        "import chainbook.cli\n"
+        "assert not [m for m in solver if m in sys.modules]\n"
+        f"assert chainbook.cli.main({args!r}) == 0\n"
+        "assert not [m for m in solver if m in sys.modules]\n"
+        f"assert chainbook.cli.main({[*args, '--config', str(heterogeneous)]!r}) == 0\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    src = str(Path(chainbook.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 @pytest.mark.parametrize(
     "raw, field",
     [({"K": 0}, "K and N"), ({"N": 0}, "K and N"), ({"b_lo": 3.0, "b_hi": 2.0}, "b_lo"),

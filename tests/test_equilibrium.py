@@ -308,14 +308,16 @@ def test_support_spread_formula():
 
 def test_verify_psne_accepts_equilibrium():
     # Zero delay puts the engine exactly on the threshold formulas: the excluded
-    # buyer's willingness to enter is then priced at his full matching surplus.
+    # buyer's willingness to enter is then priced at its full matching surplus.
+    # That deviation breaks even, so its estimate is pure Monte Carlo noise:
+    # 2000 replications put the 1e-3 bound at about 3 standard errors.
     inst = build_instance(
         [0.9, 0.8, 0.5], [0.1, 0.2], block_size=2, delay_cost=0.0, fee_unit=1e-6
     )
     profile = psne(inst)
     assert profile.buy_fees[2] == pytest.approx(0.175)  # sigma = marginal surplus
     report = verify_equilibrium(
-        inst, profile, grid_resolution=101, rng_seed=4, psne_replications=300
+        inst, profile, grid_resolution=101, rng_seed=4, psne_replications=2000
     )
     assert report.max_improvement <= inst.fee_unit + 1e-3
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chainbook.experiments import (
     ExperimentSpec,
     HarnessConfig,
     Scenario,
+    _run_tasks,
     benchmark_block_size,
     compare_mechanisms,
     load_config,
@@ -213,6 +215,27 @@ def test_random_counts_same_bytes_on_two_threads(config):
     assert texts[0] == texts[1]
 
 
+_PICKLED = []
+
+
+class _CountedPickle:
+    """Counts, in the process that pickles it, how often it is pickled."""
+
+    def __reduce__(self):
+        _PICKLED.append(1)
+        return _CountedPickle, ()
+
+
+def _task_echo(config, task):
+    return task
+
+
+def test_process_pool_pickles_the_worker_once_per_chunk():
+    _PICKLED.clear()
+    assert _run_tasks(2, partial(_task_echo, _CountedPickle()), range(40)) == list(range(40))
+    assert 1 <= len(_PICKLED) <= 2  # two chunks of 20 tasks
+
+
 def test_load_config_roundtrip(tmp_path):
     raw = {
         "K": 30,
@@ -308,11 +331,13 @@ def _cli_rows(tmp_path, *argv):
 
 # SHA-256 of json.dumps(rows, sort_keys=True), taken with numpy 2.4.6 and
 # scipy 1.17.1.  A refactor that keeps the sampling order, the random streams
-# and the summary rules leaves every hash unchanged.
+# and the summary rules leaves every hash unchanged.  The hashes of rows whose
+# plays draw (ties, pairings of heterogeneous quantities, winners) were last
+# re-taken when plays moved to keyed Philox windows.
 PINNED_ROWS = {
-    "comparison": "1482fa2f03cd27a090e894e25958df0f95a5047401f7d365149954defe5da8f0",
-    "comparison_quantized": "5cc034b5df38ba6f8b33f3fca3ad8d19339f084c5e5c0e10391d5d045ed5e679",
-    "random_counts": "b2e150c0accfc1846523490b3cd8357858828ffdb99cae62b05b0d36af4e2ec6",
+    "comparison": "caa2c2e31f8c8d7cd902758004f27018b5f6f5e2bf7dfac0f506112b149a8332",
+    "comparison_quantized": "2cb98df1ea5736568a036dd9ba86efe68b030f2b50a12f493418f29a21db59c4",
+    "random_counts": "ccea7b7582448acea31b46e918aa0f81f494cbaa160c16c9921a030fadeb010a",
     # Both rows read from one capped search, on its populations and their optimum.
     "blocksize_limit": "2773e7879427fde2a5d16cc4a72d6e1703aca979966e465d43e725d8ae25cf6b",
     "cli_simulate": "75bfebf819c04adb5486833f70e2eb7b5bac0885b9e58c22f3454471b2e872c5",
@@ -359,12 +384,12 @@ def test_report_rows_pinned(tmp_path):
 
 def test_large_comparison_rows_pinned():
     # Selections of up to 300 rows reach the third 64-row block of the
-    # all-prefix Hall check.  Hash taken with the dense (uncompressed) check,
-    # numpy 2.4.6 and scipy 1.17.1.
+    # all-prefix Hall check.  Hash taken with numpy 2.4.6 and scipy 1.17.1,
+    # on the keyed Philox windows.
     rows = run_mechanism_comparison(
         ExperimentSpec(
             scenario=Scenario.MECHANISM_COMPARISON, replications=4, seed=7, seller_grid=(150, 300)
         ),
         HarnessConfig(non_selfish_fraction=0.2),
     )
-    assert _rows_sha256(rows) == "a6ef63e1898c9fd20732b7ae261c81915b34fba6308b16d7a6eaf57ab5980b99"
+    assert _rows_sha256(rows) == "8dfd7821589ce14529eeee99707219fd4ad0e1e087ca07e15d3f8237497846ae"

@@ -22,9 +22,8 @@ from chainbook.miners import (
     _HALL_ROWS,
     PendingPool,
     Selection,
+    _Windows,
     _feasible_prefixes,
-    _substream,
-    _uniform_picks,
     recommend_matching,
     run_horizon,
     run_round,
@@ -160,12 +159,23 @@ def test_feasible_prefixes_match_rank_feasible_property(values):
     assert _feasible_prefixes(u, c).tolist() == want
 
 
-def _reference_select(pool, instance, seed):
-    """selfish_select with each prefix sorted and checked on its own.
+def _play_key(seed):
+    """The Philox key of a play from ``default_rng(seed)``: that of its first spawned child."""
+    return np.random.default_rng(seed).bit_generator.seed_seq.spawn(1)[0].generate_state(2, np.uint64)
+
+
+def _window(key, round_number, purpose):
+    """Window (round, purpose) of a play, built fresh."""
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, purpose, round_number]))
+
+
+def _reference_select(pool, instance, key, round_number=0):
+    """selfish_select with each prefix sorted and checked on its own, drawing
+    from fresh windows of round ``round_number`` of the play keyed ``key``.
 
     Returns the selection and the number of tied prefix sizes drawn from.
     """
-    tie_rng, choice_rng, pair_rng = np.random.default_rng(seed).spawn(3)
+    tie_rng, choice_rng, pair_rng = (_window(key, round_number, purpose) for purpose in range(3))
 
     def ranked(fees):
         fees = np.asarray(fees)
@@ -215,8 +225,8 @@ def test_selfish_select_matches_sorted_prefix_reference():
         )
         grid = fee_grid[:3] if seed % 4 == 0 else fee_grid
         pool = _pool(inst, rng.choice(grid, k), rng.choice(grid, n))
-        want, num_tied = _reference_select(pool, inst, seed)
-        assert selfish_select(pool, inst, seed) == want
+        want, num_tied = _reference_select(pool, inst, _play_key(seed), seed % 3)
+        assert selfish_select(pool, inst, seed, seed % 3) == want
         tie_draws[want.total_fee < 1e-11] += num_tied > 1
     # Ties below the tolerance both among tiny totals and on top of large ones.
     assert tie_draws[True] > 0 and tie_draws[False] > 0
@@ -236,8 +246,8 @@ def test_selfish_select_matches_sorted_prefix_reference_on_big_pools():
             pool = _pool(inst, np.round(u * 4.0) + 1.0, np.round((1.0 - c) * 4.0) + 1.0)
         else:
             pool = _pool(inst, rng.choice(fee_grid, k), rng.choice(fee_grid, n))
-        want, _ = _reference_select(pool, inst, seed)
-        assert selfish_select(pool, inst, seed) == want
+        want, _ = _reference_select(pool, inst, _play_key(seed), seed % 3)
+        assert selfish_select(pool, inst, seed, seed % 3) == want
         sizes.append(want.size)
     assert max(sizes) > 2 * _HALL_ROWS
 
@@ -327,28 +337,22 @@ def _scalar_pairing(buyer_ids, utilities, seller_ids, costs, rng):
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
 def test_uniform_picks_equal_scalar_integer_draws(bit_generator):
+    # The pairing's one bounded draw over its steps takes the values and the
+    # words of one rng.integers call per step, also from a half-used output.
     maker = np.random.default_rng(17)
-    rejecting_runs = 0
     for run in range(80):
-        n = int(maker.integers(0, 30))
-        counts = np.where(
-            maker.random(n) < 0.3,
-            maker.integers(2**31, 2**32, n),  # rejection probability up to 1/2 per draw
-            maker.integers(1, 4, n) ** maker.integers(1, 4, n),  # many 1s: no draw
-        )
+        n = int(maker.integers(1, 40))
+        utilities = maker.integers(1, 6, n) / 5.0
+        costs = utilities * maker.random(n)  # seller i fits buyer i: a perfect matching exists
+        maker.shuffle(costs)
         seed = int(maker.integers(2**32))
-        want_rng, got_rng, words_rng = (np.random.Generator(bit_generator(seed)) for _ in range(3))
+        want_rng, got_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
         if run % 2:  # leave half of a 64-bit output buffered
-            for g in (want_rng, got_rng, words_rng):
+            for g in (want_rng, got_rng):
                 g.integers(5)
-        want = [int(want_rng.integers(k)) for k in counts.tolist()]
-        assert _uniform_picks(got_rng, counts).tolist() == want
-        after = got_rng.random()
-        assert after == want_rng.random()
-        # One word per draw unless some draw was rejected and took more.
-        words_rng.integers(0, 2**32, size=int(np.count_nonzero(counts > 1)), dtype=np.uint32)
-        rejecting_runs += words_rng.random() != after
-    assert 10 < rejecting_runs < 70
+        want = _scalar_pairing(np.arange(n), utilities, np.arange(n) + n, costs, want_rng)
+        assert uniform_feasible_pairing(np.arange(n), utilities, np.arange(n) + n, costs, got_rng) == want
+        assert got_rng.random() == want_rng.random()
 
 
 def test_uniform_pairing_equals_scalar_draws_on_big_pools():
@@ -451,7 +455,7 @@ def test_run_round_winner_matches_generator_choice():
     pool = _pool(inst, [5, 3], [4, 1])
     for seed in range(200):
         record, _ = run_round(pool, inst, seed)
-        _, winner_rng = np.random.default_rng(seed).spawn(2)
+        winner_rng = _window(_play_key(seed), 0, 3)
         assert record.winner_id == int(winner_rng.choice(len(powers), p=powers))
 
 
@@ -528,27 +532,24 @@ def _reference_remove(pool, selection):
 
 
 def _reference_horizon(instance, profile, rng):
-    """run_horizon with every round spawning its streams from rng.
-
-    Each round calls ``rng.spawn(2)`` (selection, winner) and each selection
-    ``spawn(3)`` (fee ties, size ties, pairing), whether drawn from or not.
-    """
+    """run_horizon with every policy selecting in every round, each draw from
+    a fresh window of the play keyed by rng's first spawned child."""
+    key = _play_key(rng)
     pool = PendingPool.from_instance(instance, profile)
     powers = [m.power for m in instance.miners]
     policies = {m.policy for m in instance.miners}
     rounds = []
-    for _ in range(instance.horizon):
+    for t in range(instance.horizon):
         if pool.is_empty:
             break
-        select_rng, winner_rng = rng.spawn(2)
         selections = {}
         if MinerPolicy.SELFISH in policies:
-            selections[MinerPolicy.SELFISH] = _reference_select(pool, instance, select_rng)[0]
+            selections[MinerPolicy.SELFISH] = _reference_select(pool, instance, key, t)[0]
         if MinerPolicy.PROTOCOL_FOLLOWING in policies:
             selections[MinerPolicy.PROTOCOL_FOLLOWING] = recommend_matching(pool, instance)
         if all(sel.is_empty for sel in selections.values()):
             break
-        winner = instance.miners[int(winner_rng.choice(len(powers), p=powers))]
+        winner = instance.miners[int(_window(key, t, 3).choice(len(powers), p=powers)) if len(powers) > 1 else 0]
         sel = selections[winner.policy]
         rounds.append(RoundRecord(block=pool.round_index, winner_id=winner.id, pairs=sel.pairing))
         if sel.is_empty:
@@ -558,31 +559,58 @@ def _reference_horizon(instance, profile, rng):
     return tuple(rounds)
 
 
-def test_substream_is_the_spawned_child():
-    # List entropy of 32-bit words takes a uint32-array shortcut; the rest does not.
+def test_windows_are_fresh_keyed_philox_generators():
+    # Window (t, p) reads as a fresh Generator(Philox(key, counter)) whatever
+    # other windows drew before it, and the play generator stays untouched.
     seeds = (
         lambda: np.random.SeedSequence(5),
         lambda: np.random.SeedSequence([3, 9]).spawn(3)[2],
         lambda: np.random.SeedSequence(123, pool_size=8),
-        lambda: np.random.SeedSequence([0, 2**32 - 1]),
+        lambda: np.random.SeedSequence([0, 2**32 - 1]),  # list entropy of 32-bit words: the uint32 shortcut
         lambda: np.random.SeedSequence([2**40, 3]),
         lambda: np.random.SeedSequence(2**127 + 2**64 + 7),
         lambda: np.random.SeedSequence(0),
     )
+    maker = np.random.default_rng(4)
     for make_seq in seeds:
         for bit_generator in (np.random.PCG64, np.random.MT19937):
-            for key in [(0,), (3,), (1, 2), (4, 0, 1)]:
-                want = np.random.Generator(bit_generator(make_seq()))
-                for i in key:
-                    want = want.spawn(i + 1)[i]
-                parent = np.random.Generator(bit_generator(make_seq()))
-                got = _substream(parent, *key)
-                assert type(got.bit_generator) is bit_generator
-                assert got.random(6).tolist() == want.random(6).tolist()
-                assert parent.bit_generator.seed_seq.n_children_spawned == 0
+            play = np.random.Generator(bit_generator(make_seq()))
+            windows = _Windows(play)
+            key = np.random.Generator(bit_generator(make_seq())).bit_generator.seed_seq.spawn(1)[0].generate_state(
+                2, np.uint64
+            )
+            for t, p in maker.integers(0, 6, size=(12, 2)).tolist():
+                windows(int(maker.integers(6)), int(maker.integers(4))).integers(7, size=int(maker.integers(4)))
+                got = windows(t, p)
+                want = _window(key, t, p)
+                assert got.integers(1000, size=3).tolist() == want.integers(1000, size=3).tolist()
+                assert got.random(5).tolist() == want.random(5).tolist()
+            assert play.random(3).tolist() == np.random.Generator(bit_generator(make_seq())).random(3).tolist()
+            assert play.bit_generator.seed_seq.n_children_spawned == 0
 
 
-def test_run_horizon_matches_spawn_loop_reference():
+def test_play_builds_one_bit_generator(monkeypatch):
+    built = Counter()
+
+    def counted(name, real):
+        def build(*args, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
+
+        return build
+
+    for name in ("Philox", "PCG64", "MT19937", "SFC64", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, counted(name, getattr(np.random, name)))
+    # Several miners and fee ties: every round draws a winner, ties and a pairing.
+    inst = build_instance([0.9, 0.8, 0.7, 0.6, 0.5, 0.4], [0.1, 0.2, 0.3, 0.1, 0.2, 0.3], block_size=2,
+                          miners=miners_with_protocol_share(0.3))
+    profile = FeeProfile(buy_fees=(0.2,) * 6, sell_fees=(0.1,) * 6)
+    trace = run_horizon(inst, profile, np.random.default_rng(3))
+    assert len(trace.rounds) == 3
+    assert built == {"Philox": 1, "SeedSequence": 1}
+
+
+def test_run_horizon_matches_window_reference():
     # Coarse value and fee grids (ties on both), zero fees, several miner sets.
     miner_sets = (
         None,
@@ -709,8 +737,8 @@ def test_pool_rank_order_never_changes_a_selection():
         pool = _pool(inst, rng.choice(fee_grid, k), rng.choice(fee_grid, n))
         for round_number in range(4):
             fresh = _pool_of(pool)
-            sel = selfish_select(pool, inst, case, (2 * round_number,))
-            assert sel == selfish_select(fresh, inst, case, (2 * round_number,))
+            sel = selfish_select(pool, inst, case, round_number)
+            assert sel == selfish_select(fresh, inst, case, round_number)
             after = pool.remove(sel)
             assert after == _reference_remove(pool, sel)
             sliced += not sel.is_empty
@@ -772,13 +800,14 @@ def test_forced_and_one_pair_pairings_draw_nothing(monkeypatch):
         rng = np.random.default_rng(9)
         assert set(uniform_feasible_pairing(*sides, rng)) == want
         assert rng.random() == np.random.default_rng(9).random()
-    # A one-pair selection builds no pairing substream.
-    keys = []
-    real_substream = miners_module._substream
-    monkeypatch.setattr(miners_module, "_substream", lambda rng, *key: keys.append(key) or real_substream(rng, *key))
+    # A one-pair selection reads no pairing window.
+    windows = []
+    real_window = miners_module._Windows.__call__
+    monkeypatch.setattr(miners_module._Windows, "__call__",
+                        lambda self, t, p: windows.append((t, p)) or real_window(self, t, p))
     inst = build_instance([0.9, 0.8], [0.1], block_size=1)
-    sel = selfish_select(_pool(inst, [5.0, 5.0], [4.0]), inst, 1, (6,))
-    assert sel.size == 1 and keys == [(6, 0)]  # the fee-tie draw only
+    sel = selfish_select(_pool(inst, [5.0, 5.0], [4.0]), inst, 1, 3)
+    assert sel.size == 1 and windows == [(3, miners_module._FEE_TIES)]  # the fee-tie draw only
 
 
 @st.composite

@@ -44,7 +44,7 @@ def test_selection_attr_reads_a_mid_play_pool():
     profile = FeeProfile(buy_fees=tuple(fees[:40]), sell_fees=tuple(fees[40:]))
     record, pool = run_round(PendingPool.from_instance(inst, profile), inst, 5)
     assert record is not None and pool.round_index == 2
-    selection = selfish_select(pool, inst, 7, (2,))
+    selection = selfish_select(pool, inst, 7, 1)
     limit = min(8, int(np.count_nonzero(np.array(pool.buy_fees) > 0)), int(np.count_nonzero(np.array(pool.sell_fees) > 0)))
     assert 0 < selection.size <= limit < len(pool.sell_fees)
     selection_attr = _load_tracer()._selection_attr
@@ -77,11 +77,13 @@ for case in range(80):
     spans = [(tracer.names[s[2]], s[1]) for s in tracer.spans[first:]]
     ids = {s[0]: tracer.names[s[2]] for s in tracer.spans[first:]}
     matched = [pair for r in trace.rounds for pair in r.pairs]
+    policy_of = {m.id: m.policy for m in inst.miners}
     plays.append({
         "rounds": len(trace.rounds),
         "horizon": inst.horizon,
         "pool_left": len({b for b, _ in matched}) < k and len({s for _, s in matched}) < n,
-        "selfish": any(m.policy == MinerPolicy.SELFISH for m in inst.miners),
+        "policies": sorted({m.policy.value for m in inst.miners}),
+        "selfish_wins": sum(policy_of[r.winner_id] == MinerPolicy.SELFISH for r in trace.rounds),
         "names": [name for name, _ in spans],
         "parents": [[name, ids.get(parent)] for name, parent in spans],
     })
@@ -105,7 +107,14 @@ def test_traced_horizon_counts_rounds_and_selections():
         rounds = play["names"].count("miners.run_round")
         assert play["names"].count("miners.run_horizon") == 1
         assert rounds == play["rounds"] + empty_round
-        assert play["names"].count("miners.selfish_select") == (rounds if play["selfish"] else 0)
+        # Only the winner's policy selects, unless its selection is empty.
+        selections = play["names"].count("miners.selfish_select")
+        if play["policies"] == ["selfish"]:
+            assert selections == rounds
+        elif "selfish" in play["policies"]:
+            assert play["selfish_wins"] <= selections <= rounds
+        else:
+            assert selections == 0
         for name, parent in play["parents"]:
             if name in ("miners.selfish_select", "miners.recommend_matching"):
                 assert parent == "miners.run_round"

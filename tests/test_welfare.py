@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainbook.equilibrium as eq
 from chainbook.equilibrium import crossing_index, equilibrium_profile
 from chainbook.market import (
     Buyer,
@@ -307,3 +308,22 @@ def test_social_optimum_equals_permutation_maximum(buyers, sellers):
     (r, b), (c, q) = zip(*buyers), zip(*sellers)
     inst = build_instance(r, c, 1, buy_quantities=b, sell_quantities=q)
     assert social_optimum(inst) == pytest.approx(_brute_force_optimum(inst), rel=0, abs=1e-12)
+
+
+def test_equilibrium_is_found_once_per_instance(monkeypatch):
+    found = []
+    for name in ("psne", "msne"):
+        real = getattr(eq, name)
+        monkeypatch.setattr(eq, name, lambda inst, _real=real, _name=name: found.append(_name) or _real(inst))
+    rng = np.random.default_rng(8)
+    inst = build_instance(rng.random(12), rng.random(12), block_size=1, delay_cost=0.01)
+    a_th = crossing_index(inst)
+    for a, want in ((a_th, ["psne"]), (1, ["psne", "msne"])):
+        found.clear()
+        performance_ratio(inst, a, mc_replications=50)
+        assert found == want
+        variant = inst.with_block_size(a)
+        variant.equilibrium
+        variant.equilibrium
+        variant.with_block_size(a).equilibrium  # a variant does not inherit the cache
+        assert found == want * 3
