@@ -11,18 +11,21 @@ indifference condition: the expected fee-plus-delay cost must be constant
 across the support.
 
 The cost of bidding f against ``contenders - 1`` rivals who each outbid with
-probability p is ``f + delay_cost * E[ceil((n + 1) / A)]`` with n binomial;
-the expectation is evaluated through binomial survival functions, which is
-numerically stable for large contender counts.
+probability p is ``f + delay_cost * E[ceil((n + 1) / A)]`` with n binomial.
+The expectation is a sum of binomial probabilities computed in numpy from
+log-pmf terms: all of them for small rival counts, and for large ones only
+the terms within sqrt(22.5 * rivals) of each block boundary, which by
+Hoeffding's bound leaves out less than 2 exp(-45).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special._ufuncs import _binom_sf  # the kernel of scipy.stats.binom.sf
+import numpy.random
 
 from .market import FeeProfile, MarketInstance, pair_surplus
 from .miners import run_horizon
@@ -158,18 +161,94 @@ def psne(instance: MarketInstance) -> FeeProfile | None:
     return FeeProfile(buy_fees=tuple(buy), sell_fees=tuple(sell))
 
 
-def _expected_blocks(outbid_prob, rivals: int, block_size: int):
-    """E[ceil((n + 1) / A)] for n ~ Binomial(rivals, p), via survival functions.
+# Hoeffding: Bin(m, p) lies more than sqrt(22.5 m) from its mean with
+# probability below 2 exp(-45), so ranks beyond that window are left out.
+_WINDOW = 22.5
 
-    Here k = jA - 1 < rivals, where the ufunc equals ``binom.sf`` bit for bit.
+
+@functools.lru_cache(maxsize=256)
+def _ranks(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log C(m, i), i, m - i) for i = 0..m as float arrays, cached per m.
+
+    The logs are taken of the exact integer coefficients, within half an ulp.
+    """
+    logs, c = [], 1
+    for i in range(m // 2 + 1):
+        logs.append(math.log(c))
+        c = c * (m - i) // (i + 1)
+    logs += logs[: (m + 1) // 2][::-1]
+    ranks = np.arange(m + 1.0)
+    return np.array(logs), ranks, m - ranks
+
+
+@functools.lru_cache(maxsize=1024)
+def _weighted_ranks(m: int, block_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_ranks`` from i = A on, the log coefficient plus log floor(i / A):
+    the blocks that n = i rivals ahead add."""
+    log_choose, i, rest = _ranks(m)
+    steps = np.arange(block_size, m + 1) // block_size
+    return log_choose[block_size:] + np.log(steps), i[block_size:], rest[block_size:]
+
+
+def _pmf(log_p, log_q, log_choose, i, rest) -> np.ndarray:
+    """exp(log_choose + i log p + (m - i) log(1 - p)): one row per p, one
+    column per rank i (the Binomial(m, p) pmf, times any weight folded into
+    ``log_choose``)."""
+    x = np.multiply.outer(log_p, i)
+    x += np.multiply.outer(log_q, rest)
+    x += log_choose
+    return np.exp(x, out=x)
+
+
+def _steps_beyond(p: np.ndarray, m: int, a: int) -> np.ndarray:
+    """E[floor(n / A)] for n ~ Binomial(m, p), 0 < p < 1, from log-pmf terms.
+
+    That is the sum over k = A, 2A, ... <= m of P(n >= k).  When the windows
+    of w = ceil(sqrt(22.5 m)) ranks around each k cover every rank (m <= 2w)
+    or overlap many times over (A <= w / 4), one pmf matrix over ranks A..m
+    carries weights floor(i / A).  Otherwise each k sums the w + 1 terms from
+    k up for rows whose mean lies within w below it, and 1 minus the w terms
+    below k for rows whose mean lies within w above it; a row whose mean
+    lies further from k adds exactly 0 or 1.
+    """
+    log_p = np.log(p)
+    log_q = np.log1p(-p)
+    w = math.ceil(math.sqrt(_WINDOW * m))
+    if m <= 2 * w or 4 * a <= w:
+        return _pmf(log_p, log_q, *_weighted_ranks(m, a)).sum(axis=1)
+    log_choose, i, rest = _ranks(m)
+    mean = m * p
+    out = np.zeros_like(p)
+    for k in range(a, m + 1, a):
+        out += mean - w >= k
+        below = np.flatnonzero((mean < k) & (mean + w >= k))
+        if below.size:
+            r = slice(k, min(m, k + w) + 1)
+            out[below] += _pmf(log_p[below], log_q[below], log_choose[r], i[r], rest[r]).sum(axis=1)
+        above = np.flatnonzero((mean >= k) & (mean - w < k))
+        if above.size:
+            r = slice(max(k - w, 0), k)
+            out[above] += 1.0 - _pmf(log_p[above], log_q[above], log_choose[r], i[r], rest[r]).sum(axis=1)
+    return out
+
+
+def _expected_blocks(outbid_prob, rivals: int, block_size: int):
+    """E[ceil((n + 1) / A)] = 1 + E[floor(n / A)] for n ~ Binomial(rivals, p).
+
+    p = 0 and p = 1 are exact (1 and 1 + floor(rivals / A)); any other p
+    goes through ``_steps_beyond``, within 1e-13 relative of the sum of
+    ``scipy.stats.binom.sf`` terms.
     """
     p = np.asarray(outbid_prob, dtype=float)
-    total = np.ones_like(p)
-    j = 1
-    while j * block_size <= rivals:
-        total = total + _binom_sf(float(j * block_size - 1), rivals, p)
-        j += 1
-    return total
+    if rivals < block_size:
+        return np.ones_like(p)
+    flat = p.reshape(-1)
+    if flat.size and 0.0 < flat.min() and flat.max() < 1.0:
+        return 1.0 + _steps_beyond(flat, rivals, block_size).reshape(p.shape)
+    total = np.where(flat == 1.0, 1.0 + rivals // block_size, 1.0)
+    inner = (flat != 0.0) & (flat != 1.0)
+    total[inner] += _steps_beyond(flat[inner], rivals, block_size)
+    return total.reshape(p.shape)
 
 
 def expected_total_cost(

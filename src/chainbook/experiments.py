@@ -31,6 +31,7 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
+import numpy.random
 
 from . import distributions as dist
 from .distributions import ValueDistribution
@@ -234,9 +235,14 @@ def _comparison_replication(
     start = rng.bit_generator.state
     sw: dict[str, float] = {}
     for variant in _COMPARISON_VARIANTS:
-        miners = miners_with_protocol_share(fraction) if variant == "abs_non_selfish" else None
+        if variant == "abs_non_selfish":
+            # Only the miners differ from abs_distributional, played just
+            # before: derived from it, the variant keeps its equilibrium.
+            instance = instance.with_block_size(a_dist, miners_with_protocol_share(fraction))
+        else:
+            instance = base.with_block_size(sizes[variant])
         rng.bit_generator.state = start
-        sw[variant] = simulate_once(base.with_block_size(sizes[variant], miners), rng).sw
+        sw[variant] = simulate_once(instance, rng).sw
     return sw, social_optimum(base), sizes
 
 

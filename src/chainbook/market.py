@@ -218,7 +218,8 @@ class MarketInstance:
     @cached_property
     def equilibrium(self):
         """The pure equilibrium ``FeeProfile`` if one exists, else the two mixed
-        strategies; found once, and not shared with ``with_block_size`` variants."""
+        strategies; found once, and shared only with ``with_block_size``
+        variants of the same block size (it does not read the miners)."""
         from .equilibrium import msne, psne
 
         return psne(self) or msne(self)
@@ -240,10 +241,13 @@ class MarketInstance:
     ) -> "MarketInstance":
         """Same market under a different block size (horizon re-derived) and,
         if given, another miner set.  The variant shares this instance's arrays,
-        already checked, its rank arrays and its crossing index."""
+        already checked, its rank arrays and its crossing index, and its
+        equilibrium if already found and the block size is unchanged."""
         variant = object.__new__(MarketInstance)
         shared = (*_VALUE_ARRAYS, *_SCALAR_FIELDS, "buyer_rank", "seller_rank", "crossing_index")
         variant.__dict__.update({name: getattr(self, name) for name in shared}, block_size=block_size, horizon=None)
+        if block_size == self.block_size and "equilibrium" in self.__dict__:
+            variant.__dict__["equilibrium"] = self.equilibrium
         if miners is not None:
             variant.__dict__["miners"] = tuple(miners)
         variant._check_terms()

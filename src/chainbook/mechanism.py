@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random
 
 from .distributions import ValueDistribution
 from .equilibrium import crossing_index

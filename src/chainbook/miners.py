@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily, on first use; load it with the package
 
 from .market import (
     FeeProfile,
@@ -48,6 +49,7 @@ __all__ = [
     "PendingPool",
     "Selection",
     "selfish_select",
+    "max_weight_assignment",
     "recommend_matching",
     "uniform_feasible_pairing",
     "run_round",
@@ -433,13 +435,94 @@ def selfish_select(
     )
 
 
+def max_weight_assignment(weights) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-weight assignment of a weight matrix: ``(rows, cols)`` index arrays.
+
+    A step-for-step port of the shortest augmenting path algorithm behind
+    ``scipy.optimize.linear_sum_assignment`` (Crouse 2016, *On implementing 2D
+    rectangular assignment algorithms*), with its transpose of tall matrices,
+    its negation for maximizing, its reverse scan order and its tie rule (an
+    unassigned column wins a tie), so it returns exactly the ``(rows, cols)``
+    of ``linear_sum_assignment(weights, maximize=True)``: rows ascending, each
+    matched to one column.  A ``-inf`` weight forbids its pair; NaN or
+    ``+inf``, or no full assignment without forbidden pairs, raise
+    ``ValueError``.  O(min(K, N)^2 * max(K, N)) Python steps, which on the
+    small markets that use it costs less than importing scipy.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2:
+        raise ValueError(f"expected a matrix (2-D array), got a {w.ndim} array")
+    transpose = w.shape[1] < w.shape[0]
+    cost = -(w.T if transpose else w)
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    nr, nc = cost.shape
+    cost = cost.tolist()
+    inf = math.inf
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur_row in range(nr):
+        # Dijkstra from cur_row over reduced costs until a free column is reached.
+        shortest = [inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            seen_rows.append(i)
+            row, u_i = cost[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur_row] += min_val
+        for i in seen_rows:
+            if i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        cols = np.argsort(col4row)
+        return np.asarray(col4row, dtype=np.intp)[cols], cols.astype(np.intp)
+    return np.arange(nr, dtype=np.intp), np.asarray(col4row, dtype=np.intp)
+
+
 def recommend_matching(pool: PendingPool, instance: MarketInstance) -> Selection:
     """Welfare-greedy recommendation: best-gain assignment, capped at A pairs.
 
     Solves the assignment maximizing sum of min(b, q) * (R - C) over compatible
-    pending pairs, keeps only strictly positive gains, and truncates to the A
-    highest-gain pairs.  Zero-fee transactions stay excluded and the block cap
-    still applies: the recommendation works within the same protocol limits.
+    pending pairs (with :func:`max_weight_assignment`, or by sorting ranks when
+    quantities are homogeneous), keeps only strictly positive gains, and
+    truncates to the A highest-gain pairs.  Zero-fee transactions stay
+    excluded and the block cap still applies: the recommendation works within
+    the same protocol limits.
     """
     buy_fees, sell_fees = pool.buy_fee_array, pool.sell_fee_array
     buy_keep = np.flatnonzero(buy_fees > 0.0)
@@ -461,9 +544,7 @@ def recommend_matching(pool: PendingPool, instance: MarketInstance) -> Selection
         # Homogeneous quantities: assortative pairing of positive-gain ranks is optimal.
         rows, cols = np.argsort(-r, kind="stable"), np.argsort(c, kind="stable")
     else:
-        from scipy.optimize import linear_sum_assignment  # loaded only for heterogeneous quantities
-
-        rows, cols = linear_sum_assignment(np.maximum(gain, 0.0), maximize=True)
+        rows, cols = max_weight_assignment(np.maximum(gain, 0.0))
     chosen = [(i, j, gain[i, j]) for i, j in zip(rows, cols) if gain[i, j] > 0.0]
     chosen.sort(key=lambda t: -t[2])
 

@@ -8,7 +8,10 @@ miner payoffs.  Fees are pure transfers from participants to the winning
 miners, so realized welfare reduces to matched surplus minus delay costs.
 The social optimum is free to use one arbitrarily large block, which kills
 the delay term and reduces the problem to a maximum-weight bipartite
-matching with edge weight min(b, q) * (R - C) over compatible pairs.
+matching with edge weight min(b, q) * (R - C) over compatible pairs, solved
+by sorting when quantities are homogeneous and otherwise by
+:func:`chainbook.miners.max_weight_assignment`, which returns exactly the
+assignment of scipy's ``linear_sum_assignment`` without importing scipy.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random
 
 from .market import (
     FeeProfile,
@@ -25,7 +29,7 @@ from .market import (
     build_instance,
     miner_round_payoff,
 )
-from .miners import run_horizon
+from .miners import max_weight_assignment, run_horizon
 from . import equilibrium as eq
 
 __all__ = [
@@ -115,8 +119,8 @@ def social_optimum(instance: MarketInstance) -> float:
     """Exact optimum welfare: max-weight matching, unmatched participants allowed.
 
     With homogeneous quantities the optimum is assortative, so the positive
-    part of the sorted rank differences is summed directly; otherwise an
-    assignment solver runs on the zero-clamped weight matrix.
+    part of the sorted rank differences is summed directly; otherwise
+    ``max_weight_assignment`` runs on the zero-clamped weight matrix.
     """
     r = instance.utility_array
     c = instance.cost_array
@@ -134,9 +138,7 @@ def social_optimum(instance: MarketInstance) -> float:
     weights = np.minimum(bq[:, None], sq[None, :]) * (r[:, None] - c[None, :])
     weights = np.where(r[:, None] >= c[None, :], weights, 0.0)
     weights = np.maximum(weights, 0.0)
-    from scipy.optimize import linear_sum_assignment  # loaded only for heterogeneous quantities
-
-    rows, cols = linear_sum_assignment(weights, maximize=True)
+    rows, cols = max_weight_assignment(weights)
     return float(weights[rows, cols].sum())
 
 

@@ -199,23 +199,29 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_homogeneous_runs_leave_scipy_optimize_unloaded(tmp_path):
-    # The assignment solver's import (scipy.optimize, with scipy.linalg,
-    # scipy.sparse and scipy.fft) takes about 0.6 s; only heterogeneous
-    # quantities need it, and they load it when they first solve.
+def test_uniform_runs_load_no_scipy_module(tmp_path):
+    # The binomial tail and the assignment solver are in the package, so
+    # uniform markets, with homogeneous or heterogeneous quantities (mixed
+    # equilibria and the solver both run here), never import scipy.
     heterogeneous = tmp_path / "heterogeneous.json"
     heterogeneous.write_text(json.dumps({"K": 6, "N": 6, "b_lo": 1.0, "b_hi": 3.0}), encoding="utf-8")
     args = ["experiment", "--scenario", "mechanism_comparison", "--sellers", "6", "--replications", "2",
             "--non-selfish", "0.3", "--out", str(tmp_path / "out.json")]
     code = (
         "import sys\n"
-        "solver = ('scipy.optimize', 'scipy.linalg', 'scipy.sparse', 'scipy.fft')\n"
         "import chainbook.cli\n"
-        "assert not [m for m in solver if m in sys.modules]\n"
+        "from chainbook import equilibrium, miners\n"
+        "calls = {'tail': 0, 'solver': 0}\n"
+        "tail, solve = equilibrium._expected_blocks, miners.max_weight_assignment\n"
+        "def counted_tail(*a):\n    calls['tail'] += 1\n    return tail(*a)\n"
+        "def counted_solve(*a):\n    calls['solver'] += 1\n    return solve(*a)\n"
+        "equilibrium._expected_blocks, miners.max_weight_assignment = counted_tail, counted_solve\n"
+        "scipy_modules = lambda: [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert scipy_modules() == [], scipy_modules()\n"
         f"assert chainbook.cli.main({args!r}) == 0\n"
-        "assert not [m for m in solver if m in sys.modules]\n"
+        "assert scipy_modules() == [] and calls['tail'] > 0, (scipy_modules(), calls)\n"
         f"assert chainbook.cli.main({[*args, '--config', str(heterogeneous)]!r}) == 0\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        "assert scipy_modules() == [] and calls['solver'] > 0, (scipy_modules(), calls)\n"
     )
     src = str(Path(chainbook.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special._ufuncs import _binom_sf
 from scipy.stats import binom
 
 from chainbook.equilibrium import (
@@ -138,30 +137,35 @@ def test_expected_cost_matches_binomial_sum():
         )
 
 
-def test_expected_blocks_equals_binom_sf_sum_bit_for_bit():
-    # _expected_blocks calls the private ufunc behind binom.sf; a scipy
-    # release that changes it, or the wrapper, must fail here.
+def _binom_sf_blocks(p, rivals, block_size):
+    """1 + sum over k = A, 2A, ... <= rivals of P(n >= k), by scipy.stats.binom.sf."""
+    k = np.arange(block_size, rivals + 1, block_size)[:, None]
+    return 1.0 + binom.sf(k - 1, rivals, np.asarray(p, dtype=float)[None, :]).sum(axis=0)
+
+
+def test_expected_blocks_matches_binom_sf_sum():
+    # The numpy tail against scipy's survival functions: every block size up
+    # to rivals + 1 on small markets, random ones up to 1000 rivals, and the
+    # ends of the probability range.
     rng = np.random.default_rng(19)
-    draws = 0
-    for _ in range(200):
-        rivals = int(rng.integers(1, 60))
-        block_size = int(rng.integers(1, rivals + 1))
-        p = np.concatenate(([0.0, 1.0], rng.random(8)))
-        want = np.ones_like(p)
-        j = 1
-        while j * block_size <= rivals:
-            want = want + binom.sf(j * block_size - 1, rivals, p)
-            j += 1
-        assert _expected_blocks(p, rivals, block_size).tolist() == want.tolist()
-        draws += len(p)
-    assert draws == 2000
-    # The ufunc alone, on every k < n: k = jA - 1 never reaches n = rivals.
-    n = rng.integers(1, 80, 2000)
-    k = np.floor(rng.random(2000) * n)
-    p = rng.random(2000)
-    assert _binom_sf(k, n, p).tolist() == binom.sf(k, n, p).tolist()
-    # The two part ways beyond the support: binom.sf gives 0, the ufunc nan.
-    assert binom.sf(6, 5, 0.3) == 0.0 and math.isnan(_binom_sf(6.0, 5, 0.3))
+    ends = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5]
+    cases = [(m, a) for m in range(31) for a in range(1, m + 2)]
+    cases += [(1000, 1), (1000, 7), (1000, 150), (1000, 151), (1000, 500), (1000, 1000), (1000, 1001)]
+    for _ in range(400):
+        m = int(rng.integers(31, 1001))
+        cases.append((m, int(np.exp(rng.uniform(0.0, np.log(m + 1.0))))))
+    for rivals, block_size in cases:
+        p = np.concatenate((ends, rng.random(12), rng.random(3) ** 12, 1.0 - rng.random(3) ** 12))
+        got = _expected_blocks(p, rivals, block_size)
+        want = _binom_sf_blocks(p, rivals, block_size)
+        assert got.shape == p.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert got[0] == 1.0 and got[1] == 1 + rivals // block_size  # p = 0 and p = 1 exactly
+        for q in (p[2], p[3], p[7]):  # scalar input, the same value as in an array
+            assert np.ndim(_expected_blocks(q, rivals, block_size)) == 0
+            assert float(_expected_blocks(q, rivals, block_size)) == got[p.tolist().index(q)]
+    grid = rng.random((3, 4))  # any input shape is kept
+    assert np.array_equal(_expected_blocks(grid, 200, 9), _expected_blocks(grid.ravel(), 200, 9).reshape(3, 4))
 
 
 def test_expected_cost_monotone():

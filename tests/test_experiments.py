@@ -7,12 +7,14 @@ from functools import partial
 import numpy as np
 import pytest
 
+import chainbook.equilibrium as eq
 from chainbook import distributions as dist
 from chainbook.cli import main
 from chainbook.experiments import (
     ExperimentSpec,
     HarnessConfig,
     Scenario,
+    _comparison_replication,
     _run_tasks,
     benchmark_block_size,
     compare_mechanisms,
@@ -21,8 +23,11 @@ from chainbook.experiments import (
     run_mechanism_comparison,
     run_random_counts,
 )
+from chainbook.market import miners_with_protocol_share
+from chainbook.mechanism import sample_instance
 from chainbook.miners import PendingPool
 from chainbook.reporting import emit_report
+from chainbook.welfare import simulate_once
 
 
 def _separated_config(**overrides):
@@ -55,6 +60,25 @@ def test_comparison_shares_populations_across_variants():
     assert np.allclose(comp.samples["abs_distributional"], comp.optimum)
     assert np.allclose(comp.samples["benchmark_max_block"], comp.optimum)
     assert np.allclose(comp.samples["abs_non_selfish"], comp.optimum)
+
+
+def test_comparison_replication_finds_three_equilibria(monkeypatch):
+    # abs_non_selfish differs from abs_distributional only in its miners, so
+    # it keeps that variant's equilibrium: three found per replication, not four.
+    found = []
+    real = eq.psne
+    monkeypatch.setattr(eq, "psne", lambda inst: found.append(inst.block_size) or real(inst))
+    config = _heterog()
+    sw, _, sizes = _comparison_replication(config, 12, 3, 0.3, 5, 2)
+    assert len(found) == 3 and found[0] == sizes["abs_distributional"] == 3
+    # Each variant's welfare is that of a play on a fresh instance of its own.
+    seeds = np.random.SeedSequence([5, 12, 2, 0]), np.random.SeedSequence([5, 12, 2, 1])
+    base = sample_instance(config.mechanism_config(12, 12), 1, np.random.default_rng(seeds[0]))
+    assert base.crossing_index > 3  # mixed: the shared equilibrium is drawn from
+    for variant, a in sizes.items():
+        miners = miners_with_protocol_share(0.3) if variant == "abs_non_selfish" else None
+        assert simulate_once(base.with_block_size(a, miners), np.random.default_rng(seeds[1])).sw == sw[variant]
+    assert len(found) == 7
 
 
 def test_mechanism_comparison_rows():
@@ -333,7 +357,9 @@ def _cli_rows(tmp_path, *argv):
 # scipy 1.17.1.  A refactor that keeps the sampling order, the random streams
 # and the summary rules leaves every hash unchanged.  The hashes of rows whose
 # plays draw (ties, pairings of heterogeneous quantities, winners) were last
-# re-taken when plays moved to keyed Philox windows.
+# re-taken when plays moved to keyed Philox windows; cli_mechanism's, whose
+# mixed plays draw fees through the binomial tail, when that tail moved from
+# scipy's survival function to numpy log-pmf terms.
 PINNED_ROWS = {
     "comparison": "caa2c2e31f8c8d7cd902758004f27018b5f6f5e2bf7dfac0f506112b149a8332",
     "comparison_quantized": "2cb98df1ea5736568a036dd9ba86efe68b030f2b50a12f493418f29a21db59c4",
@@ -342,7 +368,7 @@ PINNED_ROWS = {
     "blocksize_limit": "2773e7879427fde2a5d16cc4a72d6e1703aca979966e465d43e725d8ae25cf6b",
     "cli_simulate": "75bfebf819c04adb5486833f70e2eb7b5bac0885b9e58c22f3454471b2e872c5",
     "cli_equilibrium": "b3ae3214702ff605c5c7e948e1b32c9b88726c0413687cbf77758c0e7fa746ab",
-    "cli_mechanism": "bb4f7079639c4c2a9492d5038cf519ea52e3cdc78c72025963106717b7960f1f",
+    "cli_mechanism": "bc012a2eb4cc03c5ec6b2ea18f9600dcd3d76661d3726b122c078396064de705",
     "cli_poa": "70adcd3ce64838c2d790ccac752b727dfece58c8a068d9a902ce1516d119e8d9",
     "cli_ingest": "412a1a3e30c2e5c5cc0f33f2cd10436b48e16803953a3f18bb882e491f2a4aa7",
 }

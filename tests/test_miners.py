@@ -24,6 +24,7 @@ from chainbook.miners import (
     Selection,
     _Windows,
     _feasible_prefixes,
+    max_weight_assignment,
     recommend_matching,
     run_horizon,
     run_round,
@@ -822,3 +823,54 @@ def _tied_value_sides(draw):
 def test_rank_feasible_matches_exhaustive_check(sides):
     utilities, costs = sides
     assert rank_feasible(np.array(utilities), np.array(costs)) == _exhaustively_feasible(utilities, costs)
+
+
+def _assignment_oracle_matrices():
+    rng = np.random.default_rng(23)
+    shapes = lambda hi: (int(rng.integers(1, hi)), int(rng.integers(1, hi)))
+    for _ in range(2500):  # small-integer weights: ties everywhere
+        yield rng.integers(0, 4, shapes(9)).astype(float)
+    for _ in range(2100):  # continuous weights, both orientations
+        yield rng.random(shapes(26))
+    for _ in range(300):  # forbidden pairs, some rows with none allowed
+        w = rng.random(shapes(10))
+        w[rng.random(w.shape) < 0.4] = -np.inf
+        yield w
+    for n in range(1, 26):
+        yield from (rng.random((1, n)), rng.random((n, 1)), np.zeros((n, 7)), np.zeros((7, n)))
+        yield from (np.full((n, n), 0.5), np.full((1, n), 2.0), np.full((n, 1), 2.0))
+    yield from (np.zeros((0, 3)), np.zeros((3, 0)))
+
+
+def test_max_weight_assignment_equals_scipy():
+    from scipy.optimize import linear_sum_assignment
+
+    count = 0
+    for w in _assignment_oracle_matrices():
+        count += 1
+        try:
+            want = linear_sum_assignment(w, maximize=True)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                max_weight_assignment(w)
+            continue
+        rows, cols = max_weight_assignment(w)
+        assert rows.dtype == want[0].dtype and cols.dtype == want[1].dtype
+        assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
+    assert count >= 5000
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_max_weight_assignment_rejects_what_scipy_rejects(bad):
+    from scipy.optimize import linear_sum_assignment
+
+    w = np.ones((3, 4))
+    w[1, 2] = bad
+    for solve in (lambda: linear_sum_assignment(w, maximize=True), lambda: max_weight_assignment(w)):
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            solve()
+    w[1, 2] = 1.0
+    w[1] = -np.inf  # row 1 has no allowed pair
+    for solve in (lambda: linear_sum_assignment(w, maximize=True), lambda: max_weight_assignment(w)):
+        with pytest.raises(ValueError, match="infeasible"):
+            solve()

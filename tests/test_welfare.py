@@ -19,6 +19,7 @@ from chainbook.market import (
     build_instance,
     buyer_payoff,
     miner_round_payoff,
+    miners_with_protocol_share,
     seller_payoff,
 )
 from chainbook.miners import run_horizon
@@ -325,5 +326,10 @@ def test_equilibrium_is_found_once_per_instance(monkeypatch):
         variant = inst.with_block_size(a)
         variant.equilibrium
         variant.equilibrium
-        variant.with_block_size(a).equilibrium  # a variant does not inherit the cache
+        assert found == want * 2
+        # A variant keeps a found equilibrium only at the same block size:
+        # the miners do not enter it, the block size does.
+        variant.with_block_size(a, miners_with_protocol_share(0.5)).equilibrium
+        assert found == want * 2
+        variant.with_block_size(a + 1).with_block_size(a).equilibrium
         assert found == want * 3
