@@ -20,7 +20,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-import numpy.random
 
 from . import equilibrium as eq
 from . import experiments as xp

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random
 
 from .market import FeeProfile, MarketInstance, pair_surplus
 from .miners import run_horizon

@@ -31,7 +31,6 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
-import numpy.random
 
 from . import distributions as dist
 from .distributions import ValueDistribution
@@ -222,11 +221,13 @@ def _comparison_replication(
     draw_rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 0]))
     base = sample_instance(config.mechanism_config(num_buyers, n_sellers), 1, draw_rng)
 
-    sizes = {
-        "abs_distributional": a_dist,
-        "abs_non_selfish": a_dist,
-        "benchmark_max_block": benchmark_block_size(num_buyers, n_sellers),
-        "abs_complete": optimal_block_size_complete(base),
+    dist = base.with_block_size(a_dist)
+    dist.equilibrium  # found first, so the variant that differs only in its miners keeps it
+    instances = {
+        "abs_distributional": dist,
+        "abs_non_selfish": dist.with_block_size(a_dist, miners_with_protocol_share(fraction)),
+        "benchmark_max_block": base.with_block_size(benchmark_block_size(num_buyers, n_sellers)),
+        "abs_complete": base.with_block_size(optimal_block_size_complete(base)),
     }
     # One play generator per replication, rewound for every variant:
     # mechanisms that induce the same play produce identical welfare, so
@@ -234,15 +235,10 @@ def _comparison_replication(
     rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 1]))
     start = rng.bit_generator.state
     sw: dict[str, float] = {}
-    for variant in _COMPARISON_VARIANTS:
-        if variant == "abs_non_selfish":
-            # Only the miners differ from abs_distributional, played just
-            # before: derived from it, the variant keeps its equilibrium.
-            instance = instance.with_block_size(a_dist, miners_with_protocol_share(fraction))
-        else:
-            instance = base.with_block_size(sizes[variant])
+    for variant, instance in instances.items():
         rng.bit_generator.state = start
         sw[variant] = simulate_once(instance, rng).sw
+    sizes = {variant: instance.block_size for variant, instance in instances.items()}
     return sw, social_optimum(base), sizes
 
 

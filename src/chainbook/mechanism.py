@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random
 
 from .distributions import ValueDistribution
 from .equilibrium import crossing_index

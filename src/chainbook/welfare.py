@@ -11,7 +11,8 @@ the delay term and reduces the problem to a maximum-weight bipartite
 matching with edge weight min(b, q) * (R - C) over compatible pairs, solved
 by sorting when quantities are homogeneous and otherwise by
 :func:`chainbook.miners.max_weight_assignment`, which returns exactly the
-assignment of scipy's ``linear_sum_assignment`` without importing scipy.
+assignment of scipy's ``linear_sum_assignment`` and imports scipy only for
+matrices above 24 x 24 entries.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random
 
 from .market import (
     FeeProfile,

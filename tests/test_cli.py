@@ -200,9 +200,9 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_uniform_runs_load_no_scipy_module(tmp_path):
-    # The binomial tail and the assignment solver are in the package, so
-    # uniform markets, with homogeneous or heterogeneous quantities (mixed
-    # equilibria and the solver both run here), never import scipy.
+    # The binomial tail and, up to 24 x 24, the assignment solver are in the
+    # package, so uniform markets, homogeneous or small and heterogeneous
+    # (mixed equilibria and the solver both run here), never import scipy.
     heterogeneous = tmp_path / "heterogeneous.json"
     heterogeneous.write_text(json.dumps({"K": 6, "N": 6, "b_lo": 1.0, "b_hi": 3.0}), encoding="utf-8")
     args = ["experiment", "--scenario", "mechanism_comparison", "--sellers", "6", "--replications", "2",

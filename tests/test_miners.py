@@ -839,25 +839,42 @@ def _assignment_oracle_matrices():
     for n in range(1, 26):
         yield from (rng.random((1, n)), rng.random((n, 1)), np.zeros((n, 7)), np.zeros((7, n)))
         yield from (np.full((n, n), 0.5), np.full((1, n), 2.0), np.full((n, 1), 2.0))
+    for _ in range(12):  # above the port's size limit: the port stays exact there too
+        w = rng.integers(0, 3, (int(rng.integers(20, 45)), int(rng.integers(20, 45)))).astype(float)
+        yield from (w, w * rng.random(w.shape))
     yield from (np.zeros((0, 3)), np.zeros((3, 0)))
 
 
 def test_max_weight_assignment_equals_scipy():
     from scipy.optimize import linear_sum_assignment
 
+    solvers = (max_weight_assignment, miners_module._augmenting_path_assignment)
     count = 0
     for w in _assignment_oracle_matrices():
         count += 1
         try:
             want = linear_sum_assignment(w, maximize=True)
         except ValueError as err:
-            with pytest.raises(ValueError, match=str(err)):
-                max_weight_assignment(w)
+            for solve in solvers:
+                with pytest.raises(ValueError, match=str(err)):
+                    solve(w)
             continue
-        rows, cols = max_weight_assignment(w)
-        assert rows.dtype == want[0].dtype and cols.dtype == want[1].dtype
-        assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
+        for solve in solvers:
+            rows, cols = solve(w)
+            assert rows.dtype == want[0].dtype and cols.dtype == want[1].dtype
+            assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
     assert count >= 5000
+
+
+def test_max_weight_assignment_hands_large_matrices_to_scipy(monkeypatch):
+    # The port solves matrices of at most 576 entries; scipy the larger ones.
+    solved = []
+    real = miners_module._augmenting_path_assignment
+    monkeypatch.setattr(miners_module, "_augmenting_path_assignment", lambda w: solved.append(w.shape) or real(w))
+    rng = np.random.default_rng(4)
+    for shape in ((24, 24), (2, 288), (25, 24), (3, 193), (60, 60)):
+        max_weight_assignment(rng.random(shape))
+    assert solved == [(24, 24), (2, 288)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
