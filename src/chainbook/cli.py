@@ -24,6 +24,7 @@ import numpy as np
 from . import equilibrium as eq
 from . import experiments as xp
 from .datasets import ingest_csv
+from .market import FeeProfile
 from .mechanism import (
     capped_search_report,
     optimal_block_size_complete,
@@ -128,16 +129,16 @@ def _cmd_ingest(args) -> None:
 def _cmd_equilibrium(args) -> None:
     config = _load(args)
     inst = _sample_market(config, args.block_size, args.seed)
-    a_th = eq.crossing_index(inst)
     fees = eq.threshold_fees(inst)
-    pure = eq.psne(inst)
+    found = inst.equilibrium
+    pure = isinstance(found, FeeProfile)
     row = result_row(
-        "equilibrium", "psne" if pure is not None else "msne",
+        "equilibrium", "psne" if pure else "msne",
         inst.num_sellers, inst.num_buyers, inst.block_size,
-        crossing_index=a_th, sigma_buy=fees.sigma_buy, sigma_sell=fees.sigma_sell,
+        crossing_index=eq.crossing_index(inst), sigma_buy=fees.sigma_buy, sigma_sell=fees.sigma_sell,
     )
-    if pure is None:
-        buy, sell = eq.msne(inst)
+    if not pure:
+        buy, sell = found
         row.update(
             buy_support=[buy.lower, buy.upper],
             sell_support=[sell.lower, sell.upper],

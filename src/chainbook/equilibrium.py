@@ -20,13 +20,14 @@ Hoeffding's bound leaves out less than 2 exp(-45).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .market import FeeProfile, MarketInstance, pair_surplus
+from .market import FeeProfile, MarketInstance, MinerPolicy, pair_surplus
 from .miners import run_horizon
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 def crossing_index(instance: MarketInstance) -> int:
-    """Last rank i with R_(i) >= C_(i); min(K, N) when the ranks never cross.
+    """Last rank i with R_(i) >= C_(i); 0 when no rank pair is profitable.
 
     Found once per population (``MarketInstance.crossing_index``).
     """
@@ -62,6 +63,15 @@ class ThresholdFees:
     cut_sell: int  # min(ceil(crossing / A) * A, K)
 
 
+def _ranked_side(instance: MarketInstance, side: str) -> tuple[np.ndarray, ...]:
+    """(own values, own quantities, partner values, partner quantities) of one
+    side in rank order: buyers by utility descending, sellers by cost ascending."""
+    b, s = instance.buyer_rank, instance.seller_rank
+    buyers = (instance.utility_array[b], instance.buy_qty_array[b])
+    sellers = (instance.cost_array[s], instance.sell_qty_array[s])
+    return (*buyers, *sellers) if side == "buy" else (*sellers, *buyers)
+
+
 def _average_marginal_surplus(
     marginal_value: float,
     marginal_qty: float,
@@ -74,65 +84,39 @@ def _average_marginal_surplus(
     Averages min(b, q) * |R - C| / 2 over partners the entrant could trade
     with; returns 0.0 when no partner is compatible.
     """
-    if side == "buy":
-        compatible = marginal_value >= partner_values
-        diffs = marginal_value - partner_values
-    else:
-        compatible = partner_values >= marginal_value
-        diffs = partner_values - marginal_value
+    gaps = marginal_value - partner_values
+    compatible = gaps >= 0.0 if side == "buy" else gaps <= 0.0
     count = int(np.count_nonzero(compatible))
     if count == 0:
         return 0.0
     qty = np.minimum(marginal_qty, partner_qtys[compatible])
-    return float(np.sum(qty * diffs[compatible]) / (2.0 * count))
+    return float(np.sum(qty * np.abs(gaps[compatible])) / (2.0 * count))
 
 
-def threshold_fees(
-    instance: MarketInstance,
-    a_th: int | None = None,
-    block_size: int | None = None,
-) -> ThresholdFees:
+def _side_threshold(instance: MarketInstance, side: str) -> tuple[float, int]:
+    """(threshold fee, cut rank) of one side, as laid out in ``threshold_fees``."""
+    own, own_qty, partner, partner_qty = _ranked_side(instance, side)
+    a = instance.block_size
+    cut = min(math.ceil(instance.crossing_index / a) * a, len(partner))
+    if cut >= len(own):
+        return 0.0, cut
+    avg = _average_marginal_surplus(own[cut], own_qty[cut], partner[:cut], partner_qty[:cut], side)
+    delay = (math.ceil((cut + 1) / a) * a - 1) * instance.delay_cost
+    return max(avg - delay, 0.0), cut
+
+
+def threshold_fees(instance: MarketInstance) -> ThresholdFees:
     """Threshold fees: the marginal excluded entrant's willingness to pay.
 
-    The buy-side threshold is the average surplus the first excluded buyer
-    would earn against the included sellers, minus the delay cost of the
-    block that entrant would land in, clamped at zero; 0 when nobody is
-    excluded or the entrant is incompatible with every included seller.
+    Each side is cut at the crossing rounded up to whole blocks, capped at the
+    partner count.  Its threshold is the average surplus the first excluded
+    entrant would earn against the included partners, minus the delay cost
+    of the block that entrant would land in, clamped at zero; 0 when nobody
+    is excluded or the entrant is incompatible with every included partner.
     """
-    if a_th is None:
-        a_th = crossing_index(instance)
-    if block_size is None:
-        block_size = instance.block_size
-    k = instance.num_buyers
-    n = instance.num_sellers
-    d = instance.delay_cost
-    blocks_needed = math.ceil(a_th / block_size)
-
-    b_order = instance.buyer_rank
-    s_order = instance.seller_rank
-    r_sorted = instance.utility_array[b_order]
-    c_sorted = instance.cost_array[s_order]
-    bq_sorted = instance.buy_qty_array[b_order]
-    sq_sorted = instance.sell_qty_array[s_order]
-
-    cut_buy = min(blocks_needed * block_size, n)
-    sigma_buy = 0.0
-    if cut_buy < k and r_sorted[cut_buy] >= c_sorted[0]:
-        avg = _average_marginal_surplus(
-            r_sorted[cut_buy], bq_sorted[cut_buy], c_sorted[:cut_buy], sq_sorted[:cut_buy], "buy"
-        )
-        delay = (math.ceil((cut_buy + 1) / block_size) * block_size - 1) * d
-        sigma_buy = max(avg - delay, 0.0)
-
-    cut_sell = min(blocks_needed * block_size, k)
-    sigma_sell = 0.0
-    if cut_sell < n and c_sorted[cut_sell] <= r_sorted[0]:
-        avg = _average_marginal_surplus(
-            c_sorted[cut_sell], sq_sorted[cut_sell], r_sorted[:cut_sell], bq_sorted[:cut_sell], "sell"
-        )
-        delay = (math.ceil((cut_sell + 1) / block_size) * block_size - 1) * d
-        sigma_sell = max(avg - delay, 0.0)
-
+    (sigma_buy, cut_buy), (sigma_sell, cut_sell) = (
+        _side_threshold(instance, side) for side in ("buy", "sell")
+    )
     return ThresholdFees(
         sigma_buy=sigma_buy, sigma_sell=sigma_sell, cut_buy=cut_buy, cut_sell=cut_sell
     )
@@ -142,12 +126,12 @@ def psne(instance: MarketInstance) -> FeeProfile | None:
     """The pure-strategy equilibrium profile, or None when none exists (A below crossing).
 
     Buyers ranked within min(A, N) pay the buy threshold plus one fee unit,
-    the rest pay the bare threshold; sellers mirror with min(A, K).
+    the rest pay the bare threshold; sellers mirror with min(A, K).  A dead
+    market (crossing 0) has thresholds 0, so every A >= 1 is pure.
     """
-    a_th = crossing_index(instance)
-    if instance.block_size < a_th:
+    if instance.block_size < crossing_index(instance):
         return None
-    fees = threshold_fees(instance, a_th)
+    fees = threshold_fees(instance)
     eps = instance.fee_unit
 
     buy = np.full(instance.num_buyers, fees.sigma_buy)
@@ -326,11 +310,10 @@ def msne(instance: MarketInstance) -> tuple[MixedStrategy, MixedStrategy]:
     a = instance.block_size
     if a >= a_th:
         raise ValueError(f"block size {a} admits a pure equilibrium (crossing {a_th}); no mixing")
-    fees = threshold_fees(instance, a_th)
+    fees = threshold_fees(instance)
     eps = instance.fee_unit
     d = instance.delay_cost
-    k, n = instance.num_buyers, instance.num_sellers
-    contenders = min(math.ceil(a_th / a) * a, k, n)
+    contenders = min(fees.cut_buy, fees.cut_sell)
     spread = (math.ceil(contenders / a) - 1) * d
 
     def build(role: str, sigma: float, cut: int, order: np.ndarray) -> MixedStrategy:
@@ -347,9 +330,10 @@ def msne(instance: MarketInstance) -> tuple[MixedStrategy, MixedStrategy]:
             target_cost=lower + math.ceil(contenders / a) * d,
         )
 
-    buy = build("buy", fees.sigma_buy, min(math.ceil(a_th / a) * a, n), instance.buyer_rank)
-    sell = build("sell", fees.sigma_sell, min(math.ceil(a_th / a) * a, k), instance.seller_rank)
-    return buy, sell
+    return (
+        build("buy", fees.sigma_buy, fees.cut_buy, instance.buyer_rank),
+        build("sell", fees.sigma_sell, fees.cut_sell, instance.seller_rank),
+    )
 
 
 def realize_profile(
@@ -408,59 +392,41 @@ class IndifferenceReport:
     samples: int
 
 
+def _half_surplus(instance: MarketInstance, side: str, pid: int, partner: int) -> float:
+    """The half-surplus participant ``pid`` of ``side`` earns trading with ``partner``."""
+    if side == "buy":
+        return pair_surplus(instance.buyers[pid], instance.sellers[partner])[0]
+    return pair_surplus(instance.buyers[partner], instance.sellers[pid])[1]
+
+
 def _participant_outcome(trace, instance, side: str, pid: int) -> tuple[bool, float, int]:
     """(matched, realized half-surplus, inclusion block) for one participant."""
+    column = 0 if side == "buy" else 1
     for rec in trace.rounds:
-        for buyer_id, seller_id in rec.pairs:
-            if side == "buy" and buyer_id == pid:
-                surplus, _, _ = pair_surplus(instance.buyers[buyer_id], instance.sellers[seller_id])
-                return True, surplus, rec.block
-            if side == "sell" and seller_id == pid:
-                _, surplus, _ = pair_surplus(instance.buyers[buyer_id], instance.sellers[seller_id])
-                return True, surplus, rec.block
+        for pair in rec.pairs:
+            if pair[column] == pid:
+                return True, _half_surplus(instance, side, pid, pair[1 - column]), rec.block
     return False, 0.0, 0
 
 
-def _class_representatives(breakpoints: list[float], span: float) -> list[float]:
-    """Probe fees covering every outcome-equivalent band: each others' fee level,
-    each open interval between levels, zero, and one point beyond the top level."""
+def _class_representatives(levels: list[float], span: float) -> list[float]:
+    """Probe fees covering every outcome-equivalent band of ``levels`` (zero,
+    then the others' distinct positive fees ascending): each level, each open
+    interval between levels, and one point beyond the top level."""
     reps = [0.0]
-    prev = 0.0
-    for bp in breakpoints:
-        if bp > prev:
-            reps.append(0.5 * (prev + bp))
-        reps.append(bp)
-        prev = bp
-    reps.append(prev + max(span, 1.0) if prev > 0 else max(span, 1.0))
-    return reps
+    for lo, hi in zip(levels, levels[1:]):
+        reps += [0.5 * (lo + hi), hi]
+    return reps + [levels[-1] + max(span, 1.0)]
 
 
-def _classify(fee: float, breakpoints: list[float]) -> int:
-    """Index of the outcome band containing ``fee`` (bands as laid out above)."""
-    if fee == 0.0:
-        return 0
-    idx = 1
-    prev = 0.0
-    for bp in breakpoints:
-        if bp > prev:
-            if fee < bp:
-                return idx
-            idx += 1
-        if fee == bp:
-            return idx
-        idx += 1
-        prev = bp
-    return idx
+def _classify(fee: float, levels: list[float]) -> int:
+    """Index of the outcome band containing ``fee`` (bands as laid out above):
+    twice the number of levels below it, plus one if it lies on a level, less one."""
+    return bisect.bisect_left(levels, fee) + bisect.bisect_right(levels, fee) - 1
 
 
-def _psne_deviation_report(
-    instance: MarketInstance,
-    profile: FeeProfile,
-    grid_resolution: int,
-    replications: int,
-    rng_seed: int,
-) -> DeviationReport:
-    """Grid-search unilateral deviations, estimating payoffs with shared seeds.
+def _simulated_payoffs(instance: MarketInstance, profile: FeeProfile, replications: int, rng_seed: int):
+    """Deviation payoffs estimated by simulation with shared seeds.
 
     A deviator's outcome distribution only depends on where the fee sits
     relative to the other same-side fees, so the payoff is linear in the fee
@@ -468,21 +434,15 @@ def _psne_deviation_report(
     Common random numbers across bands make equal-outcome comparisons exact.
     """
     d = instance.delay_cost
-    eps = instance.fee_unit
     # One keyed seed per replication, rebuilt for every fee band: a play's
     # draws are keyed by its seed sequence, so each band replays the same
     # replications (common random numbers) and replications differ.
     seed_keys = [(rng_seed, rep) for rep in range(replications)]
 
-    def best_improvement(side: str, pid: int, own_fee: float, others: list[float]) -> float:
-        breakpoints = sorted({f for f in others if f > 0.0})
-        span = (max(breakpoints) if breakpoints else 0.0) + 5.0 * d + eps
-        grid = list(np.linspace(0.0, span, grid_resolution))
-        grid += [max(own_fee - eps, 0.0), own_fee, own_fee + eps, own_fee + 2 * eps]
-
-        stats: dict[int, tuple[float, float]] = {}  # band -> (P(matched), E[matched*(surplus - delay)])
-        reps = _class_representatives(breakpoints, span)
-        for band, probe in enumerate(reps):
+    def payoffs(side: str, pid: int, others: np.ndarray, span: float):
+        levels = [0.0, *sorted({f for f in others if f > 0.0})]
+        stats = []  # per band: (P(matched), E[matched * (surplus - delay)])
+        for probe in _class_representatives(levels, span):
             devp = profile.with_buy_fee(pid, probe) if side == "buy" else profile.with_sell_fee(pid, probe)
             matched_sum = 0.0
             value_sum = 0.0
@@ -493,150 +453,116 @@ def _psne_deviation_report(
                 if matched:
                     matched_sum += 1.0
                     value_sum += surplus - (block - 1) * d
-            stats[band] = (matched_sum / replications, value_sum / replications)
+            stats.append((matched_sum / replications, value_sum / replications))
 
         def payoff(fee: float) -> float:
-            p_match, value = stats[_classify(fee, breakpoints)]
+            p_match, value = stats[_classify(fee, levels)]
             return value - p_match * fee
 
-        base = payoff(own_fee)
-        return max(payoff(f) for f in grid) - base
+        return payoff
 
-    buyer_improvements = []
-    for pid in range(instance.num_buyers):
-        others = [f for j, f in enumerate(profile.buy_fees) if j != pid]
-        buyer_improvements.append(best_improvement("buy", pid, profile.buy_fees[pid], others))
-    seller_improvements = []
-    for pid in range(instance.num_sellers):
-        others = [f for j, f in enumerate(profile.sell_fees) if j != pid]
-        seller_improvements.append(best_improvement("sell", pid, profile.sell_fees[pid], others))
+    return payoffs
 
+
+def _inclusion_probability(own_fee: float, other_fees: np.ndarray, slots: int) -> float:
+    """P(a positive fee wins one of ``slots`` places against ``other_fees``),
+    fee ties shuffled uniformly."""
+    if own_fee <= 0.0 or slots <= 0:
+        return 0.0
+    above = int(np.count_nonzero(other_fees > own_fee))
+    if above >= slots:
+        return 0.0
+    tied = 1 + int(np.count_nonzero(other_fees == own_fee))
+    remaining = slots - above
+    return 1.0 if remaining >= tied else remaining / tied
+
+
+def _closed_form_applies(instance: MarketInstance) -> bool:
+    """Zero delay, every pair compatible, a block that covers the short side
+    and only selfish miners: one fee-ranked round with a uniform pairing."""
+    return (
+        instance.delay_cost == 0.0
+        and instance.utility_array.min() >= instance.cost_array.max()
+        and instance.block_size >= min(instance.num_buyers, instance.num_sellers)
+        and all(m.policy is MinerPolicy.SELFISH for m in instance.miners)
+    )
+
+
+def _closed_form_payoffs(instance: MarketInstance, profile: FeeProfile):
+    """Exact deviation payoffs where ``_closed_form_applies``.
+
+    There the engine's only randomness is the uniform tie-shuffle and the
+    uniform pairing; both marginalize exactly: a participant tied with t
+    others for s remaining slots is included with probability s / t, and a
+    matched participant's partner is uniform over the other side's included
+    set.  Exact payoffs are what a nano-tolerance stability check needs
+    (Monte Carlo noise would swamp it).
+    """
+    fees = {"buy": np.asarray(profile.buy_fees, dtype=float), "sell": np.asarray(profile.sell_fees, dtype=float)}
+
+    def payoffs(side: str, pid: int, others: np.ndarray, span: float):
+        partner_fees = fees["sell" if side == "buy" else "buy"]
+        own_active = others[others > 0.0]
+        partner_active = np.flatnonzero(partner_fees > 0.0)
+        matched = min(instance.block_size, len(own_active) + 1, len(partner_active))
+        partner_in = np.zeros(len(partner_fees))
+        for j in partner_active:
+            rivals = partner_fees[partner_active[partner_active != j]]
+            partner_in[j] = _inclusion_probability(partner_fees[j], rivals, matched)
+        surpluses = np.array([_half_surplus(instance, side, pid, j) for j in range(len(partner_fees))])
+        # With nobody to match (matched 0) every payoff is 0 and this goes unread.
+        expected_surplus = float(np.dot(partner_in, surpluses)) / max(matched, 1)
+
+        def payoff(fee: float) -> float:
+            p_in = _inclusion_probability(fee, own_active, matched)
+            return p_in * (expected_surplus - fee) if p_in else 0.0
+
+        return payoff
+
+    return payoffs
+
+
+def _deviation_report(
+    instance: MarketInstance, profile: FeeProfile, grid_resolution: int, payoffs, replications: int
+) -> DeviationReport:
+    """Best unilateral grid deviation of every participant.
+
+    ``payoffs(side, pid, others, span)`` returns the participant's payoff as a
+    function of its own fee, given the other same-side fees.  The grid runs
+    from 0 to span (the top other fee plus 5 d plus one fee unit) and adds
+    the participant's own fee, one fee unit below it and one and two above.
+    """
+    d = instance.delay_cost
+    eps = instance.fee_unit
+    improvements = []
+    for side, fees in (("buy", profile.buy_fees), ("sell", profile.sell_fees)):
+        fees = np.asarray(fees, dtype=float)
+        gains = []
+        for pid, own in enumerate(fees):
+            others = np.delete(fees, pid)
+            span = others.max(initial=0.0) + 5.0 * d + eps
+            payoff = payoffs(side, pid, others, span)
+            grid = [*np.linspace(0.0, span, grid_resolution), max(own - eps, 0.0), own, own + eps, own + 2 * eps]
+            gains.append(max(payoff(f) for f in grid) - payoff(own))
+        improvements.append(tuple(gains))
+    buyer_improvements, seller_improvements = improvements
     return DeviationReport(
         max_improvement=max(buyer_improvements + seller_improvements),
-        buyer_improvements=tuple(buyer_improvements),
-        seller_improvements=tuple(seller_improvements),
+        buyer_improvements=buyer_improvements,
+        seller_improvements=seller_improvements,
         grid_size=grid_resolution,
         replications=replications,
     )
 
 
-def _exact_psne_deviation_report(
-    instance: MarketInstance, profile: FeeProfile, grid_resolution: int
-) -> DeviationReport:
-    """Closed-form deviation sweep for zero-delay, fully-compatible markets.
-
-    When every buyer can trade with every seller, the block covers the short
-    side, and delay is free, the engine's only randomness is the uniform
-    tie-shuffle and the uniform pairing; both marginalize exactly: a
-    participant tied with t others for s remaining slots is included with
-    probability s / t, and a matched participant's partner is uniform over
-    the other side's included set.  Payoffs are then exact, which a
-    nano-tolerance stability check needs (Monte Carlo noise would swamp it).
-    """
-    if instance.delay_cost != 0.0:
-        raise ValueError("exact deviation evaluation requires zero delay cost")
-    r = instance.utilities()
-    c = instance.costs()
-    if r.min() < c.max():
-        raise ValueError("exact deviation evaluation requires all pairs compatible")
-    if instance.block_size < min(instance.num_buyers, instance.num_sellers):
-        raise ValueError("exact deviation evaluation requires the block to cover the short side")
-    eps = instance.fee_unit
-
-    def inclusion_probability(own_fee: float, other_fees: np.ndarray, slots: int) -> float:
-        if own_fee <= 0.0 or slots <= 0:
-            return 0.0
-        above = int(np.count_nonzero(other_fees > own_fee))
-        if above >= slots:
-            return 0.0
-        tied = 1 + int(np.count_nonzero(other_fees == own_fee))
-        remaining = slots - above
-        return 1.0 if remaining >= tied else remaining / tied
-
-    def side_inclusion(fees: np.ndarray, slots: int) -> np.ndarray:
-        probs = np.zeros(len(fees))
-        for i, fee in enumerate(fees):
-            others = np.delete(fees, i)
-            probs[i] = inclusion_probability(fee, others, slots)
-        return probs
-
-    def best_improvement(side: str, pid: int) -> float:
-        if side == "buy":
-            own = profile.buy_fees[pid]
-            others = np.array([f for j, f in enumerate(profile.buy_fees) if j != pid])
-            partner_fees = np.asarray(profile.sell_fees)
-            surpluses = np.array(
-                [pair_surplus(instance.buyers[pid], s)[0] for s in instance.sellers]
-            )
-        else:
-            own = profile.sell_fees[pid]
-            others = np.array([f for j, f in enumerate(profile.sell_fees) if j != pid])
-            partner_fees = np.asarray(profile.buy_fees)
-            surpluses = np.array(
-                [pair_surplus(b, instance.sellers[pid])[1] for b in instance.buyers]
-            )
-        own_active = others[others > 0.0]
-        partner_active = partner_fees > 0.0
-
-        def payoff(fee: float) -> float:
-            if fee <= 0.0:
-                return 0.0
-            n_own = len(own_active) + 1
-            n_partner = int(np.count_nonzero(partner_active))
-            matched = min(instance.block_size, n_own, n_partner)
-            p_in = inclusion_probability(fee, own_active, matched)
-            if p_in == 0.0:
-                return 0.0
-            partner_in = np.zeros(len(partner_fees))
-            partner_in[partner_active] = side_inclusion(partner_fees[partner_active], matched)
-            expected_surplus = float(np.dot(partner_in, surpluses)) / matched
-            return p_in * (expected_surplus - fee)
-
-        span = (own_active.max() if len(own_active) else 0.0) + eps
-        grid = list(np.linspace(0.0, span, grid_resolution))
-        grid += [max(own - eps, 0.0), own, own + eps, own + 2 * eps]
-        return max(payoff(f) for f in grid) - payoff(own)
-
-    buyer_improvements = [best_improvement("buy", pid) for pid in range(instance.num_buyers)]
-    seller_improvements = [best_improvement("sell", pid) for pid in range(instance.num_sellers)]
-    return DeviationReport(
-        max_improvement=max(buyer_improvements + seller_improvements),
-        buyer_improvements=tuple(buyer_improvements),
-        seller_improvements=tuple(seller_improvements),
-        grid_size=grid_resolution,
-        replications=0,
-    )
-
-
 def _matching_utilities(instance: MarketInstance, strategy: MixedStrategy) -> np.ndarray:
     """Model expected half-surplus of each mixer against the included other side."""
-    b_order = instance.buyer_rank
-    s_order = instance.seller_rank
-    r_sorted = instance.utility_array[b_order]
-    c_sorted = instance.cost_array[s_order]
-    bq_sorted = instance.buy_qty_array[b_order]
-    sq_sorted = instance.sell_qty_array[s_order]
-    a_th = crossing_index(instance)
-    blocks_needed = math.ceil(a_th / strategy.block_size)
-
-    out = []
-    if strategy.role == "buy":
-        cut = min(blocks_needed * strategy.block_size, instance.num_sellers)
-        for rank in range(len(strategy.mixer_ids)):
-            out.append(
-                _average_marginal_surplus(
-                    r_sorted[rank], bq_sorted[rank], c_sorted[:cut], sq_sorted[:cut], "buy"
-                )
-            )
-    else:
-        cut = min(blocks_needed * strategy.block_size, instance.num_buyers)
-        for rank in range(len(strategy.mixer_ids)):
-            out.append(
-                _average_marginal_surplus(
-                    c_sorted[rank], sq_sorted[rank], r_sorted[:cut], bq_sorted[:cut], "sell"
-                )
-            )
-    return np.array(out)
+    own, own_qty, partner, partner_qty = _ranked_side(instance, strategy.role)
+    _, cut = _side_threshold(instance, strategy.role)
+    return np.array([
+        _average_marginal_surplus(own[rank], own_qty[rank], partner[:cut], partner_qty[:cut], strategy.role)
+        for rank in range(len(strategy.mixer_ids))
+    ])
 
 
 def _msne_indifference_report(
@@ -686,25 +612,25 @@ def verify_equilibrium(
     mc_samples: int = 100_000,
     rng_seed: int = 0,
     psne_replications: int = 400,
-    payoff_evaluation: str = "simulate",
 ):
     """Numerically check an equilibrium.
 
     A FeeProfile is checked for profitable unilateral grid deviations
-    (returns a DeviationReport); a (buy, sell) MixedStrategy pair is checked
-    for cost indifference across the support (returns a pair of
-    IndifferenceReports).  ``payoff_evaluation="exact"`` replaces the Monte
-    Carlo payoff estimates with closed-form expectations where the market
-    structure admits them (zero delay, all pairs compatible, single round).
+    (returns a DeviationReport).  Its payoffs are exact where the market
+    admits a closed form (zero delay, every pair compatible, a block that
+    covers the short side, only selfish miners; ``replications`` is then 0)
+    and estimated from ``psne_replications`` simulated plays otherwise.  A
+    (buy, sell) MixedStrategy pair is checked for cost indifference across
+    the support (returns a pair of IndifferenceReports).
     """
     if isinstance(profile_or_strategies, FeeProfile):
-        if payoff_evaluation == "exact":
-            return _exact_psne_deviation_report(instance, profile_or_strategies, grid_resolution)
-        if payoff_evaluation != "simulate":
-            raise ValueError(f"unknown payoff evaluation {payoff_evaluation!r}")
-        return _psne_deviation_report(
-            instance, profile_or_strategies, grid_resolution, psne_replications, rng_seed
-        )
+        profile = profile_or_strategies
+        if _closed_form_applies(instance):
+            payoffs, replications = _closed_form_payoffs(instance, profile), 0
+        else:
+            payoffs = _simulated_payoffs(instance, profile, psne_replications, rng_seed)
+            replications = psne_replications
+        return _deviation_report(instance, profile, grid_resolution, payoffs, replications)
     buy_strat, sell_strat = profile_or_strategies
     rng = np.random.default_rng(rng_seed)
     return (

@@ -152,10 +152,14 @@ def load_config(path: str) -> HarnessConfig:
     """Read the key-value config file (JSON: K, N, rho, d, epsilon, psi, ...).
 
     Absent keys take the :class:`HarnessConfig` defaults, except that a bare
-    ``b_lo`` also sets ``b_hi``.
+    ``b_lo`` also sets ``b_hi``; an unknown key is an error.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    accepted = [*_CONFIG_KEYS, "distributions"]
+    unknown = sorted(set(raw) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown} (accepted: {', '.join(accepted)})")
     if "b_lo" in raw:
         raw.setdefault("b_hi", raw["b_lo"])
     given = raw.get("distributions", {})

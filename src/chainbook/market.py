@@ -205,15 +205,14 @@ class MarketInstance:
 
     @cached_property
     def crossing_index(self) -> int:
-        """Last rank i with R_(i) >= C_(i); min(K, N) when the ranks never cross.
+        """Last rank i with R_(i) >= C_(i); 0 when no rank pair is profitable.
 
         The rank-i utility is nonincreasing and the rank-i cost nondecreasing,
-        so the difference crosses zero at most once.
+        so the covered ranks form a prefix and the crossing is their count.
         """
         m = min(self.num_buyers, self.num_sellers)
         covered = self.utility_array[self.buyer_rank[:m]] >= self.cost_array[self.seller_rank[:m]]
-        crossings = np.flatnonzero(covered[:-1] & ~covered[1:])
-        return int(crossings[0]) + 1 if crossings.size else m
+        return int(np.count_nonzero(covered))
 
     @cached_property
     def equilibrium(self):

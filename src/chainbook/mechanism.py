@@ -60,8 +60,10 @@ class MechanismConfig:
 
 
 def optimal_block_size_complete(instance: MarketInstance) -> int:
-    """Welfare-optimal block size with full knowledge of the realized values."""
-    return crossing_index(instance)
+    """Welfare-optimal block size with full knowledge of the realized values:
+    the crossing index, and 1 for a dead market (crossing 0), where no block
+    size matches anybody."""
+    return max(crossing_index(instance), 1)
 
 
 def solve_eta(config: MechanismConfig) -> float:

@@ -37,6 +37,7 @@ from chainbook.experiments import HarnessConfig, compare_mechanisms
 from chainbook.market import FeeProfile, build_instance, rank_feasible
 from chainbook.mechanism import (
     MechanismConfig,
+    optimal_block_size_complete,
     optimal_block_size_distributional,
     solve_eta,
 )
@@ -68,7 +69,7 @@ def test_c1_homogeneous_quantities_reach_optimum():
             block_size=1,
             delay_cost=float(0.3 * rng.random()),
         )
-        a = crossing_index(inst)
+        a = optimal_block_size_complete(inst)
         report = performance_ratio(inst, a, mc_replications=3, rng_seed=i)
         worst = max(worst, abs(report.sw - report.sw_opt))
     ok = worst <= 1e-9
@@ -197,9 +198,8 @@ def test_c5_pure_strategy_stability():
         inst = inst.with_block_size(crossing_index(inst) + int(rng.integers(0, 2)))
         profile = psne(inst)
         assert profile is not None
-        report = verify_equilibrium(
-            inst, profile, grid_resolution=201, payoff_evaluation="exact"
-        )
+        report = verify_equilibrium(inst, profile, grid_resolution=201)
+        assert report.replications == 0  # exact payoffs
         worst = max(worst, report.max_improvement)
     tolerance = 1e-6 + 1e-9
     ok = worst <= tolerance

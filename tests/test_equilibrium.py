@@ -4,12 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from chainbook.equilibrium import (
     MixedStrategy,
+    ThresholdFees,
+    _closed_form_payoffs,
     _expected_blocks,
+    _simulated_payoffs,
     crossing_index,
+    equilibrium_profile,
     expected_total_cost,
     msne,
     psne,
@@ -17,27 +23,60 @@ from chainbook.equilibrium import (
     threshold_fees,
     verify_equilibrium,
 )
-from chainbook.market import build_instance
+from chainbook.market import FeeProfile, build_instance, miners_with_protocol_share, pair_surplus
+from chainbook.mechanism import optimal_block_size_complete
+from chainbook.miners import run_horizon
+from chainbook.welfare import social_welfare
 
 
 def test_crossing_index_examples():
     assert crossing_index(build_instance([0.9, 0.3], [0.1, 0.5], 1)) == 1
     assert crossing_index(build_instance([0.8, 0.6], [0.2, 0.4], 1)) == 2
-    assert crossing_index(build_instance([0.2], [0.5], 1)) == 1
+    assert crossing_index(build_instance([0.2], [0.5], 1)) == 0  # no profitable pair
+
+
+def _last_covered_rank(utilities, costs) -> int:
+    """The definition: the last rank i with R_(i) >= C_(i), else 0."""
+    r, c = sorted(utilities, reverse=True), sorted(costs)
+    return max((i + 1 for i in range(min(len(r), len(c))) if r[i] >= c[i]), default=0)
 
 
 def test_crossing_index_matches_rank_loop():
-    # The first rank i with R_(i) >= C_(i) and R_(i+1) < C_(i+1), else min(K, N),
-    # on coarse grids so that values tie within and across sides.
+    # On coarse grids, so that values tie within and across sides.
     rng = np.random.default_rng(44)
     for _ in range(500):
         k, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         inst = build_instance(rng.integers(0, 6, k) / 5.0, rng.integers(0, 6, n) / 5.0, 1)
-        r = sorted(inst.utilities(), reverse=True)
-        c = sorted(inst.costs())
-        m = min(k, n)
-        want = next((i + 1 for i in range(m - 1) if r[i] >= c[i] and r[i + 1] < c[i + 1]), m)
-        assert crossing_index(inst) == want
+        assert crossing_index(inst) == _last_covered_rank(inst.utilities(), inst.costs())
+
+
+_tied_values = st.one_of(st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300)
+@given(st.lists(_tied_values, min_size=1, max_size=12), st.lists(_tied_values, min_size=1, max_size=12))
+def test_crossing_index_matches_definition(utilities, costs):
+    # Value ties, K != N and dead markets (no rank pair profitable) included.
+    inst = build_instance(utilities, costs, 1)
+    assert crossing_index(inst) == _last_covered_rank(utilities, costs)
+
+
+def test_dead_market_has_pure_equilibria():
+    # No buyer covers any seller: the crossing is 0, both cuts and thresholds
+    # are 0, and every block size has a pure equilibrium of one fee unit on
+    # the top ranks, which trades nothing.
+    inst = build_instance([0.1, 0.2, 0.3], [0.5, 0.6, 0.7], 1, delay_cost=0.01, fee_unit=1e-6)
+    assert crossing_index(inst) == 0
+    assert optimal_block_size_complete(inst) == 1
+    assert threshold_fees(inst) == ThresholdFees(0.0, 0.0, 0, 0)
+    for a in (1, 2, 3, 5):
+        variant = inst.with_block_size(a)
+        profile = psne(variant)
+        assert profile is not None and variant.equilibrium == profile
+        assert sorted(profile.buy_fees) == [0.0] * (3 - min(a, 3)) + [1e-6] * min(a, 3)
+        with pytest.raises(ValueError, match="pure"):
+            msne(variant)
+        assert social_welfare(variant, run_horizon(variant, profile, 0), profile).sw == 0.0
 
 
 def test_crossing_index_sorts_internally():
@@ -312,9 +351,10 @@ def test_support_spread_formula():
 
 def test_verify_psne_accepts_equilibrium():
     # Zero delay puts the engine exactly on the threshold formulas: the excluded
-    # buyer's willingness to enter is then priced at its full matching surplus.
-    # That deviation breaks even, so its estimate is pure Monte Carlo noise:
-    # 2000 replications put the 1e-3 bound at about 3 standard errors.
+    # buyer's willingness to enter is then priced at its full matching surplus,
+    # so that deviation breaks even.  Every pair is compatible and the block
+    # covers both sellers, so the payoffs are exact and no deviation gains
+    # more than the fee unit a top-ranked participant can shave off.
     inst = build_instance(
         [0.9, 0.8, 0.5], [0.1, 0.2], block_size=2, delay_cost=0.0, fee_unit=1e-6
     )
@@ -323,7 +363,8 @@ def test_verify_psne_accepts_equilibrium():
     report = verify_equilibrium(
         inst, profile, grid_resolution=101, rng_seed=4, psne_replications=2000
     )
-    assert report.max_improvement <= inst.fee_unit + 1e-3
+    assert report.replications == 0
+    assert report.max_improvement <= inst.fee_unit + 1e-9
 
 
 def test_verify_psne_flags_perturbed_profile():
@@ -336,6 +377,64 @@ def test_verify_psne_flags_perturbed_profile():
         inst, broken, grid_resolution=101, rng_seed=4, psne_replications=300
     )
     assert report.max_improvement > 10 * inst.fee_unit
+
+
+def test_verify_psne_chooses_the_evaluator_by_market():
+    # Exact payoffs need zero delay, every pair compatible, a block that covers
+    # the short side and only selfish miners; failing any one, the report is
+    # simulated with the requested replication count.
+    admissible = build_instance([0.9, 0.8, 0.5], [0.1, 0.2], block_size=2, delay_cost=0.0, fee_unit=1e-6)
+    assert verify_equilibrium(admissible, psne(admissible), grid_resolution=5).replications == 0
+    simulated = {
+        "positive delay": build_instance(
+            [0.9, 0.8, 0.5], [0.1, 0.2], block_size=2, delay_cost=0.01, fee_unit=1e-6
+        ),
+        "one incompatible pair": build_instance(
+            [0.9, 0.8, 0.15], [0.1, 0.2], block_size=2, delay_cost=0.0, fee_unit=1e-6
+        ),
+        "block below the short side": admissible.with_block_size(1),
+        "a protocol-following miner": admissible.with_block_size(2, miners_with_protocol_share(0.5)),
+    }
+    for name, inst in simulated.items():
+        report = verify_equilibrium(inst, equilibrium_profile(inst, 0), grid_resolution=5, psne_replications=3)
+        assert report.replications == 3, name
+
+
+def test_simulated_payoffs_agree_with_closed_form():
+    # Inside the closed-form domain the Monte Carlo evaluator estimates the
+    # same payoffs.  Fee ties and a zero fee exercise the tie lottery and the
+    # slot count, unequal quantities the partner average.  A replication's
+    # payoff is 0 or one of the participant's half-surpluses minus the fee, so
+    # half the range of those values bounds its standard deviation; every gap
+    # stays within 4 such standard errors.
+    replications = 100
+    markets = [
+        (build_instance([0.9, 0.8, 0.5], [0.1, 0.2], block_size=2, delay_cost=0.0, fee_unit=1e-6), None),
+        (
+            build_instance([0.95, 0.7], [0.05, 0.3, 0.4], block_size=2, delay_cost=0.0, fee_unit=1e-6,
+                           buy_quantities=[1.0, 2.5], sell_quantities=[2.0, 1.0, 3.0]),
+            FeeProfile(buy_fees=(0.03, 0.0), sell_fees=(0.01, 0.01, 0.01)),
+        ),
+    ]
+    for inst, profile in markets:
+        profile = profile or psne(inst)
+        simulated = _simulated_payoffs(inst, profile, replications, rng_seed=3)
+        exact = _closed_form_payoffs(inst, profile)
+        for side, fees in (("buy", profile.buy_fees), ("sell", profile.sell_fees)):
+            fees = np.asarray(fees)
+            for pid in range(len(fees)):
+                if side == "buy":
+                    halves = [pair_surplus(inst.buyers[pid], s)[0] for s in inst.sellers]
+                else:
+                    halves = [pair_surplus(b, inst.sellers[pid])[1] for b in inst.buyers]
+                others = np.delete(fees, pid)
+                sim, ex = simulated(side, pid, others, 1.0), exact(side, pid, others, 1.0)
+                levels = sorted({0.0, *others})
+                probes = [*levels, *(0.5 * (lo + hi) for lo, hi in zip(levels, levels[1:])), levels[-1] + 0.01]
+                for fee in probes:
+                    outcomes = [0.0, *(h - fee for h in halves)]
+                    stderr = (max(outcomes) - min(outcomes)) / 2 / math.sqrt(replications)
+                    assert abs(sim(fee) - ex(fee)) <= 4 * stderr + 1e-12, (side, pid, fee)
 
 
 def test_verify_psne_reports_displacement_gain_when_delay_positive():

@@ -322,6 +322,15 @@ def test_load_config_b_hi_defaults_to_b_lo(tmp_path):
     assert config.distributions["B"].support == (2.0, 2.0)
 
 
+def test_load_config_rejects_unknown_keys(tmp_path):
+    # A misspelt key would otherwise run the default market silently (d = 0.01 here).
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"delay_cost": 0.5, "Kx": 3, "d": 0.02}), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"unknown config keys \['Kx', 'delay_cost'\]") as info:
+        load_config(str(path))
+    assert "accepted: K, N, rho, d, epsilon, psi, b_lo, b_hi, non_selfish_fraction, quantize_fees, distributions" in str(info.value)
+
+
 def _heterog(**overrides):
     return HarnessConfig(
         delay_cost=0.005,

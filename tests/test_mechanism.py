@@ -40,6 +40,7 @@ def _config(
 def test_complete_information_examples():
     assert optimal_block_size_complete(build_instance([0.9, 0.3], [0.1, 0.5], 1)) == 1
     assert optimal_block_size_complete(build_instance([0.8, 0.6], [0.2, 0.4], 1)) == 2
+    assert optimal_block_size_complete(build_instance([0.1, 0.2, 0.3], [0.5, 0.6, 0.7], 1)) == 1
 
 
 def test_complete_information_matches_linear_scan():
@@ -49,13 +50,12 @@ def test_complete_information_matches_linear_scan():
         r = np.sort(rng.random(k))[::-1]
         c = np.sort(rng.random(n))
         inst = build_instance(r, c, block_size=1)
-        m = min(k, n)
-        scan = m
-        for i in range(m - 1):
-            if r[i] >= c[i] and r[i + 1] < c[i + 1]:
+        scan = 0  # the last rank whose pair is profitable; 0 for a dead market
+        for i in range(min(k, n)):
+            if r[i] >= c[i]:
                 scan = i + 1
-                break
-        assert optimal_block_size_complete(inst) == scan == crossing_index(inst)
+        assert crossing_index(inst) == scan
+        assert optimal_block_size_complete(inst) == max(scan, 1)  # at least one pair per block
 
 
 def test_eta_symmetric_uniform():
