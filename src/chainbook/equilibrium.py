@@ -63,15 +63,6 @@ class ThresholdFees:
     cut_sell: int  # min(ceil(crossing / A) * A, K)
 
 
-def _ranked_side(instance: MarketInstance, side: str) -> tuple[np.ndarray, ...]:
-    """(own values, own quantities, partner values, partner quantities) of one
-    side in rank order: buyers by utility descending, sellers by cost ascending."""
-    b, s = instance.buyer_rank, instance.seller_rank
-    buyers = (instance.utility_array[b], instance.buy_qty_array[b])
-    sellers = (instance.cost_array[s], instance.sell_qty_array[s])
-    return (*buyers, *sellers) if side == "buy" else (*sellers, *buyers)
-
-
 def _average_marginal_surplus(
     marginal_value: float,
     marginal_qty: float,
@@ -95,7 +86,7 @@ def _average_marginal_surplus(
 
 def _side_threshold(instance: MarketInstance, side: str) -> tuple[float, int]:
     """(threshold fee, cut rank) of one side, as laid out in ``threshold_fees``."""
-    own, own_qty, partner, partner_qty = _ranked_side(instance, side)
+    own, own_qty, partner, partner_qty = instance.ranked_sides[side]
     a = instance.block_size
     cut = min(math.ceil(instance.crossing_index / a) * a, len(partner))
     if cut >= len(own):
@@ -141,7 +132,7 @@ def psne(instance: MarketInstance) -> FeeProfile | None:
     top_sell = min(instance.block_size, instance.num_buyers)
     sell[instance.seller_rank[:top_sell]] = fees.sigma_sell + eps
 
-    return FeeProfile(buy_fees=tuple(buy), sell_fees=tuple(sell))
+    return FeeProfile(buy_fees=tuple(buy.tolist()), sell_fees=tuple(sell.tolist()))
 
 
 # Hoeffding: Bin(m, p) lies more than sqrt(22.5 m) from its mean with
@@ -341,14 +332,21 @@ def realize_profile(
     strategies: tuple[MixedStrategy, MixedStrategy],
     rng: np.random.Generator | int | None = None,
 ) -> FeeProfile:
-    """Draw one fee profile: mixers sample their CDF, the rest bid the pure fee."""
+    """Draw one fee profile: mixers sample their CDF, the rest bid the pure fee;
+    one draw, buyers first, and one expectation (the sides share contenders, A
+    and d) give exactly what one ``MixedStrategy.sample`` per side would."""
     rng = np.random.default_rng(rng)
-    buy_strat, sell_strat = strategies
-    buy = np.full(instance.num_buyers, buy_strat.non_mixer_fee)
-    buy[list(buy_strat.mixer_ids)] = buy_strat.sample(rng, len(buy_strat.mixer_ids))
-    sell = np.full(instance.num_sellers, sell_strat.non_mixer_fee)
-    sell[list(sell_strat.mixer_ids)] = sell_strat.sample(rng, len(sell_strat.mixer_ids))
-    return FeeProfile(buy_fees=tuple(buy), sell_fees=tuple(sell))
+    buy, sell = strategies
+    delay = buy.delay_cost * _expected_blocks(
+        1.0 - rng.random(len(buy.mixer_ids) + len(sell.mixer_ids)), buy.contenders - 1, buy.block_size
+    )
+    fees = []
+    for strat, count in zip(strategies, (instance.num_buyers, instance.num_sellers)):
+        terms, delay = delay[: len(strat.mixer_ids)], delay[len(strat.mixer_ids) :]
+        side = np.full(count, strat.non_mixer_fee)
+        side[list(strat.mixer_ids)] = np.clip(strat.target_cost - terms, strat.lower, strat.upper)
+        fees.append(tuple(side.tolist()))
+    return FeeProfile(*fees)
 
 
 def equilibrium_profile(
@@ -557,7 +555,7 @@ def _deviation_report(
 
 def _matching_utilities(instance: MarketInstance, strategy: MixedStrategy) -> np.ndarray:
     """Model expected half-surplus of each mixer against the included other side."""
-    own, own_qty, partner, partner_qty = _ranked_side(instance, strategy.role)
+    own, own_qty, partner, partner_qty = instance.ranked_sides[strategy.role]
     _, cut = _side_threshold(instance, strategy.role)
     return np.array([
         _average_marginal_surplus(own[rank], own_qty[rank], partner[:cut], partner_qty[:cut], strategy.role)
@@ -580,10 +578,7 @@ def _msne_indifference_report(
     """
     grid = np.linspace(strategy.lower, strategy.upper, grid_resolution)
     rivals = strategy.contenders - 1
-    if rivals > 0:
-        panel = strategy.sample(rng, mc_samples * rivals).reshape(mc_samples, rivals)
-    else:
-        panel = np.empty((mc_samples, 0))
+    panel = strategy.sample(rng, mc_samples * rivals).reshape(mc_samples, rivals)  # no draw without rivals
     costs = []
     for fee in grid:
         n_above = np.count_nonzero(panel > fee, axis=1)

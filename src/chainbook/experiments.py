@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -251,6 +250,7 @@ def _run_tasks(threads: int, worker, *iterables) -> list:
     above 1, each taking contiguous chunks: ``worker`` is pickled once per chunk."""
     if threads <= 1:
         return list(map(worker, *iterables))
+    from concurrent.futures import ProcessPoolExecutor  # a one-process run never loads it
     chunksize = max(1, math.ceil(len(iterables[0]) / threads))
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, *iterables, chunksize=chunksize))

@@ -204,15 +204,22 @@ class MarketInstance:
         return _read_only(np.argsort(self.cost_array, kind="stable"))
 
     @cached_property
+    def ranked_sides(self) -> dict[str, tuple[np.ndarray, ...]]:
+        """Per side ("buy", "sell"): own values and quantities, then the partner's, in rank order."""
+        b, s = self.buyer_rank, self.seller_rank
+        buyers = _read_only(self.utility_array[b]), _read_only(self.buy_qty_array[b])
+        sellers = _read_only(self.cost_array[s]), _read_only(self.sell_qty_array[s])
+        return {"buy": (*buyers, *sellers), "sell": (*sellers, *buyers)}
+
+    @cached_property
     def crossing_index(self) -> int:
         """Last rank i with R_(i) >= C_(i); 0 when no rank pair is profitable.
 
         The rank-i utility is nonincreasing and the rank-i cost nondecreasing,
         so the covered ranks form a prefix and the crossing is their count.
         """
-        m = min(self.num_buyers, self.num_sellers)
-        covered = self.utility_array[self.buyer_rank[:m]] >= self.cost_array[self.seller_rank[:m]]
-        return int(np.count_nonzero(covered))
+        utilities, _, costs, _ = self.ranked_sides["buy"]
+        return int(np.count_nonzero(utilities[: len(costs)] >= costs[: len(utilities)]))
 
     @cached_property
     def equilibrium(self):
@@ -240,10 +247,10 @@ class MarketInstance:
     ) -> "MarketInstance":
         """Same market under a different block size (horizon re-derived) and,
         if given, another miner set.  The variant shares this instance's arrays,
-        already checked, its rank arrays and its crossing index, and its
-        equilibrium if already found and the block size is unchanged."""
+        already checked, its rank arrays, ranked sides and crossing index, and
+        its equilibrium if already found and the block size is unchanged."""
         variant = object.__new__(MarketInstance)
-        shared = (*_VALUE_ARRAYS, *_SCALAR_FIELDS, "buyer_rank", "seller_rank", "crossing_index")
+        shared = (*_VALUE_ARRAYS, *_SCALAR_FIELDS, "buyer_rank", "seller_rank", "ranked_sides", "crossing_index")
         variant.__dict__.update({name: getattr(self, name) for name in shared}, block_size=block_size, horizon=None)
         if block_size == self.block_size and "equilibrium" in self.__dict__:
             variant.__dict__["equilibrium"] = self.equilibrium
@@ -482,9 +489,7 @@ def rank_feasible(utilities: np.ndarray, costs: np.ndarray) -> bool:
     c = np.sort(np.asarray(costs, dtype=float))
     if r.shape != c.shape:
         raise ValueError("need equally many utilities and costs")
-    if r.size == 0:
-        return True
-    return bool(np.all(r >= c))
+    return bool(np.all(r >= c))  # True when both are empty
 
 
 def feasible_matching_exists(

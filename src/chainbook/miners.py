@@ -12,7 +12,8 @@ drawn with the miners' power weights; its selection is appended to the chain
 and removed from the pending pool.
 
 Randomness: a play draws from one ``Philox`` generator, keyed from child
-``(0,)`` of the play generator's seed sequence.  Round t (from 0) reads
+``(0,)`` of the play generator's seed sequence (derived once per sequence,
+so plays that rewind one play generator share it).  Round t (from 0) reads
 purpose p (0 fee ties, 1 size ties, 2 pairing, 3 winner) from its window,
 the counter ``(0, 0, p, t)``, so no window's draws move another's: the
 pairing ignores the tie draws, and rounds align across block sizes and
@@ -269,19 +270,20 @@ _FEE_TIES, _SIZE_TIES, _PAIRING, _WINNER = range(4)
 class _Windows:
     """The keyed draws of one play: ``windows(t, p)`` is one generator reset
     to ``Generator(Philox(key=key, counter=(0, 0, p, t)))``, where ``key`` is
-    that of a ``Philox`` seeded with child ``(0,)`` of rng's seed sequence."""
+    that of a ``Philox`` seeded with child ``(0,)`` of rng's seed sequence.
+    ``_last`` holds the last sequence keyed, by strong reference (so identity
+    cannot match a recycled object), with its generator and fresh state."""
 
     __slots__ = ("_generator", "_state")
+    _last: tuple = (None, None, None)
 
     def __init__(self, rng: np.random.Generator | int | None) -> None:
         seq = np.random.default_rng(rng).bit_generator.seed_seq
-        entropy = seq.entropy
-        if isinstance(entropy, list) and all(0 <= word < 2**32 for word in entropy):
-            # The words SeedSequence would make of the list, without its per-entry coercion.
-            entropy = np.array(entropy, dtype=np.uint32)
-        child = np.random.SeedSequence(entropy, spawn_key=(*seq.spawn_key, 0), pool_size=seq.pool_size)
-        self._generator = np.random.Generator(np.random.Philox(child))
-        self._state = self._generator.bit_generator.state  # a fresh state: nothing buffered
+        if seq is not _Windows._last[0]:
+            child = np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, 0), pool_size=seq.pool_size)
+            generator = np.random.Generator(np.random.Philox(child))
+            _Windows._last = seq, generator, generator.bit_generator.state  # a fresh state: nothing buffered
+        _, self._generator, self._state = _Windows._last
 
     @classmethod
     def of(cls, rng) -> "_Windows":

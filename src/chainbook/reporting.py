@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from importlib import metadata
 
 __all__ = ["emit_report", "report_payload", "result_row", "CSV_COLUMNS"]
 
@@ -51,10 +50,9 @@ def result_row(
 
 
 def _version() -> str:
-    try:
-        return metadata.version("chainbook")
-    except metadata.PackageNotFoundError:  # pragma: no cover
-        return "0.0.0+local"
+    """``chainbook.__version__``, read without the packaging metadata."""
+    from . import __version__  # the package is loaded by the time a report is written
+    return __version__
 
 
 def report_payload(results: list[dict], config: dict, seed: int) -> dict:

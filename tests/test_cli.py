@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,7 +57,14 @@ def test_emit_report_json_roundtrip():
     assert payload["results"] == rows
     assert payload["seed"] == 7
     assert payload["config"] == {"K": 2}
-    assert payload["version"].startswith("chainbook-")
+    assert payload["version"] == f"chainbook-{chainbook.__version__}"
+
+
+def test_pyproject_version_is_the_package_version():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project, re.MULTILINE) == [chainbook.__version__]
 
 
 def test_emit_report_csv_shape():
@@ -181,15 +189,23 @@ def test_cli_non_selfish_flag_overrides_config(tmp_path):
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats takes about 0.5 s to import; only beta and lognormal
-    # distributions need it, and they load it when built.
+    # distributions need it, and they load it when built.  The process pool
+    # loads only for --threads above 1, and the report version is read
+    # without the packaging metadata, so a one-process run loads neither.
     config = tmp_path / "beta.json"
     config.write_text(json.dumps({"distributions": {"R": {"kind": "beta", "a": 2.0, "b": 3.0}}}),
                       encoding="utf-8")
+    args = ["experiment", "--scenario", "mechanism_comparison", "--sellers", "6", "--replications", "2",
+            "--non-selfish", "0.3", "--threads", "1", "--out", str(tmp_path / "out.json")]
     code = (
         "import sys\n"
         "import numpy as np\n"
         "import chainbook.cli\n"
-        "assert 'scipy.stats' not in sys.modules\n"
+        "unwanted = ('scipy.stats', 'concurrent.futures.process', 'multiprocessing', 'importlib.metadata')\n"
+        "loaded = lambda: [m for m in unwanted if m in sys.modules]\n"
+        "assert loaded() == [], loaded()\n"
+        f"assert chainbook.cli.main({args!r}) == 0\n"
+        "assert loaded() == [], loaded()\n"
         "from chainbook.experiments import load_config\n"
         f"x = load_config({str(config)!r}).distributions['R'].sample(np.random.default_rng(0), 50)\n"
         "assert x.shape == (50,) and 0.0 <= x.min() and x.max() <= 1.0 and x.std() > 0\n"

@@ -1,6 +1,7 @@
 """Equilibrium tests: crossing index, thresholds, pure/mixed profiles, verification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -489,3 +490,44 @@ def test_realize_profile_sets_all_fees():
         assert buy.lower <= profile.buy_fees[pid] <= buy.upper
     for pid in sell.mixer_ids:
         assert sell.lower <= profile.sell_fees[pid] <= sell.upper
+
+
+def _per_side_profile(instance, strategies, seed):
+    """Each side's mixers drawn by its own ``MixedStrategy.sample``, buyers first."""
+    rng = np.random.default_rng(seed)
+    sides = []
+    for strat, count in zip(strategies, (instance.num_buyers, instance.num_sellers)):
+        fees = np.full(count, strat.non_mixer_fee)
+        fees[list(strat.mixer_ids)] = strat.sample(rng, len(strat.mixer_ids))
+        sides.append(tuple(fees.tolist()))
+    return FeeProfile(*sides)
+
+
+def test_realize_profile_equals_per_side_samples():
+    # One draw and one expectation for both sides give exactly the two
+    # per-side draws, on small markets (K != N, d = 0 included), on large ones
+    # (the windowed binomial tail), and with fewer rivals than A.
+    rng = np.random.default_rng(2024)
+    seen = {"small": 0, "large": 0, "few_rivals": 0, "zero_delay": 0, "unequal": 0}
+    cases = 0
+    while cases < 1000:
+        large = cases % 10 == 0
+        k, n = (int(rng.integers(150, 320)), int(rng.integers(150, 320))) if large else (
+            int(rng.integers(2, 13)), int(rng.integers(2, 13)))
+        inst = build_instance(rng.random(k), rng.random(n), block_size=1,
+                              delay_cost=0.0 if rng.random() < 0.25 else float(rng.uniform(0.001, 0.1)))
+        if inst.crossing_index < 2:
+            continue
+        inst = inst.with_block_size(int(rng.integers(1, inst.crossing_index)))
+        strategies = msne(inst)
+        if rng.random() < 0.2:
+            contenders = int(rng.integers(1, inst.block_size + 1))
+            strategies = tuple(replace(s, contenders=contenders) for s in strategies)
+            seen["few_rivals"] += 1
+        seed = int(rng.integers(2**32))
+        assert realize_profile(inst, strategies, seed) == _per_side_profile(inst, strategies, seed)
+        cases += 1
+        seen["large" if large else "small"] += 1
+        seen["zero_delay"] += inst.delay_cost == 0.0
+        seen["unequal"] += k != n
+    assert min(seen.values()) >= 50, seen

@@ -222,6 +222,23 @@ def test_rank_and_quantity_arrays_are_built_once_per_population():
     assert inst.sell_quantities().tolist() == [1.0, 1.0, 1.0]
 
 
+def test_variants_share_the_ranked_arrays():
+    rng = np.random.default_rng(12)
+    inst = build_instance(rng.random(7), rng.random(5), block_size=3, buy_quantities=1 + rng.integers(0, 3, 7))
+    b, s = inst.buyer_rank, inst.seller_rank
+    buyers = [inst.utility_array[b].tolist(), inst.buy_qty_array[b].tolist()]
+    sellers = [inst.cost_array[s].tolist(), inst.sell_qty_array[s].tolist()]
+    ranked = inst.ranked_sides
+    assert [a.tolist() for a in ranked["buy"]] == buyers + sellers
+    assert [a.tolist() for a in ranked["sell"]] == sellers + buyers
+    for variant in (inst.with_block_size(1), inst.with_block_size(3, miners_with_protocol_share(0.5))):
+        assert variant.ranked_sides is ranked
+        assert variant.with_block_size(2).ranked_sides is ranked
+    for array in ranked["buy"]:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 def test_ranks_equal_lexsort_by_position():
     # With positions as ids, a stable argsort is the (value, id) lexsort.
     rng = np.random.default_rng(8)

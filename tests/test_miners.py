@@ -567,7 +567,7 @@ def test_windows_are_fresh_keyed_philox_generators():
         lambda: np.random.SeedSequence(5),
         lambda: np.random.SeedSequence([3, 9]).spawn(3)[2],
         lambda: np.random.SeedSequence(123, pool_size=8),
-        lambda: np.random.SeedSequence([0, 2**32 - 1]),  # list entropy of 32-bit words: the uint32 shortcut
+        lambda: np.random.SeedSequence([0, 2**32 - 1]),  # list entropy of 32-bit words
         lambda: np.random.SeedSequence([2**40, 3]),
         lambda: np.random.SeedSequence(2**127 + 2**64 + 7),
         lambda: np.random.SeedSequence(0),
@@ -609,6 +609,50 @@ def test_play_builds_one_bit_generator(monkeypatch):
     trace = run_horizon(inst, profile, np.random.default_rng(3))
     assert len(trace.rounds) == 3
     assert built == {"Philox": 1, "SeedSequence": 1}
+
+
+def _key(seq):
+    """The Philox key of the plays drawn from seed sequence ``seq``."""
+    return np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, 0), pool_size=seq.pool_size).generate_state(
+        2, np.uint64
+    )
+
+
+def test_key_cache_gives_the_same_play_cold_and_warm(monkeypatch):
+    inst = build_instance([0.9, 0.8, 0.7, 0.6, 0.5, 0.4], [0.1, 0.2, 0.3, 0.1, 0.2, 0.3], block_size=2,
+                          miners=miners_with_protocol_share(0.3))
+    profile = FeeProfile(buy_fees=(0.2,) * 6, sell_fees=(0.1,) * 6)
+    play = np.random.default_rng(3)
+    monkeypatch.setattr(miners_module._Windows, "_last", (None, None, None))
+    cold = run_horizon(inst, profile, play)
+    built = Counter()
+    real_philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.update(["Philox"]) or real_philox(*a, **k))
+    warm = run_horizon(inst, profile, play)  # the same seed sequence: no new key
+    assert built == {} and warm == cold
+    assert run_horizon(inst, profile, np.random.default_rng(3)) == cold  # an equal sequence, keyed afresh
+    assert built == {"Philox": 1}
+
+
+def test_key_cache_follows_the_seed_sequence():
+    # Interleaved sequences, and int or None seeds (a new sequence per call),
+    # each read the windows of their own key.
+    first, second = np.random.SeedSequence(11), np.random.SeedSequence([11, 1])
+    plays = [np.random.default_rng(first), np.random.default_rng(second)] * 2 + [7, 7, 8, None, None]
+    keys = []
+    for play in plays:
+        windows = _Windows(play)
+        seq = miners_module._Windows._last[0]
+        if isinstance(play, np.random.Generator):
+            assert seq is play.bit_generator.seed_seq
+        elif play is not None:
+            assert seq.entropy == play
+        key = _key(seq)
+        keys.append(key.tolist())
+        for t, p in ((0, 0), (3, 2), (1, 3)):
+            assert windows(t, p).random(4).tolist() == _window(key, t, p).random(4).tolist()
+    assert keys[0] == keys[2] != keys[1] == keys[3]
+    assert keys[4] == keys[5] != keys[6] and keys[7] != keys[8]
 
 
 def test_run_horizon_matches_window_reference():
