@@ -2,27 +2,13 @@
 
 Buyers and sellers set transaction fees; fee-maximizing miners match and
 confirm them under a block-size cap; a system designer tunes that cap to
-protect social welfare.  The package provides the market model, the miner
-engine, the fee-setting equilibria, welfare accounting with an exact
-optimum oracle, block-size mechanisms, and a reproducible experiment
-harness with a CLI.
+protect social welfare.  The package provides the market model (each side
+as value and quantity arrays), the miner engine, the fee-setting
+equilibria, welfare accounting with an exact optimum oracle, block-size
+mechanisms, and a reproducible experiment harness with a CLI.
 """
 
-from .market import (
-    Buyer,
-    FeeProfile,
-    MarketInstance,
-    MatchTrace,
-    Miner,
-    MinerPolicy,
-    Seller,
-    build_instance,
-    buyer_payoff,
-    feasible_matching_exists,
-    miner_round_payoff,
-    pair_surplus,
-    seller_payoff,
-)
+from .market import FeeProfile, MarketInstance, MatchTrace, Miner, MinerPolicy, build_instance
 from .miners import PendingPool, Selection, recommend_matching, run_horizon, run_round, selfish_select
 from .equilibrium import (
     MixedStrategy,
@@ -54,19 +40,12 @@ from .datasets import OrderDataset, ingest_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "Buyer",
-    "Seller",
     "Miner",
     "MinerPolicy",
     "MarketInstance",
     "FeeProfile",
     "MatchTrace",
     "build_instance",
-    "pair_surplus",
-    "buyer_payoff",
-    "seller_payoff",
-    "miner_round_payoff",
-    "feasible_matching_exists",
     "PendingPool",
     "Selection",
     "selfish_select",

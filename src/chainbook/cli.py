@@ -114,7 +114,12 @@ def _write(args, rows: list[dict], config: xp.HarnessConfig | None) -> None:
 def _cmd_ingest(args) -> None:
     column_map = None
     if args.columns:
-        column_map = dict(pair.split("=", 1) for pair in args.columns.split(","))
+        column_map = {}
+        for pair in args.columns.split(","):
+            logical, sep, header = pair.partition("=")
+            if not sep:
+                raise ValueError(f"--columns pair {pair!r} is not of the form logical=Header")
+            column_map[logical] = header
     ds = ingest_csv(args.input, column_map=column_map)
     row = result_row(
         "ingest", "dataset", len(ds), len(ds),

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import FeeProfile, MarketInstance, MinerPolicy, pair_surplus
-from .miners import run_horizon
+from .market import FeeProfile, MarketInstance, MinerPolicy
+from .miners import _Windows, run_horizon
 
 __all__ = [
     "crossing_index",
@@ -390,20 +390,26 @@ class IndifferenceReport:
     samples: int
 
 
-def _half_surplus(instance: MarketInstance, side: str, pid: int, partner: int) -> float:
-    """The half-surplus participant ``pid`` of ``side`` earns trading with ``partner``."""
+def _half_surpluses(instance: MarketInstance, side: str, pid: int) -> list[float]:
+    """The half-surplus participant ``pid`` of ``side`` earns trading with each
+    partner: min(b, q) units at the mid price (R + C) / 2, so R - (R + C) / 2
+    per unit for a buyer and (R + C) / 2 - C for a seller."""
     if side == "buy":
-        return pair_surplus(instance.buyers[pid], instance.sellers[partner])[0]
-    return pair_surplus(instance.buyers[partner], instance.sellers[pid])[1]
+        r, b = instance.utility_array[pid], instance.buy_qty_array[pid]
+        c, q = instance.cost_array, instance.sell_qty_array
+        return (np.minimum(b, q) * (r - (r + c) / 2.0)).tolist()
+    r, b = instance.utility_array, instance.buy_qty_array
+    c, q = instance.cost_array[pid], instance.sell_qty_array[pid]
+    return (np.minimum(b, q) * ((r + c) / 2.0 - c)).tolist()
 
 
-def _participant_outcome(trace, instance, side: str, pid: int) -> tuple[bool, float, int]:
+def _participant_outcome(trace, side: str, pid: int, half_surpluses: list[float]) -> tuple[bool, float, int]:
     """(matched, realized half-surplus, inclusion block) for one participant."""
     column = 0 if side == "buy" else 1
     for rec in trace.rounds:
         for pair in rec.pairs:
             if pair[column] == pid:
-                return True, _half_surplus(instance, side, pid, pair[1 - column]), rec.block
+                return True, half_surpluses[pair[1 - column]], rec.block
     return False, 0.0, 0
 
 
@@ -432,22 +438,23 @@ def _simulated_payoffs(instance: MarketInstance, profile: FeeProfile, replicatio
     Common random numbers across bands make equal-outcome comparisons exact.
     """
     d = instance.delay_cost
-    # One keyed seed per replication, rebuilt for every fee band: a play's
-    # draws are keyed by its seed sequence, so each band replays the same
-    # replications (common random numbers) and replications differ.
-    seed_keys = [(rng_seed, rep) for rep in range(replications)]
+    # One keyed play per replication, its windows built once and replayed in
+    # every fee band: a play's draws are keyed by its seed sequence, so each
+    # band replays the same replications (common random numbers) and
+    # replications differ.
+    plays = [_Windows(np.random.SeedSequence([rng_seed, rep])) for rep in range(replications)]
 
     def payoffs(side: str, pid: int, others: np.ndarray, span: float):
+        halves = _half_surpluses(instance, side, pid)
         levels = [0.0, *sorted({f for f in others if f > 0.0})]
         stats = []  # per band: (P(matched), E[matched * (surplus - delay)])
         for probe in _class_representatives(levels, span):
             devp = profile.with_buy_fee(pid, probe) if side == "buy" else profile.with_sell_fee(pid, probe)
             matched_sum = 0.0
             value_sum = 0.0
-            for key in seed_keys:
-                rng = np.random.default_rng(np.random.SeedSequence(list(key)))
-                trace = run_horizon(instance, devp, rng)
-                matched, surplus, block = _participant_outcome(trace, instance, side, pid)
+            for windows in plays:
+                trace = run_horizon(instance, devp, windows)
+                matched, surplus, block = _participant_outcome(trace, side, pid, halves)
                 if matched:
                     matched_sum += 1.0
                     value_sum += surplus - (block - 1) * d
@@ -507,9 +514,8 @@ def _closed_form_payoffs(instance: MarketInstance, profile: FeeProfile):
         for j in partner_active:
             rivals = partner_fees[partner_active[partner_active != j]]
             partner_in[j] = _inclusion_probability(partner_fees[j], rivals, matched)
-        surpluses = np.array([_half_surplus(instance, side, pid, j) for j in range(len(partner_fees))])
         # With nobody to match (matched 0) every payoff is 0 and this goes unread.
-        expected_surplus = float(np.dot(partner_in, surpluses)) / max(matched, 1)
+        expected_surplus = float(np.dot(partner_in, _half_surpluses(instance, side, pid))) / max(matched, 1)
 
         def payoff(fee: float) -> float:
             p_in = _inclusion_probability(fee, own_active, matched)

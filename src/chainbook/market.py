@@ -1,4 +1,4 @@
-"""Core market model: participants, payoffs, and matching feasibility.
+"""Core market model: value arrays, miners, fee profiles and match traces.
 
 Buyers post purchase orders (per-unit utility R in [0, 1], quantity b) and
 sellers post sale orders (per-unit cost C in [0, 1], quantity q).  A matched
@@ -8,12 +8,11 @@ to ``block_size`` pairs; a transaction confirmed in block l bears a delay
 cost of (l - 1) * d.
 
 A ``MarketInstance`` stores each side as read-only value arrays, checked
-once: utilities and buy quantities, costs and sell quantities.  A
-participant's position is its id, and the engine indexes by it: fee
-profiles, pending pools, selections, pairings, mixer sets and the value,
-quantity and rank arrays all use positions.  ``MarketInstance.buyers`` and
-``.sellers`` are tuples of ``Buyer``/``Seller`` (id = position) built from the
-arrays on first read; the engine reads the arrays and builds none.
+once: utilities and buy quantities, costs and sell quantities.  They are the
+only representation of the participants.  A participant's position is its
+id, and the engine indexes by it: fee profiles, pending pools, selections,
+pairings, mixer sets and the value, quantity and rank arrays all use
+positions.
 
 All types are immutable after construction and all operations are pure
 functions, so they are safe to use concurrently without coordination.
@@ -25,25 +24,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "MinerPolicy",
-    "Buyer",
-    "Seller",
     "Miner",
     "MarketInstance",
     "FeeProfile",
     "RoundRecord",
     "MatchTrace",
-    "pair_surplus",
-    "buyer_payoff",
-    "seller_payoff",
-    "miner_round_payoff",
     "rank_feasible",
-    "feasible_matching_exists",
     "build_instance",
     "single_selfish_miner",
     "miners_with_protocol_share",
@@ -55,36 +47,6 @@ class MinerPolicy(Enum):
 
     SELFISH = "selfish"
     PROTOCOL_FOLLOWING = "protocol_following"
-
-
-@dataclass(frozen=True)
-class Buyer:
-    """A buy order: per-unit utility ``utility`` for ``quantity`` units."""
-
-    id: int
-    utility: float
-    quantity: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.utility <= 1.0:
-            raise ValueError(f"buyer {self.id}: utility {self.utility} outside [0, 1]")
-        if not self.quantity > 0.0:  # NaN too
-            raise ValueError(f"buyer {self.id}: quantity must be positive")
-
-
-@dataclass(frozen=True)
-class Seller:
-    """A sell order: per-unit cost ``cost`` for ``quantity`` units."""
-
-    id: int
-    cost: float
-    quantity: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.cost <= 1.0:
-            raise ValueError(f"seller {self.id}: cost {self.cost} outside [0, 1]")
-        if not self.quantity > 0.0:  # NaN too
-            raise ValueError(f"seller {self.id}: quantity must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,10 +67,9 @@ class MarketInstance:
     """A complete market parameterization.
 
     Each side is two read-only float arrays indexed by position: utilities
-    and buy quantities, costs and sell quantities.  They are checked once, as
-    ``Buyer``/``Seller`` check one participant, and ``with_block_size``
-    variants share them.  The ``buyers`` and ``sellers`` tuples are built from
-    them on first read.
+    and buy quantities, costs and sell quantities.  They are checked once
+    (values in [0, 1], quantities positive), and ``with_block_size`` variants
+    share them.
 
     ``block_size`` counts buyer/seller *pairs* per block (2A transactions).
     With ``quantize_fees`` every play rounds its equilibrium fees to whole
@@ -171,17 +132,6 @@ class MarketInstance:
             == tuple(getattr(other, n) for n in _SCALAR_FIELDS)
         )
 
-    # Built from the arrays on first read, never by the engine.
-    @cached_property
-    def buyers(self) -> tuple[Buyer, ...]:
-        """Buyer i has id i and row i of the buyer arrays."""
-        return tuple(map(Buyer, range(self.num_buyers), self.utility_array.tolist(), self.buy_qty_array.tolist()))
-
-    @cached_property
-    def sellers(self) -> tuple[Seller, ...]:
-        """Seller j has id j and row j of the seller arrays."""
-        return tuple(map(Seller, range(self.num_sellers), self.cost_array.tolist(), self.sell_qty_array.tolist()))
-
     @property
     def num_buyers(self) -> int:
         return len(self.utility_array)
@@ -191,16 +141,15 @@ class MarketInstance:
         return len(self.cost_array)
 
     # Built on first use and shared with every with_block_size variant, the
-    # arrays read-only.  The engine reads the arrays directly; utilities(),
-    # costs() and the quantity getters hand out copies.
+    # arrays read-only.
     @cached_property
     def buyer_rank(self) -> np.ndarray:
-        """Buyer positions by utility descending, ties by position."""
+        """The buyers' positions by utility descending, ties by position."""
         return _read_only(np.argsort(-self.utility_array, kind="stable"))
 
     @cached_property
     def seller_rank(self) -> np.ndarray:
-        """Seller positions by cost ascending, ties by position."""
+        """The sellers' positions by cost ascending, ties by position."""
         return _read_only(np.argsort(self.cost_array, kind="stable"))
 
     @cached_property
@@ -229,18 +178,6 @@ class MarketInstance:
         from .equilibrium import msne, psne
 
         return psne(self) or msne(self)
-
-    def utilities(self) -> np.ndarray:
-        return self.utility_array.copy()
-
-    def buy_quantities(self) -> np.ndarray:
-        return self.buy_qty_array.copy()
-
-    def costs(self) -> np.ndarray:
-        return self.cost_array.copy()
-
-    def sell_quantities(self) -> np.ndarray:
-        return self.sell_qty_array.copy()
 
     def with_block_size(
         self, block_size: int, miners: Sequence[Miner] | None = None
@@ -277,8 +214,8 @@ def _value_array(values) -> np.ndarray:
 
 
 def _side_arrays(values, quantities, role: str, value_name: str) -> tuple[np.ndarray, np.ndarray]:
-    """One side's value and quantity arrays, checked as ``Buyer``/``Seller`` check
-    one participant; the error names the first bad position."""
+    """One side's value and quantity arrays, checked: values in [0, 1] and
+    quantities positive; the error names the first bad position."""
     values, quantities = _value_array(values), _value_array(quantities)
     if values.ndim != 1 or values.shape != quantities.shape:
         raise ValueError(
@@ -425,60 +362,6 @@ class MatchTrace:
                     )
 
 
-def pair_surplus(buyer: Buyer, seller: Seller) -> tuple[float, float, float]:
-    """Surpluses of a matched pair trading min(b, q) units at the mid price.
-
-    Returns ``(buy_surplus, sell_surplus, trade_qty)``.  The two surpluses
-    always sum to ``trade_qty * (R - C)`` exactly: the mid price splits the
-    gain from trade equally.
-    """
-    qty = min(buyer.quantity, seller.quantity)
-    mid = (buyer.utility + seller.cost) / 2.0
-    return qty * (buyer.utility - mid), qty * (mid - seller.cost), qty
-
-
-def buyer_payoff(
-    buyer: Buyer,
-    fee: float,
-    matched: bool,
-    inclusion_block: int | None = None,
-    paired_seller: Seller | None = None,
-    delay_cost: float = 0.0,
-) -> float:
-    """Realized payoff of a buyer: surplus minus fee minus per-block delay.
-
-    An unmatched buyer pays nothing and bears no delay, so the payoff is 0.
-    """
-    if not matched:
-        return 0.0
-    if inclusion_block is None or paired_seller is None:
-        raise ValueError("matched buyer needs an inclusion block and a paired seller")
-    surplus, _, _ = pair_surplus(buyer, paired_seller)
-    return surplus - fee - (inclusion_block - 1) * delay_cost
-
-
-def seller_payoff(
-    seller: Seller,
-    fee: float,
-    matched: bool,
-    inclusion_block: int | None = None,
-    paired_buyer: Buyer | None = None,
-    delay_cost: float = 0.0,
-) -> float:
-    """Mirror of :func:`buyer_payoff` with the seller-side surplus."""
-    if not matched:
-        return 0.0
-    if inclusion_block is None or paired_buyer is None:
-        raise ValueError("matched seller needs an inclusion block and a paired buyer")
-    _, surplus, _ = pair_surplus(paired_buyer, seller)
-    return surplus - fee - (inclusion_block - 1) * delay_cost
-
-
-def miner_round_payoff(selected_fees: Iterable[float], power: float) -> float:
-    """Expected fee revenue of one miner for one block: power * sum(fees)."""
-    return power * math.fsum(selected_fees)
-
-
 def rank_feasible(utilities: np.ndarray, costs: np.ndarray) -> bool:
     """True iff equal-size value arrays admit a perfect matching with R >= C.
 
@@ -490,14 +373,3 @@ def rank_feasible(utilities: np.ndarray, costs: np.ndarray) -> bool:
     if r.shape != c.shape:
         raise ValueError("need equally many utilities and costs")
     return bool(np.all(r >= c))  # True when both are empty
-
-
-def feasible_matching_exists(
-    buyer_utils: Sequence[float], seller_costs: Sequence[float]
-) -> bool:
-    """True iff a one-to-one matching with R >= C on every pair exists."""
-    if len(buyer_utils) != len(seller_costs):
-        raise ValueError(
-            f"length mismatch: {len(buyer_utils)} utilities vs {len(seller_costs)} costs"
-        )
-    return rank_feasible(np.asarray(buyer_utils), np.asarray(seller_costs))

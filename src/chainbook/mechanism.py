@@ -152,6 +152,8 @@ def capped_search_report(
     """
     if max_block_size < 1:
         raise ValueError("max_block_size must be >= 1")
+    if mc_replications < 1:
+        raise ValueError("mc_replications must be >= 1")
     sizes = list(range(1, max_block_size + 1))
     samples: list[list[float]] = [[] for _ in sizes]
     optima = []

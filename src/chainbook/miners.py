@@ -634,9 +634,10 @@ def run_horizon(
     """Simulate rounds 1..T (stopping early once nothing more can be included).
 
     Every round reads its windows of one ``Philox`` generator keyed from
-    rng's seed sequence, not its state: one play per seed.
+    rng's seed sequence, not its state: one play per seed.  ``rng`` may also
+    be a play's windows, built once and replayed.
     """
-    windows = _Windows(rng)
+    windows = _Windows.of(rng)
     pool = PendingPool.from_instance(instance, profile)
     rounds: list[RoundRecord] = []
     for round_number in range(instance.horizon):

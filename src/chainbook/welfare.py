@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import (
-    FeeProfile,
-    MarketInstance,
-    MatchTrace,
-    build_instance,
-    miner_round_payoff,
-)
+from .market import FeeProfile, MarketInstance, MatchTrace, build_instance
 from .miners import max_weight_assignment, run_horizon
 from . import equilibrium as eq
 
@@ -46,16 +40,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WelfareReport:
-    """Realized welfare, its components, and (optionally) the optimum and ratio.
+    """Realized welfare and (optionally) the optimum and ratio.
 
     ``ratio`` is the anarchy-style quotient sw_opt / sw (>= 1 on-model); the
     harness separately reports the performance quotient sw / sw_opt (<= 1).
     """
 
     sw: float
-    matched_surplus: float
-    delay_total: float
-    fee_total: float
     sw_opt: float | None = None
     ratio: float | None = None
     sw_stderr: float = 0.0
@@ -68,37 +59,25 @@ def social_welfare(
 
     The winning miner of each round collects exactly the fees the matched
     participants pay, so the fee terms cancel and sw also equals matched
-    surplus minus both sides' delay costs (reported as components).
+    surplus minus both sides' delay costs.
     """
     flat = [x for rec in trace.rounds for b, s in rec.pairs for x in (rec.block, b, s)]
     blocks, b, s = np.array(flat, dtype=np.intp).reshape(-1, 3).T
     r, c = instance.utility_array[b], instance.cost_array[s]
     qty = np.minimum(instance.buy_qty_array[b], instance.sell_qty_array[s])
     mid = (r + c) / 2.0
-    d = instance.delay_cost
-    delay = (blocks - 1) * d
-    # buyer_payoff + seller_payoff of every pair, element by element.
+    delay = (blocks - 1) * instance.delay_cost
+    # The buyer's and the seller's payoff of every pair, element by element.
     payoffs = (qty * (r - mid) - np.asarray(profile.buy_fees, dtype=float)[b] - delay) + (
         qty * (mid - c) - np.asarray(profile.sell_fees, dtype=float)[s] - delay
     )
     # The winner of each round collects exactly that block's fees.
     block_fees = [
-        miner_round_payoff([profile.buy_fees[i] for i, _ in rec.pairs]
-                           + [profile.sell_fees[j] for _, j in rec.pairs], 1.0)
+        math.fsum([profile.buy_fees[i] for i, _ in rec.pairs] + [profile.sell_fees[j] for _, j in rec.pairs])
         for rec in trace.rounds
     ]
-    # fsum is correctly rounded, so the order of its terms does not matter;
-    # the components keep their left-to-right accumulation.
-    sw = math.fsum(payoffs.tolist() + block_fees)
-    fee_total = surplus_total = delay_total = 0.0
-    for fees in block_fees:
-        fee_total += fees
-    for surplus, delay_cost in zip((qty * (r - c)).tolist(), (2 * (blocks - 1) * d).tolist()):
-        surplus_total += surplus
-        delay_total += delay_cost
-    return WelfareReport(
-        sw=sw, matched_surplus=surplus_total, delay_total=delay_total, fee_total=fee_total
-    )
+    # fsum is correctly rounded, so the order of its terms does not matter.
+    return WelfareReport(sw=math.fsum(payoffs.tolist() + block_fees))
 
 
 def simulate_once(instance: MarketInstance, rng: np.random.Generator) -> WelfareReport:
@@ -173,13 +152,12 @@ def performance_ratio(
     and reports the mean realized welfare, the optimum, and their quotient.
     A nonpositive mean with a positive optimum is flagged as an infinite ratio.
     """
+    if mc_replications < 1:
+        raise ValueError("mc_replications must be >= 1")
     inst = instance.with_block_size(mechanism_block_size)
     sw_opt = social_optimum(inst)
     seeds = np.random.SeedSequence(rng_seed).spawn(mc_replications)
-    reports = [simulate_once(inst, np.random.default_rng(seed)) for seed in seeds]
-    samples = [rep.sw for rep in reports]
-
-    n = len(samples)
+    samples = [simulate_once(inst, np.random.default_rng(seed)).sw for seed in seeds]
     sw_mean, stderr = mean_stderr(samples)
     if sw_mean > 0.0:
         ratio = sw_opt / sw_mean
@@ -187,15 +165,7 @@ def performance_ratio(
         ratio = 1.0  # nothing tradable: both sides of the quotient vanish
     else:
         ratio = math.inf
-    return WelfareReport(
-        sw=sw_mean,
-        matched_surplus=sum(rep.matched_surplus for rep in reports) / n,
-        delay_total=sum(rep.delay_total for rep in reports) / n,
-        fee_total=sum(rep.fee_total for rep in reports) / n,
-        sw_opt=sw_opt,
-        ratio=ratio,
-        sw_stderr=stderr,
-    )
+    return WelfareReport(sw=sw_mean, sw_opt=sw_opt, ratio=ratio, sw_stderr=stderr)
 
 
 def unbounded_poa_witness(

@@ -116,12 +116,12 @@ def test_c3_unbounded_ratio_witnesses():
     high, low = unbounded_poa_witness(target)
 
     high_report = performance_ratio(high, high.block_size, mc_replications=4, rng_seed=3)
-    r1, r2 = (b.utility for b in high.buyers)
-    c1, c2 = (s.cost for s in high.sellers)
+    r1, r2 = high.utility_array.tolist()
+    c1, c2 = high.cost_array.tolist()
     closed_high = (r1 - c1) / (r1 + r2 - c1 - c2)
 
     low_report = performance_ratio(low, low.block_size, mc_replications=4, rng_seed=3)
-    total = sum(b.utility for b in low.buyers) - sum(s.cost for s in low.sellers)
+    total = sum(low.utility_array.tolist()) - sum(low.cost_array.tolist())
     closed_low = total / (total - 2 * low.delay_cost)
 
     ok = (
@@ -222,9 +222,9 @@ def _brute_force_best_fee(inst, pool):
     for size in range(1, min(inst.block_size, len(buyers), len(sellers)) + 1):
         for bs in itertools.combinations(buyers, size):
             fee_b = sum(pool.buy_fees[b] for b in bs)
-            utils = np.array([inst.buyers[b].utility for b in bs])
+            utils = inst.utility_array[list(bs)]
             for ss in itertools.combinations(sellers, size):
-                costs = np.array([inst.sellers[s].cost for s in ss])
+                costs = inst.cost_array[list(ss)]
                 if rank_feasible(utils, costs):
                     best = max(best, fee_b + sum(pool.sell_fees[s] for s in ss))
     return best
@@ -392,6 +392,8 @@ def test_c9_quantile_solver_and_block_arithmetic():
 # -----------------------------------------------------------------------
 def _permutation_optimum(inst):
     k, n = inst.num_buyers, inst.num_sellers
+    r, c = inst.utility_array.tolist(), inst.cost_array.tolist()
+    bq, sq = inst.buy_qty_array.tolist(), inst.sell_qty_array.tolist()
     big = max(k, n)
     buyers = list(range(k)) + [None] * (big - k)
     sellers = list(range(n)) + [None] * (big - n)
@@ -401,9 +403,8 @@ def _permutation_optimum(inst):
         for b, s in zip(buyers, perm):
             if b is None or s is None:
                 continue
-            buyer, seller = inst.buyers[b], inst.sellers[s]
-            if buyer.utility >= seller.cost:
-                gain = min(buyer.quantity, seller.quantity) * (buyer.utility - seller.cost)
+            if r[b] >= c[s]:
+                gain = min(bq[b], sq[s]) * (r[b] - c[s])
                 total += max(gain, 0.0)
         best = max(best, total)
     return best

@@ -95,6 +95,13 @@ def test_cli_ingest(tmp_path):
     assert set(row["distributions"]) == {"R", "C", "B", "Q"}
 
 
+def test_cli_ingest_rejects_a_malformed_column_pair(tmp_path):
+    data = tmp_path / "orders.csv"
+    data.write_text(CSV_TEXT, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape("--columns pair 'bid_price' is not of the form logical=Header")):
+        main(["ingest", "--input", str(data), "--columns", "bid_qty=bid_qty,bid_price", "--out", str(tmp_path / "o")])
+
+
 def test_cli_equilibrium(tmp_path, config_path):
     text = _run(tmp_path, "equilibrium", "--config", config_path, "--seed", "3")
     row = json.loads(text)["results"][0]
@@ -118,6 +125,15 @@ def test_cli_mechanism_with_cap(tmp_path, config_path):
     assert {"abs_distributional", "abs_complete", "abs_capped"} <= kinds
     capped = next(r for r in rows if r["mechanism"] == "abs_capped")
     assert 1 <= capped["A"] <= 3
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["mechanism", "--a-max", "3"]])
+def test_cli_rejects_zero_replications(tmp_path, config_path, argv):
+    # An empty sample has no mean: simulate divided by zero, mechanism wrote NaN.
+    out = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="mc_replications must be >= 1"):
+        main([*argv, "--replications", "0", "--config", config_path, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_cli_poa(tmp_path):

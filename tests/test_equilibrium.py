@@ -24,7 +24,7 @@ from chainbook.equilibrium import (
     threshold_fees,
     verify_equilibrium,
 )
-from chainbook.market import FeeProfile, build_instance, miners_with_protocol_share, pair_surplus
+from chainbook.market import FeeProfile, build_instance, miners_with_protocol_share
 from chainbook.mechanism import optimal_block_size_complete
 from chainbook.miners import run_horizon
 from chainbook.welfare import social_welfare
@@ -48,7 +48,7 @@ def test_crossing_index_matches_rank_loop():
     for _ in range(500):
         k, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         inst = build_instance(rng.integers(0, 6, k) / 5.0, rng.integers(0, 6, n) / 5.0, 1)
-        assert crossing_index(inst) == _last_covered_rank(inst.utilities(), inst.costs())
+        assert crossing_index(inst) == _last_covered_rank(inst.utility_array.tolist(), inst.cost_array.tolist())
 
 
 _tied_values = st.one_of(st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]), st.floats(0.0, 1.0))
@@ -241,7 +241,6 @@ def test_msne_support_and_linear_cdf():
 def test_mixers_are_positions():
     # Fees are indexed by position, and a participant's id is its position.
     inst = build_instance([0.9, 0.8, 0.3, 0.2], [0.1, 0.2, 0.6, 0.7], 1, delay_cost=0.05)
-    assert [b.id for b in inst.buyers] == [0, 1, 2, 3] == [s.id for s in inst.sellers]
     buy, sell = msne(inst)  # crossing 2, so the top two ranks mix
     assert buy.mixer_ids == (0, 1) and sell.mixer_ids == (0, 1)
     want = realize_profile(inst, msne(inst), 5)
@@ -421,13 +420,15 @@ def test_simulated_payoffs_agree_with_closed_form():
         profile = profile or psne(inst)
         simulated = _simulated_payoffs(inst, profile, replications, rng_seed=3)
         exact = _closed_form_payoffs(inst, profile)
+        r, c = inst.utility_array.tolist(), inst.cost_array.tolist()
+        b, q = inst.buy_qty_array.tolist(), inst.sell_qty_array.tolist()
         for side, fees in (("buy", profile.buy_fees), ("sell", profile.sell_fees)):
             fees = np.asarray(fees)
             for pid in range(len(fees)):
-                if side == "buy":
-                    halves = [pair_surplus(inst.buyers[pid], s)[0] for s in inst.sellers]
+                if side == "buy":  # min(b, q) units at the mid price
+                    halves = [min(b[pid], q[j]) * (r[pid] - c[j]) / 2 for j in range(len(c))]
                 else:
-                    halves = [pair_surplus(b, inst.sellers[pid])[1] for b in inst.buyers]
+                    halves = [min(b[i], q[pid]) * (r[i] - c[pid]) / 2 for i in range(len(r))]
                 others = np.delete(fees, pid)
                 sim, ex = simulated(side, pid, others, 1.0), exact(side, pid, others, 1.0)
                 levels = sorted({0.0, *others})
@@ -436,6 +437,19 @@ def test_simulated_payoffs_agree_with_closed_form():
                     outcomes = [0.0, *(h - fee for h in halves)]
                     stderr = (max(outcomes) - min(outcomes)) / 2 / math.sqrt(replications)
                     assert abs(sim(fee) - ex(fee)) <= 4 * stderr + 1e-12, (side, pid, fee)
+
+
+def test_simulated_check_keys_each_replication_once(monkeypatch):
+    # Every fee band replays the same replications, so one call derives one
+    # Philox key per replication, however many bands and participants it plays.
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *args, **kw: built.append(1) or philox(*args, **kw))
+    rng = np.random.default_rng(61)
+    inst = build_instance(rng.random(6), rng.random(6), block_size=3, delay_cost=0.01)
+    report = verify_equilibrium(inst, psne(inst), grid_resolution=21, psne_replications=20)
+    assert report.replications == 20
+    assert 0 < len(built) <= 20
 
 
 def test_verify_psne_reports_displacement_gain_when_delay_positive():

@@ -8,114 +8,112 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chainbook.equilibrium import _half_surpluses, _simulated_payoffs
 from chainbook.market import (
-    Buyer,
     FeeProfile,
     MatchTrace,
     Miner,
     RoundRecord,
-    Seller,
     build_instance,
-    buyer_payoff,
-    feasible_matching_exists,
     miners_with_protocol_share,
-    miner_round_payoff,
-    pair_surplus,
-    seller_payoff,
+    rank_feasible,
 )
+from chainbook.welfare import social_welfare
+
+
+def _halves(inst, i=0, j=0):
+    """Buyer i's and seller j's half-surplus from trading with each other, as
+    the equilibrium checker reads them from its half-surplus rows."""
+    return _half_surpluses(inst, "buy", i)[j], _half_surpluses(inst, "sell", j)[i]
 
 
 def test_pair_surplus_unit_quantities():
-    buy, sell, qty = pair_surplus(Buyer(0, 0.9, 1.0), Seller(0, 0.1, 1.0))
-    assert qty == 1.0
+    buy, sell = _halves(build_instance([0.9], [0.1], 1))
     assert buy == pytest.approx(0.4)
     assert sell == pytest.approx(0.4)
 
 
 def test_pair_surplus_zero_at_equal_values():
     for value, b, q in [(0.3, 1.0, 2.0), (0.7, 5.0, 1.5)]:
-        buy, sell, _ = pair_surplus(Buyer(0, value, b), Seller(0, value, q))
-        assert buy == 0.0
-        assert sell == 0.0
+        inst = build_instance([value], [value], 1, buy_quantities=[b], sell_quantities=[q])
+        assert _halves(inst) == (0.0, 0.0)
 
 
 def test_pair_surplus_scales_with_min_quantity():
-    buy, sell, qty = pair_surplus(Buyer(0, 0.9, 2.0), Seller(0, 0.1, 3.0))
-    assert qty == 2.0
+    buy, sell = _halves(build_instance([0.9], [0.1], 1, buy_quantities=[2.0], sell_quantities=[3.0]))
     assert buy == pytest.approx(0.8)
     assert sell == pytest.approx(0.8)
 
 
 def test_mid_price_splits_gain_exactly():
+    # Buyer i's entry for seller j plus seller j's entry for buyer i is the
+    # pair's whole gain from trade, for every pair of random markets.
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        buyer = Buyer(0, rng.random(), 1.0 + 2.0 * rng.random())
-        seller = Seller(0, rng.random(), 1.0 + 2.0 * rng.random())
-        buy, sell, qty = pair_surplus(buyer, seller)
-        assert buy + sell == pytest.approx(
-            qty * (buyer.utility - seller.cost), abs=1e-15
-        )
+    pairs = 0
+    while pairs < 200:
+        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        r, c = rng.random(k), rng.random(n)
+        b, q = 1.0 + 2.0 * rng.random(k), 1.0 + 2.0 * rng.random(n)
+        inst = build_instance(r, c, 1, buy_quantities=b, sell_quantities=q)
+        for i, j in itertools.product(range(k), range(n)):
+            buy, sell = _halves(inst, i, j)
+            assert buy + sell == pytest.approx(min(b[i], q[j]) * (r[i] - c[j]), abs=1e-15)
+            pairs += 1
+
+
+def _payoff_in_block(side, fee, block, d):
+    """The equilibrium checker's payoff of participant 0 of ``side`` paying
+    ``fee`` < 1 while ``block - 1`` same-side rivals outbid it: utilities 0.9,
+    costs 0.1 and one pair per block, so it trades in block ``block``."""
+    inst = build_instance([0.9] * block, [0.1] * block, block_size=1, delay_cost=d)
+    rivals = tuple(1.0 + i for i in range(block - 1))
+    own, partners = (fee, *rivals), tuple(1.0 + i for i in range(block))
+    profile = FeeProfile(own, partners) if side == "buy" else FeeProfile(partners, own)
+    return _simulated_payoffs(inst, profile, 4, rng_seed=0)(side, 0, np.array(rivals), 1.0)(fee)
 
 
 def test_buyer_payoff_first_block():
-    buyer = Buyer(0, 0.9, 1.0)
-    seller = Seller(0, 0.1, 1.0)
-    assert buyer_payoff(buyer, 0.1, True, 1, seller, 0.3) == pytest.approx(0.3)
+    assert _payoff_in_block("buy", 0.1, 1, 0.3) == pytest.approx(0.3)
 
 
 def test_buyer_payoff_one_block_delay():
-    buyer = Buyer(0, 0.9, 1.0)
-    seller = Seller(0, 0.1, 1.0)
-    assert buyer_payoff(buyer, 0.1, True, 2, seller, 0.3) == pytest.approx(0.0)
+    assert _payoff_in_block("buy", 0.1, 2, 0.3) == pytest.approx(0.0)
 
 
 def test_unmatched_payoffs_are_zero():
-    assert buyer_payoff(Buyer(0, 0.9), 0.5, False) == 0.0
-    assert seller_payoff(Seller(0, 0.1), 0.5, False) == 0.0
+    # A zero fee is never included: no surplus, no fee, no delay.
+    assert _payoff_in_block("buy", 0.0, 1, 0.3) == 0.0
+    assert _payoff_in_block("sell", 0.0, 2, 0.3) == 0.0
 
 
 def test_seller_payoff_mirrors_buyer():
-    buyer = Buyer(0, 0.9, 1.0)
-    seller = Seller(0, 0.1, 1.0)
-    assert seller_payoff(seller, 0.05, True, 1, buyer, 0.3) == pytest.approx(0.35)
-    assert seller_payoff(seller, 0.05, True, 3, buyer, 0.1) == pytest.approx(0.15)
+    assert _payoff_in_block("sell", 0.05, 1, 0.3) == pytest.approx(0.35)
+    assert _payoff_in_block("sell", 0.05, 3, 0.1) == pytest.approx(0.15)
 
 
 def test_payoff_decomposition():
-    # buyer payoff + seller payoff + pair fees == qty * (R - C) - both delay terms
+    # buyer payoff + seller payoff + pair fees == qty * (R - C) - both delay
+    # terms: the welfare of a one-pair trace, whose winner collects both fees.
     rng = np.random.default_rng(11)
     for _ in range(100):
-        buyer = Buyer(0, rng.random(), 1 + rng.random())
-        seller = Seller(0, rng.random(), 1 + rng.random())
-        bfee, sfee = rng.random(), rng.random()
+        r, c, b, q = rng.random(), rng.random(), 1 + rng.random(), 1 + rng.random()
+        inst = build_instance([r], [c], 1, buy_quantities=[b], sell_quantities=[q], delay_cost=rng.random() * 0.2)
+        profile = FeeProfile(buy_fees=(rng.random(),), sell_fees=(rng.random(),))
         block = int(rng.integers(1, 4))
-        d = rng.random() * 0.2
-        total = (
-            buyer_payoff(buyer, bfee, True, block, seller, d)
-            + seller_payoff(seller, sfee, True, block, buyer, d)
-            + bfee
-            + sfee
-        )
-        qty = min(buyer.quantity, seller.quantity)
-        expected = qty * (buyer.utility - seller.cost) - 2 * (block - 1) * d
-        assert total == pytest.approx(expected, abs=1e-12)
-
-
-def test_miner_round_payoff():
-    assert miner_round_payoff([5, 3, 4, 1], 0.2) == pytest.approx(2.6)
-    assert miner_round_payoff([], 0.7) == 0.0
-    assert miner_round_payoff([1e-6], 1.0) == pytest.approx(1e-6)
+        trace = MatchTrace((RoundRecord(block=block, winner_id=0, pairs=((0, 0),)),))
+        expected = min(b, q) * (r - c) - 2 * (block - 1) * inst.delay_cost
+        assert social_welfare(inst, trace, profile).sw == pytest.approx(expected, abs=1e-12)
 
 
 def test_feasibility_examples():
-    assert feasible_matching_exists([0.9, 0.8], [0.1, 0.2])
-    assert not feasible_matching_exists([0.9], [0.95])
-    assert feasible_matching_exists([0.5, 0.9], [0.6, 0.1])
+    assert rank_feasible([0.9, 0.8], [0.1, 0.2])
+    assert not rank_feasible([0.9], [0.95])
+    assert rank_feasible([0.5, 0.9], [0.6, 0.1])
 
 
 def test_feasibility_length_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        feasible_matching_exists([0.5, 0.9], [0.6])
+    with pytest.raises(ValueError, match="equally many"):
+        rank_feasible([0.5, 0.9], [0.6])
 
 
 def _brute_force_feasible(utils, costs):
@@ -131,16 +129,10 @@ def test_feasibility_matches_brute_force():
         n = int(rng.integers(1, 7))
         utils = rng.random(n).tolist()
         costs = rng.random(n).tolist()
-        assert feasible_matching_exists(utils, costs) == _brute_force_feasible(utils, costs)
+        assert rank_feasible(utils, costs) == _brute_force_feasible(utils, costs)
 
 
 def test_participant_validation():
-    with pytest.raises(ValueError):
-        Buyer(0, 1.2, 1.0)
-    with pytest.raises(ValueError):
-        Seller(0, -0.1, 1.0)
-    with pytest.raises(ValueError):
-        Buyer(0, 0.5, 0.0)
     with pytest.raises(ValueError):
         Miner(0, 1.5)
 
@@ -186,8 +178,8 @@ def test_build_instance_roundtrip():
     )
     assert inst.num_buyers == 2
     assert inst.num_sellers == 3
-    assert inst.utilities().tolist() == [0.9, 0.4]
-    assert inst.sell_quantities().tolist() == [1.0, 1.0, 1.0]
+    assert inst.utility_array.tolist() == [0.9, 0.4]
+    assert inst.sell_qty_array.tolist() == [1.0, 1.0, 1.0]
     resized = inst.with_block_size(1)
     assert resized.block_size == 1
     assert resized.horizon == 2
@@ -198,9 +190,6 @@ def test_value_arrays_are_shared_read_only_and_copied_out():
     assert inst.utility_array is inst.utility_array  # built once
     with pytest.raises(ValueError):
         inst.cost_array[0] = 0.5
-    out = inst.utilities()
-    out[0] = 0.0
-    assert inst.utilities().tolist() == [0.9, 0.4]
     assert inst == build_instance(utilities=[0.9, 0.4], costs=[0.1, 0.3], block_size=1)
 
 
@@ -216,10 +205,8 @@ def test_rank_and_quantity_arrays_are_built_once_per_population():
         assert getattr(variant, name) is getattr(inst, name)
         with pytest.raises(ValueError):
             getattr(inst, name)[0] = 0
-    out = inst.buy_quantities()
-    out[0] = 9.0
-    assert inst.buy_quantities().tolist() == [1.0, 2.0, 3.0]
-    assert inst.sell_quantities().tolist() == [1.0, 1.0, 1.0]
+    assert inst.buy_qty_array.tolist() == [1.0, 2.0, 3.0]
+    assert inst.sell_qty_array.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_variants_share_the_ranked_arrays():
@@ -247,20 +234,6 @@ def test_ranks_equal_lexsort_by_position():
         inst = build_instance(rng.integers(0, 5, k) / 4.0, rng.integers(0, 5, n) / 4.0, 1)
         assert inst.buyer_rank.tolist() == np.lexsort((np.arange(k), -inst.utility_array)).tolist()
         assert inst.seller_rank.tolist() == np.lexsort((np.arange(n), inst.cost_array)).tolist()
-
-
-def test_participants_are_built_from_the_arrays_on_read():
-    inst = build_instance([0.9, 0.4], [0.1, 0.3, 0.5], 1, buy_quantities=[2.0, 1.0])
-    for i, (r, b) in enumerate(zip(inst.utility_array, inst.buy_qty_array)):
-        assert inst.buyers[i] == Buyer(i, r, b)
-    assert inst.buyers[-1] == Buyer(1, 0.4, 1.0)
-    assert inst.buyers[:] == (Buyer(0, 0.9, 2.0), Buyer(1, 0.4, 1.0))
-    assert list(inst.sellers) == [Seller(0, 0.1), Seller(1, 0.3), Seller(2, 0.5)]
-    assert len(inst.buyers) == 2 and len(inst.sellers) == 3
-    with pytest.raises(IndexError):
-        inst.sellers[3]
-    with pytest.raises(TypeError):
-        inst.buyers[0] = Buyer(0, 0.1)
 
 
 @pytest.mark.parametrize(

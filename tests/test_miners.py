@@ -48,10 +48,10 @@ def brute_force_best_fee(instance, pool):
     for size in range(1, cap + 1):
         for bs in itertools.combinations(buyers, size):
             fee_b = sum(pool.buy_fees[pool.buyer_ids.index(b)] for b in bs)
-            utils = [instance.buyers[b].utility for b in bs]
+            utils = instance.utility_array[list(bs)]
             for ss in itertools.combinations(sellers, size):
-                costs = [instance.sellers[s].cost for s in ss]
-                if rank_feasible(np.array(utils), np.array(costs)):
+                costs = instance.cost_array[list(ss)]
+                if rank_feasible(utils, costs):
                     fee_s = sum(pool.sell_fees[pool.seller_ids.index(s)] for s in ss)
                     best = max(best, fee_b + fee_s)
     return best
@@ -185,8 +185,8 @@ def _reference_select(pool, instance, key, round_number=0):
 
     b_pos, s_pos = ranked(pool.buy_fees), ranked(pool.sell_fees)
     limit = min(instance.block_size, len(b_pos), len(s_pos))
-    utilities = np.array([instance.buyers[pool.buyer_ids[p]].utility for p in b_pos[:limit]])
-    costs = np.array([instance.sellers[pool.seller_ids[p]].cost for p in s_pos[:limit]])
+    utilities = instance.utility_array[[pool.buyer_ids[p] for p in b_pos[:limit]]]
+    costs = instance.cost_array[[pool.seller_ids[p] for p in s_pos[:limit]]]
     fee_totals = np.cumsum([pool.buy_fees[p] for p in b_pos[:limit]]) + np.cumsum(
         [pool.sell_fees[p] for p in s_pos[:limit]]
     )
@@ -723,14 +723,13 @@ def test_selfish_select_fee_total_is_best_feasible_prefix(market):
     best = 0.0
     for size in range(1, min(inst.block_size, len(ranked_b), len(ranked_s)) + 1):
         top_b, top_s = ranked_b[:size], ranked_s[:size]
-        if _exhaustively_feasible([inst.buyers[b].utility for b in top_b],
-                                  [inst.sellers[s].cost for s in top_s]):
+        if _exhaustively_feasible(inst.utility_array[top_b].tolist(), inst.cost_array[top_s].tolist()):
             best = max(best, sum(pool.buy_fees[b] for b in top_b) + sum(pool.sell_fees[s] for s in top_s))
     sel = selfish_select(pool, inst, seed)
     assert sel.total_fee == pytest.approx(best, abs=1e-12)
     assert set(sel.buyer_ids) == set(ranked_b[: sel.size])
     assert set(sel.seller_ids) == set(ranked_s[: sel.size])
-    assert all(inst.buyers[b].utility >= inst.sellers[s].cost for b, s in sel.pairing)
+    assert all(inst.utility_array[b] >= inst.cost_array[s] for b, s in sel.pairing)
 
 
 @given(

