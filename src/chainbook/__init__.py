@@ -30,7 +30,6 @@ from .welfare import (
 from .distributions import ValueDistribution, fit_empirical
 from .mechanism import (
     MechanismConfig,
-    optimal_block_size_capped,
     optimal_block_size_complete,
     optimal_block_size_distributional,
     solve_eta,
@@ -71,7 +70,6 @@ __all__ = [
     "solve_eta",
     "optimal_block_size_complete",
     "optimal_block_size_distributional",
-    "optimal_block_size_capped",
     "OrderDataset",
     "ingest_csv",
     "__version__",

@@ -9,8 +9,9 @@ Subcommands::
     chainbook poa         --target RATIO
     chainbook experiment  --scenario mechanism_comparison|random_counts|blocksize_limit ...
 
-Global flags (valid on every subcommand): --seed, --config, --out, --format,
---threads.  Reports are deterministic for a fixed seed.
+Global flags (valid on every subcommand): --seed, --config, --out, --format.
+``experiment`` alone takes --threads.  Reports are deterministic for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,6 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default=None, help="comma-separated per-period N sequence")
     p.add_argument("--a-max", type=int, default=None, help="block size cap for blocksize_limit")
     p.add_argument("--non-selfish", type=float, default=None, help="protocol-following power share")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes for mechanism_comparison and random_counts",
+    )
     _common_flags(p)
 
     return parser

@@ -2,7 +2,8 @@
 
 Input files carry one row per order book snapshot with bid/ask prices and
 quantities.  Quoted prices overstate true willingness to pay, so utilities
-and costs are prices divided by a fixed price-to-value ratio (default 1.05).
+and costs are prices divided by a fixed price-to-value ratio,
+``PRICE_TO_VALUE_RATIO`` (1.05).
 The model needs values in [0, 1]; a single affine map over the pooled
 bid/ask-derived values does that, and its parameters are recorded so that
 reported welfare can be mapped back to the raw price scale.
@@ -87,11 +88,7 @@ def _parse_positive(raw: str, column: str, row_number: int) -> float:
     return value
 
 
-def ingest_csv(
-    path: str,
-    column_map: dict[str, str] | None = None,
-    price_to_value_ratio: float = PRICE_TO_VALUE_RATIO,
-) -> OrderDataset:
+def ingest_csv(path: str, column_map: dict[str, str] | None = None) -> OrderDataset:
     """Load an order CSV into an OrderDataset.
 
     ``column_map`` remaps the logical names (bid_price, ask_price, bid_qty,
@@ -123,7 +120,7 @@ def ingest_csv(
     if not bid_p:
         raise ValueError(f"{path}: no data rows")
 
-    values = np.concatenate([np.asarray(bid_p), np.asarray(ask_p)]) / price_to_value_ratio
+    values = np.concatenate([np.asarray(bid_p), np.asarray(ask_p)]) / PRICE_TO_VALUE_RATIO
     offset = float(values.min())
     scale = float(values.max() - values.min())
     if scale == 0.0:
@@ -133,7 +130,6 @@ def ingest_csv(
         ask_prices=tuple(ask_p),
         bid_qtys=tuple(bid_q),
         ask_qtys=tuple(ask_q),
-        price_to_value_ratio=price_to_value_ratio,
         norm_offset=offset,
         norm_scale=scale,
     )

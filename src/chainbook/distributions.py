@@ -46,10 +46,6 @@ class ValueDistribution:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.asarray(self.ppf(rng.random(size)), dtype=float).reshape(size)
 
-    def mean(self, grid: int = 4097) -> float:
-        u = (np.arange(grid) + 0.5) / grid
-        return float(np.mean(self.ppf(u)))
-
     def to_config(self) -> dict:
         """Round-trippable description: ``from_config(d.to_config())`` rebuilds ``d``."""
         if self.kind == "empirical":
@@ -136,8 +132,6 @@ def fit_empirical(samples: Sequence[float], support: tuple[float, float]) -> Val
         raise ValueError("samples fall outside the declared support")
     if xs[0] == xs[-1]:
         return point_mass(float(xs[0]))
-    if xs.size < 2:
-        raise ValueError("need at least two distinct samples")
     positions = (np.arange(xs.size) + 0.5) / xs.size
 
     def cdf(x):

@@ -203,7 +203,6 @@ def benchmark_block_size(num_buyers: int, num_sellers: int) -> int:
 class ComparisonSamples:
     """Per-replication welfare samples for each mechanism on shared populations."""
 
-    num_sellers: int
     num_buyers: int
     block_sizes: dict[str, float]
     samples: dict[str, np.ndarray]
@@ -272,7 +271,6 @@ def compare_mechanisms(
     )
     welfare, optima, sizes = zip(*_run_tasks(threads, worker, range(replications)))
     return ComparisonSamples(
-        num_sellers=num_sellers,
         num_buyers=num_buyers,
         block_sizes={v: float(np.mean([s[v] for s in sizes])) for v in _COMPARISON_VARIANTS},
         samples={v: np.array([sw[v] for sw in welfare]) for v in _COMPARISON_VARIANTS},

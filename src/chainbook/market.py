@@ -74,7 +74,7 @@ class MarketInstance:
     ``block_size`` counts buyer/seller *pairs* per block (2A transactions).
     With ``quantize_fees`` every play rounds its equilibrium fees to whole
     ``fee_unit``s (see :func:`chainbook.welfare.simulate_once`).
-    ``horizon`` defaults to the smallest number of blocks that could record
+    ``horizon`` is derived: the smallest number of blocks that could record
     every possible pair, ceil(min(K, N) / A).
     """
 
@@ -87,7 +87,6 @@ class MarketInstance:
     delay_cost: float = 0.0
     fee_unit: float = 1e-6
     quantize_fees: bool = False
-    horizon: int | None = None
 
     def __post_init__(self) -> None:
         utilities, buy_qty = _side_arrays(self.utility_array, self.buy_qty_array, "buyer", "utility")
@@ -101,7 +100,7 @@ class MarketInstance:
         self._check_terms()
 
     def _check_terms(self) -> None:
-        """Check the block size, delay cost, fee unit and miners; derive or check the horizon."""
+        """Check the block size, delay cost, fee unit and miners."""
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if self.delay_cost < 0.0:
@@ -113,15 +112,6 @@ class MarketInstance:
         total_power = math.fsum(m.power for m in self.miners)
         if abs(total_power - 1.0) > 1e-12:
             raise ValueError(f"miner powers sum to {total_power}, expected 1")
-        min_side = min(len(self.utility_array), len(self.cost_array))
-        floor_horizon = math.ceil(min_side / self.block_size)
-        if self.horizon is None:
-            object.__setattr__(self, "horizon", floor_horizon)
-        elif self.horizon < floor_horizon:
-            raise ValueError(
-                f"horizon {self.horizon} too short to record all pairs "
-                f"(needs >= {floor_horizon})"
-            )
 
     def __eq__(self, other: object) -> bool:
         """Field by field, the value arrays elementwise."""
@@ -139,6 +129,11 @@ class MarketInstance:
     @property
     def num_sellers(self) -> int:
         return len(self.cost_array)
+
+    @property
+    def horizon(self) -> int:
+        """Blocks played: ceil(min(K, N) / A), enough to record every possible pair."""
+        return math.ceil(min(self.num_buyers, self.num_sellers) / self.block_size)
 
     # Built on first use and shared with every with_block_size variant, the
     # arrays read-only.
@@ -182,13 +177,13 @@ class MarketInstance:
     def with_block_size(
         self, block_size: int, miners: Sequence[Miner] | None = None
     ) -> "MarketInstance":
-        """Same market under a different block size (horizon re-derived) and,
-        if given, another miner set.  The variant shares this instance's arrays,
-        already checked, its rank arrays, ranked sides and crossing index, and
-        its equilibrium if already found and the block size is unchanged."""
+        """Same market under a different block size and, if given, another
+        miner set.  The variant shares this instance's arrays, already checked,
+        its rank arrays, ranked sides and crossing index, and its equilibrium
+        if already found and the block size is unchanged."""
         variant = object.__new__(MarketInstance)
         shared = (*_VALUE_ARRAYS, *_SCALAR_FIELDS, "buyer_rank", "seller_rank", "ranked_sides", "crossing_index")
-        variant.__dict__.update({name: getattr(self, name) for name in shared}, block_size=block_size, horizon=None)
+        variant.__dict__.update({name: getattr(self, name) for name in shared}, block_size=block_size)
         if block_size == self.block_size and "equilibrium" in self.__dict__:
             variant.__dict__["equilibrium"] = self.equilibrium
         if miners is not None:
@@ -198,7 +193,7 @@ class MarketInstance:
 
 
 _VALUE_ARRAYS = ("utility_array", "cost_array", "buy_qty_array", "sell_qty_array")
-_SCALAR_FIELDS = ("miners", "block_size", "delay_cost", "fee_unit", "quantize_fees", "horizon")
+_SCALAR_FIELDS = ("miners", "block_size", "delay_cost", "fee_unit", "quantize_fees")
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -241,9 +236,10 @@ def build_instance(
     delay_cost: float = 0.0,
     fee_unit: float = 1e-6,
     quantize_fees: bool = False,
-    horizon: int | None = None,
 ) -> MarketInstance:
-    """Assemble a MarketInstance from plain value arrays (unit quantities by default)."""
+    """Assemble a MarketInstance from plain value arrays (unit quantities and
+    one selfish miner by default); its horizon follows from the side sizes
+    and the block size."""
     if buy_quantities is None:
         buy_quantities = np.ones(len(utilities))
     if sell_quantities is None:
@@ -260,7 +256,6 @@ def build_instance(
         delay_cost=delay_cost,
         fee_unit=fee_unit,
         quantize_fees=quantize_fees,
-        horizon=horizon,
     )
 
 
@@ -268,8 +263,9 @@ def single_selfish_miner() -> tuple[Miner, ...]:
     return (Miner(id=0, power=1.0, policy=MinerPolicy.SELFISH),)
 
 
-def miners_with_protocol_share(protocol_share: float, num_selfish: int = 4) -> tuple[Miner, ...]:
-    """A small miner set whose protocol-following power share equals ``protocol_share``.
+def miners_with_protocol_share(protocol_share: float) -> tuple[Miner, ...]:
+    """A small miner set whose protocol-following power share equals ``protocol_share``:
+    four selfish miners of equal power, then one protocol-following miner.
 
     Per-block selections depend only on policy, not on miner identity, so a
     compact set with the right power split stands in for an arbitrarily large
@@ -280,8 +276,8 @@ def miners_with_protocol_share(protocol_share: float, num_selfish: int = 4) -> t
     miners: list[Miner] = []
     selfish_power = 1.0 - protocol_share
     if selfish_power > 0.0:
-        for i in range(num_selfish):
-            miners.append(Miner(id=i, power=selfish_power / num_selfish, policy=MinerPolicy.SELFISH))
+        for i in range(4):
+            miners.append(Miner(id=i, power=selfish_power / 4, policy=MinerPolicy.SELFISH))
     if protocol_share > 0.0:
         miners.append(
             Miner(id=len(miners), power=protocol_share, policy=MinerPolicy.PROTOCOL_FOLLOWING)

@@ -28,7 +28,6 @@ __all__ = [
     "optimal_block_size_complete",
     "solve_eta",
     "optimal_block_size_distributional",
-    "optimal_block_size_capped",
     "capped_search_report",
     "CappedSearchReport",
     "sample_instance",
@@ -105,7 +104,6 @@ def sample_instance(
     config: MechanismConfig,
     block_size: int,
     rng: np.random.Generator,
-    miners=None,
 ) -> MarketInstance:
     """Draw one market realization from the configured distributions."""
     k, n = config.num_buyers, config.num_sellers
@@ -115,7 +113,6 @@ def sample_instance(
         buy_quantities=config.buy_qty_dist.sample(rng, k),
         sell_quantities=config.sell_qty_dist.sample(rng, n),
         block_size=block_size,
-        miners=miners,
         delay_cost=config.delay_cost,
         fee_unit=config.fee_unit,
         quantize_fees=config.quantize_fees,
@@ -132,7 +129,6 @@ class CappedSearchReport:
     mean_welfare: tuple[float, ...]
     stderr_welfare: tuple[float, ...]
     mean_optimum: float
-    replications: int
 
 
 def capped_search_report(
@@ -173,15 +169,4 @@ def capped_search_report(
         mean_welfare=means,
         stderr_welfare=errs,
         mean_optimum=float(np.mean(optima)),
-        replications=mc_replications,
     )
-
-
-def optimal_block_size_capped(
-    config: MechanismConfig,
-    max_block_size: int,
-    mc_replications: int = 200,
-    rng_seed: int = 0,
-) -> int:
-    """Brute-force capped search: the A in 1..cap with the best estimated welfare."""
-    return capped_search_report(config, max_block_size, mc_replications, rng_seed).best_block_size

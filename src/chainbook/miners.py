@@ -22,9 +22,9 @@ A full prefix that is feasible and clears every shorter total skips the
 all-prefix check; a pairing takes its picks in one bounded integer draw,
 and a one-pair selection draws none.
 
-``PendingPool`` keeps each side ranked once per play: positive fees first,
-fee descending, each entry with its pool position.  A selection reads its
-candidates as the head of that order, redraws fee ties only while equal
+``PendingPool`` holds positions and keeps each side ranked once per play:
+positive fees first, fee descending, ties by position.  A selection reads
+its candidates as the head of that order, redraws fee ties only while equal
 positive fees remain, and one stable sort per side of the prefix serves
 both the full-prefix check and the pairing.  A selfish selection leaves the
 pool by slicing off the head; a protocol-following one through an id mask.
@@ -59,22 +59,22 @@ __all__ = [
 
 
 class PendingPool:
-    """Transactions still waiting for inclusion at the start of round ``round_index``.
+    """Transactions still waiting for inclusion.
 
-    Built from id and fee arrays per side in pool order; ``buyer_id_array``,
-    ``buy_fee_array``, ``seller_id_array`` and ``sell_fee_array`` read them
-    back (read-only), and ``buyer_ids``, ``buy_fees``, ``seller_ids`` and
-    ``sell_fees`` as tuples.  Each side is held in fee-rank order (see
-    ``_RankedSide``): ``selfish_select`` reads its candidate prefix by
-    slicing, and ``remove`` slices a selfish selection off the head.
+    Built from id and fee arrays per side; an id is the participant's
+    position in the market, and pool order is ascending position whatever
+    order the ids came in.  ``buyer_ids``, ``buy_fees``, ``seller_ids`` and
+    ``sell_fees`` read each side back in pool order, as tuples.  Each side
+    is held in fee-rank order (see ``_RankedSide``): ``selfish_select``
+    reads its candidate prefix by slicing, and ``remove`` slices a selfish
+    selection off the head.
     """
 
-    __slots__ = ("_buyers", "_sellers", "round_index")
+    __slots__ = ("_buyers", "_sellers")
 
-    def __init__(self, buyer_ids, buy_fees, seller_ids, sell_fees, round_index: int = 1) -> None:
-        self._buyers = _RankedSide.from_pool_order("buyer", buyer_ids, buy_fees)
-        self._sellers = _RankedSide.from_pool_order("seller", seller_ids, sell_fees)
-        self.round_index = round_index
+    def __init__(self, buyer_ids, buy_fees, seller_ids, sell_fees) -> None:
+        self._buyers = _RankedSide.ranked("buyer", buyer_ids, buy_fees)
+        self._sellers = _RankedSide.ranked("seller", seller_ids, sell_fees)
 
     @classmethod
     def from_instance(cls, instance: MarketInstance, profile: FeeProfile) -> "PendingPool":
@@ -82,14 +82,10 @@ class PendingPool:
             raise ValueError("fee profile does not match instance participant counts")
         return cls(np.arange(instance.num_buyers), profile.buy_fees, np.arange(instance.num_sellers), profile.sell_fees)
 
-    buyer_id_array = property(lambda self: self._buyers.pool_order()[0])
-    buy_fee_array = property(lambda self: self._buyers.pool_order()[1])
-    seller_id_array = property(lambda self: self._sellers.pool_order()[0])
-    sell_fee_array = property(lambda self: self._sellers.pool_order()[1])
-    buyer_ids = property(lambda self: tuple(self.buyer_id_array.tolist()))
-    buy_fees = property(lambda self: tuple(self.buy_fee_array.tolist()))
-    seller_ids = property(lambda self: tuple(self.seller_id_array.tolist()))
-    sell_fees = property(lambda self: tuple(self.sell_fee_array.tolist()))
+    buyer_ids = property(lambda self: tuple(self._buyers.by_position()[0].tolist()))
+    buy_fees = property(lambda self: tuple(self._buyers.by_position()[1].tolist()))
+    seller_ids = property(lambda self: tuple(self._sellers.by_position()[0].tolist()))
+    sell_fees = property(lambda self: tuple(self._sellers.by_position()[1].tolist()))
 
     @property
     def is_empty(self) -> bool:
@@ -104,21 +100,19 @@ class PendingPool:
         pool = object.__new__(PendingPool)
         pool._buyers = self._buyers.without(selection.buyer_ids)
         pool._sellers = self._sellers.without(selection.seller_ids)
-        pool.round_index = self.round_index + 1
         return pool
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PendingPool):
             return NotImplemented
-        return self.round_index == other.round_index and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("buyer_id_array", "buy_fee_array", "seller_id_array", "sell_fee_array")
+        return all(
+            getattr(self, name) == getattr(other, name) for name in ("buyer_ids", "buy_fees", "seller_ids", "sell_fees")
         )
 
     def __repr__(self) -> str:
         return (
             f"PendingPool(buyer_ids={self.buyer_ids}, buy_fees={self.buy_fees}, seller_ids={self.seller_ids}, "
-            f"sell_fees={self.sell_fees}, round_index={self.round_index})"
+            f"sell_fees={self.sell_fees})"
         )
 
 
@@ -126,47 +120,40 @@ class _RankedSide:
     """One side of a pending pool in fee-rank order.
 
     The ``positive`` entries with a positive fee come first, fee descending,
-    equal fees in the order of the last tie draw, else by pool position; the
-    rest follow in an order nothing reads.  ``pos`` holds each entry's pool
-    position (its index when the pool was built), so sorting by it restores
-    pool order.  ``ties`` stays True while equal positive fees remain:
-    dropping entries never makes two fees equal.
+    equal fees in the order of the last tie draw, else by position; the rest
+    follow in an order nothing reads.  ``ties`` stays True while equal
+    positive fees remain: dropping entries never makes two fees equal.
     """
 
-    __slots__ = ("ids", "fees", "pos", "positive", "ties", "_pool_order")
+    __slots__ = ("ids", "fees", "positive", "ties")
 
-    def __init__(self, ids, fees, pos, positive, ties, pool_order=None) -> None:
-        self.ids, self.fees, self.pos = ids, fees, pos
+    def __init__(self, ids, fees, positive, ties) -> None:
+        self.ids, self.fees = ids, fees
         self.positive, self.ties = positive, ties
-        self._pool_order = pool_order
 
     @classmethod
-    def from_pool_order(cls, side: str, ids, fees) -> "_RankedSide":
-        ids, fees = _frozen(ids, np.intp), _frozen(fees, float)
+    def ranked(cls, side: str, ids, fees) -> "_RankedSide":
+        ids, fees = np.asarray(ids, dtype=np.intp), np.asarray(fees, dtype=float)
         if ids.shape != fees.shape:
             raise ValueError(f"{side} ids and fees differ in length: {ids.size} vs {fees.size}")
         # Fee descending puts every positive fee first (nan sorts last).
-        order = (-fees).argsort(kind="stable")
+        order = np.lexsort((ids, -fees))
         positive = int(np.count_nonzero(fees > 0.0))  # zero-fee transactions are rejected
         ranked = fees[order]
-        return cls(ids[order], ranked, order, positive, _has_equal(ranked[:positive]), (ids, fees))
+        return cls(ids[order], ranked, positive, _has_equal(ranked[:positive]))
 
-    def pool_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, fees) in pool order, read-only."""
-        if self._pool_order is None:
-            order = self.pos.argsort()
-            ids, fees = self.ids[order], self.fees[order]
-            ids.flags.writeable = fees.flags.writeable = False
-            self._pool_order = (ids, fees)
-        return self._pool_order
+    def by_position(self, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, fees) of the first ``n`` entries (all by default), by position."""
+        order = self.ids[:n].argsort()
+        return self.ids[order], self.fees[order]
 
     def redrawn(self, draws: np.ndarray) -> "_RankedSide":
         """This side with its positive entries ranked by fee descending, then
-        by ``draws``, one per positive entry in pool order."""
+        by ``draws``, one per positive entry in position order."""
         n = self.positive
-        in_pool = self.pos[:n].argsort()
+        in_pool = self.ids[:n].argsort()
         order = np.concatenate((in_pool[np.lexsort((draws, -self.fees[in_pool]))], np.arange(n, self.ids.size)))
-        return _RankedSide(self.ids[order], self.fees[order], self.pos[order], n, True, self._pool_order)
+        return _RankedSide(self.ids[order], self.fees[order], n, True)
 
     def without(self, chosen: tuple[int, ...]) -> "_RankedSide":
         """This side without the chosen ids."""
@@ -181,13 +168,7 @@ class _RankedSide:
             keep = unchosen[self.ids]
             positive = int(np.count_nonzero(keep[: self.positive]))
         fees = self.fees[keep]
-        return _RankedSide(self.ids[keep], fees, self.pos[keep], positive, self.ties and _has_equal(fees[:positive]))
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
+        return _RankedSide(self.ids[keep], fees, positive, self.ties and _has_equal(fees[:positive]))
 
 
 def _has_equal(sorted_values: np.ndarray) -> bool:
@@ -551,14 +532,10 @@ def recommend_matching(pool: PendingPool, instance: MarketInstance) -> Selection
     excluded and the block cap still applies: the recommendation works within
     the same protocol limits.
     """
-    buy_fees, sell_fees = pool.buy_fee_array, pool.sell_fee_array
-    buy_keep = np.flatnonzero(buy_fees > 0.0)
-    sell_keep = np.flatnonzero(sell_fees > 0.0)
-    if not buy_keep.size or not sell_keep.size:
+    if not pool._buyers.positive or not pool._sellers.positive:
         return _EMPTY
-
-    b_ids = pool.buyer_id_array[buy_keep]
-    s_ids = pool.seller_id_array[sell_keep]
+    b_ids, buy_fees = pool._buyers.by_position(pool._buyers.positive)
+    s_ids, sell_fees = pool._sellers.by_position(pool._sellers.positive)
     r = instance.utility_array[b_ids]
     bq = instance.buy_qty_array[b_ids]
     c = instance.cost_array[s_ids]
@@ -581,9 +558,7 @@ def recommend_matching(pool: PendingPool, instance: MarketInstance) -> Selection
     pairing = tuple((int(b_ids[i]), int(s_ids[j])) for i, j, _ in chosen)
     buyer_ids = tuple(p[0] for p in pairing)
     seller_ids = tuple(p[1] for p in pairing)
-    total = math.fsum(buy_fees[buy_keep[i]] for i, _, _ in chosen) + math.fsum(
-        sell_fees[sell_keep[j]] for _, j, _ in chosen
-    )
+    total = math.fsum(buy_fees[i] for i, _, _ in chosen) + math.fsum(sell_fees[j] for _, j, _ in chosen)
     return Selection(buyer_ids=buyer_ids, seller_ids=seller_ids, pairing=pairing, total_fee=total)
 
 
@@ -600,8 +575,9 @@ def run_round(
     other policy selects only when the winner's selection is empty: if every
     selection is empty, no miner can include anything and the result is
     ``(None, pool)``, the pool untouched; otherwise the empty block is
-    recorded.  Draws come from round ``round_number``'s windows of the play
-    generator rng: the winner's (with several miners) and the selection's.
+    recorded, as block ``round_number + 1``.  Draws come from round
+    ``round_number``'s windows of the play generator rng: the winner's (with
+    several miners) and the selection's.
     """
     windows = _Windows.of(rng)
     miners = instance.miners
@@ -623,7 +599,7 @@ def run_round(
     sel = select(winner.policy)
     if sel.is_empty and all(select(p).is_empty for p in {m.policy for m in miners} - {winner.policy}):
         return None, pool
-    return RoundRecord(block=pool.round_index, winner_id=winner.id, pairs=sel.pairing), pool.remove(sel)
+    return RoundRecord(block=round_number + 1, winner_id=winner.id, pairs=sel.pairing), pool.remove(sel)
 
 
 def run_horizon(

@@ -203,5 +203,5 @@ def unbounded_poa_witness(
     c = [0.1, 0.2]
     total = sum(r) - sum(c)
     d = 0.5 * total * (1.0 - 1.0 / target_ratio)
-    low = build_instance(utilities=r, costs=c, block_size=1, delay_cost=d, horizon=2)
+    low = build_instance(utilities=r, costs=c, block_size=1, delay_cost=d)
     return high, low

@@ -203,6 +203,15 @@ def test_cli_non_selfish_flag_overrides_config(tmp_path):
     assert flagged["config"]["non_selfish_fraction"] == 0.0
 
 
+def test_cli_threads_flag_belongs_to_experiment(tmp_path):
+    # Only experiment reads --threads; any other subcommand rejects it.
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--threads", "2"])
+    assert exc.value.code == 2
+    args = ["experiment", "--scenario", "random_counts", "--counts", "3,4", "--replications", "1"]
+    assert _run(tmp_path, *args, "--threads", "2") == _run(tmp_path, *args, "--threads", "1")
+
+
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats takes about 0.5 s to import; only beta and lognormal
     # distributions need it, and they load it when built.  The process pool

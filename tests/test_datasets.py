@@ -62,10 +62,16 @@ def test_ingest_column_remapping(tmp_path):
         ingest_csv(_write(tmp_path, text), column_map={"bid": "Bid"})
 
 
-def test_price_to_value_ratio():
-    # A quoted bid of 1.05 corresponds to a unit utility before normalization.
-    raw = 1.05 / 1.05
-    assert raw == pytest.approx(1.0)
+def test_price_to_value_ratio(tmp_path):
+    # Prices are divided by 1.05 before the affine map onto [0, 1].
+    ds = ingest_csv(_write(tmp_path, "bid_price,ask_price,bid_qty,ask_qty\n105.0,94.5,2,1\n110.25,99.75,1,3\n"))
+    assert ds.price_to_value_ratio == 1.05
+    bids, asks = np.array([105.0, 110.25]) / 1.05, np.array([94.5, 99.75]) / 1.05
+    pooled = np.concatenate([bids, asks])
+    assert ds.norm_offset == pooled.min()
+    assert ds.norm_scale == pooled.max() - pooled.min()
+    assert ds.utilities().tolist() == ((bids - pooled.min()) / (pooled.max() - pooled.min())).tolist()
+    assert ds.costs().tolist() == ((asks - pooled.min()) / (pooled.max() - pooled.min())).tolist()
 
 
 def test_values_normalized_to_unit_interval(tmp_path):

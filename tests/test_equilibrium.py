@@ -220,7 +220,7 @@ def test_expected_cost_monotone():
 def _two_contender_instance():
     # Crossing at 2 with one pair per block: both sides mix over [0.1, 1.1].
     return build_instance(
-        [0.9, 0.8], [0.1, 0.2], block_size=1, delay_cost=1.0, fee_unit=0.1, horizon=2
+        [0.9, 0.8], [0.1, 0.2], block_size=1, delay_cost=1.0, fee_unit=0.1
     )
 
 
@@ -484,7 +484,7 @@ def test_verify_msne_costs_are_flat():
 
 def test_verify_msne_participation_rational_at_small_delay():
     inst = build_instance(
-        [0.9, 0.8], [0.1, 0.2], block_size=1, delay_cost=0.05, fee_unit=1e-6, horizon=2
+        [0.9, 0.8], [0.1, 0.2], block_size=1, delay_cost=0.05, fee_unit=1e-6
     )
     buy_report, sell_report = verify_equilibrium(
         inst, msne(inst), grid_resolution=5, mc_samples=50_000, rng_seed=2

@@ -145,8 +145,6 @@ def test_instance_power_and_horizon_validation():
     good_miners = (Miner(0, 0.5), Miner(1, 0.5))
     inst = build_instance(utilities, costs, block_size=1, miners=good_miners)
     assert inst.horizon == 2  # ceil(min(3, 2) / 1)
-    with pytest.raises(ValueError, match="horizon"):
-        build_instance(utilities, costs, block_size=1, miners=good_miners, horizon=1)
 
 
 def test_fee_profile_quantization():
@@ -199,7 +197,7 @@ def test_rank_and_quantity_arrays_are_built_once_per_population():
     assert inst.seller_rank.tolist() == [1, 0, 2]  # cost ascending, ties by position
     miners = miners_with_protocol_share(0.5)
     variant = inst.with_block_size(2, miners)
-    assert variant == replace(inst, block_size=2, miners=miners, horizon=None)
+    assert variant == replace(inst, block_size=2, miners=miners)
     assert variant.horizon == 2 and inst.with_block_size(2).miners == inst.miners
     for name in ("utility_array", "cost_array", "buy_qty_array", "sell_qty_array", "buyer_rank", "seller_rank"):
         assert getattr(variant, name) is getattr(inst, name)

@@ -9,7 +9,6 @@ from chainbook.market import build_instance
 from chainbook.mechanism import (
     MechanismConfig,
     capped_search_report,
-    optimal_block_size_capped,
     optimal_block_size_complete,
     optimal_block_size_distributional,
     solve_eta,
@@ -136,7 +135,7 @@ def test_distributional_block_size_monotone_in_sellers():
 
 
 def test_capped_search_cap_one():
-    assert optimal_block_size_capped(_config(k=6, n=6), 1, mc_replications=5, rng_seed=0) == 1
+    assert capped_search_report(_config(k=6, n=6), 1, mc_replications=5, rng_seed=0).best_block_size == 1
 
 
 def test_capped_search_deterministic():

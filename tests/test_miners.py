@@ -463,7 +463,7 @@ def test_run_round_winner_matches_generator_choice():
 def test_run_round_policy_decides_outcome():
     # Selfish fills the block (both pairs); the recommendation keeps only the
     # positive-gain pair, so the winning policy is visible in the trace.
-    miners = miners_with_protocol_share(0.5, num_selfish=1)
+    miners = miners_with_protocol_share(0.5)
     inst = build_instance([0.9, 0.3], [0.1, 0.5], block_size=2, miners=miners)
     pool = _pool(inst, [1, 1], [1, 1])
     seen = set()
@@ -528,7 +528,6 @@ def _reference_remove(pool, selection):
         buy_fees=tuple(pool.buy_fees[i] for i in keep_b),
         seller_ids=tuple(pool.seller_ids[i] for i in keep_s),
         sell_fees=tuple(pool.sell_fees[i] for i in keep_s),
-        round_index=pool.round_index + 1,
     )
 
 
@@ -552,9 +551,9 @@ def _reference_horizon(instance, profile, rng):
             break
         winner = instance.miners[int(_window(key, t, 3).choice(len(powers), p=powers)) if len(powers) > 1 else 0]
         sel = selections[winner.policy]
-        rounds.append(RoundRecord(block=pool.round_index, winner_id=winner.id, pairs=sel.pairing))
+        rounds.append(RoundRecord(block=t + 1, winner_id=winner.id, pairs=sel.pairing))
         if sel.is_empty:
-            pool = PendingPool(pool.buyer_ids, pool.buy_fees, pool.seller_ids, pool.sell_fees, pool.round_index + 1)
+            pool = PendingPool(pool.buyer_ids, pool.buy_fees, pool.seller_ids, pool.sell_fees)
         else:
             pool = _reference_remove(pool, sel)
     return tuple(rounds)
@@ -737,15 +736,13 @@ def test_selfish_select_fee_total_is_best_feasible_prefix(market):
     st.lists(st.integers(0, 11), unique=True),
     st.lists(st.integers(0, 13), unique=True),
     st.lists(st.integers(0, 13), unique=True),
-    st.integers(1, 5),
 )
-def test_pool_remove_matches_set_difference(buyer_ids, seller_ids, chosen_b, chosen_s, round_index):
+def test_pool_remove_matches_set_difference(buyer_ids, seller_ids, chosen_b, chosen_s):
     pool = PendingPool(
         buyer_ids=tuple(buyer_ids),
         buy_fees=tuple(i / 7.0 for i in buyer_ids),
         seller_ids=tuple(seller_ids),
         sell_fees=tuple(i / 3.0 for i in seller_ids),
-        round_index=round_index,
     )
     selection = Selection(tuple(chosen_b), tuple(chosen_s), pairing=(), total_fee=0.0)
     assert pool.remove(selection) == _reference_remove(pool, selection)
@@ -765,7 +762,7 @@ def test_pool_rejects_ids_and_fees_of_unequal_length(sides, name):
 
 
 def _pool_of(pool):
-    return PendingPool(pool.buyer_ids, pool.buy_fees, pool.seller_ids, pool.sell_fees, pool.round_index)
+    return PendingPool(pool.buyer_ids, pool.buy_fees, pool.seller_ids, pool.sell_fees)
 
 
 def test_pool_rank_order_never_changes_a_selection():
@@ -788,6 +785,27 @@ def test_pool_rank_order_never_changes_a_selection():
             sliced += not sel.is_empty
             pool = after
     assert sliced > 100
+
+
+def test_pool_order_is_position_order():
+    # Ids are positions: a pool built from shuffled (id, fee) pairs reads
+    # back, compares and selects as one built in ascending position.
+    fee_grid = np.array([0.0, 0.1, 0.2, 0.2, 0.5])
+    rng = np.random.default_rng(43)
+    for case in range(100):
+        k, n = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        quantities = rng.integers(1, 3, k) if case % 2 else None
+        inst = build_instance(rng.integers(0, 5, k) / 4.0, rng.integers(0, 5, n) / 4.0,
+                              block_size=int(rng.integers(1, 4)), buy_quantities=quantities)
+        buy_fees, sell_fees = rng.choice(fee_grid, k), rng.choice(fee_grid, n)
+        b, s = rng.permutation(k), rng.permutation(n)
+        shuffled = PendingPool(b, buy_fees[b], s, sell_fees[s])
+        ordered = _pool(inst, buy_fees, sell_fees)
+        views = (tuple(range(k)), tuple(buy_fees.tolist()), tuple(range(n)), tuple(sell_fees.tolist()))
+        assert (shuffled.buyer_ids, shuffled.buy_fees, shuffled.seller_ids, shuffled.sell_fees) == views
+        assert shuffled == ordered
+        assert recommend_matching(shuffled, inst) == recommend_matching(ordered, inst)
+        assert selfish_select(shuffled, inst, case) == selfish_select(ordered, inst, case)
 
 
 def test_pool_mask_keeps_rank_and_pool_order():

@@ -43,7 +43,7 @@ def test_selection_attr_reads_a_mid_play_pool():
     fees = np.where(rng.random(70) < 0.2, 0.0, np.concatenate((inst.utility_array, 1.0 - inst.cost_array)))
     profile = FeeProfile(buy_fees=tuple(fees[:40]), sell_fees=tuple(fees[40:]))
     record, pool = run_round(PendingPool.from_instance(inst, profile), inst, 5)
-    assert record is not None and pool.round_index == 2
+    assert record is not None and record.block == 1
     selection = selfish_select(pool, inst, 7, 1)
     limit = min(8, int(np.count_nonzero(np.array(pool.buy_fees) > 0)), int(np.count_nonzero(np.array(pool.sell_fees) > 0)))
     assert 0 < selection.size <= limit < len(pool.sell_fees)

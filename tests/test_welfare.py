@@ -188,7 +188,7 @@ def test_performance_ratio_oversized_block():
 def test_performance_ratio_undersized_block():
     total = 1.4
     d = 0.5 * total * (1 - 1e-3)  # just below half the surplus
-    inst = build_instance([0.9, 0.8], [0.1, 0.2], block_size=1, delay_cost=d, horizon=2)
+    inst = build_instance([0.9, 0.8], [0.1, 0.2], block_size=1, delay_cost=d)
     report = performance_ratio(inst, mechanism_block_size=1, mc_replications=4, rng_seed=2)
     assert report.ratio > 500.0
 
@@ -196,7 +196,7 @@ def test_performance_ratio_undersized_block():
 def test_performance_ratio_infinite_flag():
     total = 1.4
     inst = build_instance(
-        [0.9, 0.8], [0.1, 0.2], block_size=1, delay_cost=0.5 * total * 1.2, horizon=2
+        [0.9, 0.8], [0.1, 0.2], block_size=1, delay_cost=0.5 * total * 1.2
     )
     report = performance_ratio(inst, mechanism_block_size=1, mc_replications=4, rng_seed=3)
     assert report.sw < 0.0
@@ -252,7 +252,7 @@ def test_ratio_at_least_one_on_random_instances():
 
 def test_equilibrium_profile_dispatch():
     pure_inst = build_instance([0.9, 0.3], [0.1, 0.5], block_size=1)
-    mixed_inst = build_instance([0.9, 0.8], [0.1, 0.2], block_size=1, delay_cost=0.1, horizon=2)
+    mixed_inst = build_instance([0.9, 0.8], [0.1, 0.2], block_size=1, delay_cost=0.1)
     assert equilibrium_profile(pure_inst, 0) is not None
     profile = equilibrium_profile(mixed_inst, 0)
     assert all(f > 0 for f in profile.buy_fees)
