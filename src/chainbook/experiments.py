@@ -8,7 +8,11 @@ exact optimum.  Every replication's random stream is keyed by (seed, scenario
 coordinates, replication), so results are byte-identical across runs and
 across worker counts.  A population is drawn and built once per replication;
 the variants a paired comparison needs (block size, miner set) are derived
-from that one instance, and its optimum is computed once.  ``blocksize_limit``
+from that one instance, and its optimum is computed once.  Variants that
+induce the same play (one block size, one policy mix: any all-selfish miner
+set plays as one) share one play: with a protocol-following share of 0
+``abs_non_selfish`` equals ``abs_distributional``, and ``abs_complete``
+shares the play of any variant whose size it picks.  ``blocksize_limit``
 reads both of its rows, the capped choice and the benchmark at
 min(benchmark, cap), from one capped search, so they share populations,
 streams and optimum.  Every scenario summarizes its samples with
@@ -33,7 +37,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import ValueDistribution
-from .market import miners_with_protocol_share
+from .market import MinerPolicy, miners_with_protocol_share
 from .mechanism import (
     MechanismConfig,
     capped_search_report,
@@ -234,12 +238,20 @@ def _comparison_replication(
     # One play generator per replication, rewound for every variant:
     # mechanisms that induce the same play produce identical welfare, so
     # paired comparisons are exact rather than coin flips on pairing luck.
+    # Variants that induce the same play share one: a play is fixed by the
+    # block size and the policy mix, where any all-selfish miner set plays as
+    # one (see miners_with_protocol_share) and any other set as itself.
     rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 1]))
     start = rng.bit_generator.state
+    plays: dict[tuple, float] = {}
     sw: dict[str, float] = {}
     for variant, instance in instances.items():
-        rng.bit_generator.state = start
-        sw[variant] = simulate_once(instance, rng).sw
+        selfish = all(m.policy is MinerPolicy.SELFISH for m in instance.miners)
+        key = instance.block_size, None if selfish else instance.miners
+        if key not in plays:
+            rng.bit_generator.state = start
+            plays[key] = simulate_once(instance, rng).sw
+        sw[variant] = plays[key]
     sizes = {variant: instance.block_size for variant, instance in instances.items()}
     return sw, social_optimum(base), sizes
 
@@ -284,7 +296,9 @@ def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> lis
     The reported ratio is the performance quotient mean(sw) / mean(sw_opt),
     at most 1 on-model.  The abs_non_selfish variant routes the configured
     power share to miners following the welfare-greedy matching
-    recommendation (a stand-in policy, labeled as such in the row).
+    recommendation (a stand-in policy, labeled as such in the row).  At a
+    share of 0 its miners are all selfish and play as abs_distributional's
+    one, so the two rows are equal.
     """
     rows: list[dict] = []
     for n in spec.seller_grid:

@@ -269,7 +269,11 @@ def miners_with_protocol_share(protocol_share: float) -> tuple[Miner, ...]:
 
     Per-block selections depend only on policy, not on miner identity, so a
     compact set with the right power split stands in for an arbitrarily large
-    population.
+    population.  With share 0 the four selfish miners play exactly like
+    ``single_selfish_miner()``: the winner draw reads its own window, so the
+    selections, pairings and welfare are the same and only the rounds'
+    ``winner_id``s differ.  ``experiments._comparison_replication`` relies on
+    this to play such a variant once.
     """
     if not 0.0 <= protocol_share <= 1.0:
         raise ValueError("protocol_share must lie in [0, 1]")

@@ -62,25 +62,34 @@ class PendingPool:
     """Transactions still waiting for inclusion.
 
     Built from id and fee arrays per side; an id is the participant's
-    position in the market, and pool order is ascending position whatever
-    order the ids came in.  ``buyer_ids``, ``buy_fees``, ``seller_ids`` and
-    ``sell_fees`` read each side back in pool order, as tuples.  Each side
-    is held in fee-rank order (see ``_RankedSide``): ``selfish_select``
-    reads its candidate prefix by slicing, and ``remove`` slices a selfish
-    selection off the head.
+    position in the market, so a negative or repeated id is an error, and
+    pool order is ascending position whatever order the ids came in.
+    ``buyer_ids``, ``buy_fees``, ``seller_ids`` and ``sell_fees`` read each
+    side back in pool order, as tuples.  Each side is held in fee-rank
+    order (see ``_RankedSide``): ``selfish_select`` reads its candidate
+    prefix by slicing, and ``remove`` slices a selfish selection off the
+    head.
     """
 
     __slots__ = ("_buyers", "_sellers")
 
     def __init__(self, buyer_ids, buy_fees, seller_ids, sell_fees) -> None:
+        for side, ids in (("buyer", buyer_ids), ("seller", seller_ids)):
+            if min(ids, default=0) < 0 or np.unique(ids).size != len(ids):
+                raise ValueError(f"{side} ids must be distinct nonnegative positions, got {np.asarray(ids).tolist()}")
         self._buyers = _RankedSide.ranked("buyer", buyer_ids, buy_fees)
         self._sellers = _RankedSide.ranked("seller", seller_ids, sell_fees)
 
     @classmethod
     def from_instance(cls, instance: MarketInstance, profile: FeeProfile) -> "PendingPool":
+        """The pool of every transaction in ``profile``; its ids are ``arange``
+        positions, distinct by construction, so the id check is skipped."""
         if len(profile.buy_fees) != instance.num_buyers or len(profile.sell_fees) != instance.num_sellers:
             raise ValueError("fee profile does not match instance participant counts")
-        return cls(np.arange(instance.num_buyers), profile.buy_fees, np.arange(instance.num_sellers), profile.sell_fees)
+        pool = object.__new__(cls)
+        pool._buyers = _RankedSide.ranked("buyer", np.arange(instance.num_buyers), profile.buy_fees)
+        pool._sellers = _RankedSide.ranked("seller", np.arange(instance.num_sellers), profile.sell_fees)
+        return pool
 
     buyer_ids = property(lambda self: tuple(self._buyers.by_position()[0].tolist()))
     buy_fees = property(lambda self: tuple(self._buyers.by_position()[1].tolist()))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chainbook.equilibrium as eq
+import chainbook.experiments as experiments
 from chainbook import distributions as dist
 from chainbook.cli import main
 from chainbook.experiments import (
@@ -71,14 +72,45 @@ def test_comparison_replication_finds_three_equilibria(monkeypatch):
     config = _heterog()
     sw, _, sizes = _comparison_replication(config, 12, 3, 0.3, 5, 2)
     assert len(found) == 3 and found[0] == sizes["abs_distributional"] == 3
-    # Each variant's welfare is that of a play on a fresh instance of its own.
-    seeds = np.random.SeedSequence([5, 12, 2, 0]), np.random.SeedSequence([5, 12, 2, 1])
-    base = sample_instance(config.mechanism_config(12, 12), 1, np.random.default_rng(seeds[0]))
+    base = _assert_fresh_plays(config, 0.3, 2, sw, sizes)
     assert base.crossing_index > 3  # mixed: the shared equilibrium is drawn from
-    for variant, a in sizes.items():
-        miners = miners_with_protocol_share(0.3) if variant == "abs_non_selfish" else None
-        assert simulate_once(base.with_block_size(a, miners), np.random.default_rng(seeds[1])).sw == sw[variant]
     assert len(found) == 7
+
+
+def _assert_fresh_plays(config, fraction, rep, sw, sizes):
+    """Each variant's welfare in replication ``rep`` (N = 12, seed 5) is that
+    of a play on a fresh instance of its own; returns the population."""
+    seeds = np.random.SeedSequence([5, 12, rep, 0]), np.random.SeedSequence([5, 12, rep, 1])
+    base = sample_instance(config.mechanism_config(12, 12), 1, np.random.default_rng(seeds[0]))
+    for variant, a in sizes.items():
+        miners = miners_with_protocol_share(fraction) if variant == "abs_non_selfish" else None
+        assert simulate_once(base.with_block_size(a, miners), np.random.default_rng(seeds[1])).sw == sw[variant]
+    return base
+
+
+@pytest.mark.parametrize(
+    "a_dist, rep, fraction, plays",
+    [
+        (3, 2, 0.0, 3),  # abs_non_selfish's four selfish miners play as one
+        (3, 2, 0.3, 4),  # a protocol-following miner: a play of its own
+        (10, 0, 0.0, 2),  # abs_complete's size is abs_distributional's too
+        (10, 0, 0.3, 3),
+    ],
+)
+def test_comparison_replication_plays_each_distinct_mechanism_once(monkeypatch, a_dist, rep, fraction, plays):
+    # A play is fixed by the block size and the policy mix, so variants that
+    # agree on both share one play; a_dist 3 is a mixed equilibrium at rep 2.
+    played = []
+    monkeypatch.setattr(experiments, "simulate_once", lambda inst, rng: played.append(inst) or simulate_once(inst, rng))
+    config = _heterog()
+    sw, _, sizes = _comparison_replication(config, 12, a_dist, fraction, 5, rep)
+    assert len(played) == plays
+    assert (sizes["abs_complete"] == a_dist) == (rep == 0)
+    if fraction == 0.0:
+        assert sw["abs_non_selfish"] == sw["abs_distributional"]
+    if rep == 0:
+        assert sw["abs_complete"] == sw["abs_distributional"]
+    _assert_fresh_plays(config, fraction, rep, sw, sizes)
 
 
 def test_mechanism_comparison_rows():

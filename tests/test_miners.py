@@ -761,6 +761,29 @@ def test_pool_rejects_ids_and_fees_of_unequal_length(sides, name):
         PendingPool(*sides)
 
 
+@pytest.mark.parametrize(
+    "sides, name",
+    [
+        (((0, 0), (1.0, 1.0), (0, 1), (1.0, 1.0)), "buyer"),  # one buyer would fill two pairs
+        (((0, 1), (1.0, 1.0), (1, 1), (1.0, 1.0)), "seller"),
+        (((-1, 0), (1.0, 1.0), (0, 1), (1.0, 1.0)), "buyer"),  # -1 would index the last buyer
+        (((0, 1), (1.0, 1.0), (0, -1), (1.0, 1.0)), "seller"),
+    ],
+)
+def test_pool_rejects_negative_or_repeated_ids(sides, name):
+    with pytest.raises(ValueError, match=f"{name} ids must be distinct nonnegative positions"):
+        PendingPool(*sides)
+
+
+def test_pool_from_instance_skips_the_id_check(monkeypatch):
+    # Its ids are arange positions, so a play's pool never pays for the check.
+    inst = build_instance([0.9, 0.8], [0.1, 0.2], block_size=1)
+    profile = FeeProfile(buy_fees=(0.2, 0.1), sell_fees=(0.1, 0.1))
+    expected = PendingPool((0, 1), profile.buy_fees, (0, 1), profile.sell_fees)
+    monkeypatch.setattr(PendingPool, "__init__", None)
+    assert PendingPool.from_instance(inst, profile) == expected
+
+
 def _pool_of(pool):
     return PendingPool(pool.buyer_ids, pool.buy_fees, pool.seller_ids, pool.sell_fees)
 
