@@ -88,10 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default=None, help="comma-separated per-period N sequence")
     p.add_argument("--a-max", type=int, default=None, help="block size cap for blocksize_limit")
     p.add_argument("--non-selfish", type=float, default=None, help="protocol-following power share")
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes for mechanism_comparison and random_counts",
-    )
+    p.add_argument("--threads", type=int, default=1, help="worker processes, at most one per replication")
     _common_flags(p)
 
     return parser

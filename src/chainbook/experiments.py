@@ -4,31 +4,28 @@ Scenarios sample populations from configured value distributions with
 :func:`chainbook.mechanism.sample_instance`, pick block sizes per mechanism,
 play each through :func:`chainbook.welfare.simulate_once` (so
 ``quantize_fees`` holds in every scenario), and report welfare against the
-exact optimum.  Every replication's random stream is keyed by (seed, scenario
-coordinates, replication), so results are byte-identical across runs and
-across worker counts.  A population is drawn and built once per replication;
-the variants a paired comparison needs (block size, miner set) are derived
-from that one instance, and its optimum is computed once.  Variants that
-induce the same play (one block size, one policy mix: any all-selfish miner
-set plays as one) share one play: with a protocol-following share of 0
-``abs_non_selfish`` equals ``abs_distributional``, and ``abs_complete``
-shares the play of any variant whose size it picks.  ``blocksize_limit``
-reads both of its rows, the capped choice and the benchmark at
-min(benchmark, cap), from one capped search, so they share populations,
-streams and optimum.  Every scenario summarizes its samples with
-:func:`chainbook.welfare.mean_stderr` and
-:func:`chainbook.welfare.welfare_quotient`, and writes its rows with
-:func:`chainbook.reporting.result_row`.
-
-Process workers receive the :class:`HarnessConfig` itself (its
-distributions pickle as their configs) through ``functools.partial``, and
-``Executor.map`` returns their results in task order.
+exact optimum.  Every scenario keys replication r at N sellers by
+:func:`chainbook.mechanism.replication_rngs` (a ``random_counts`` period is
+replication t at its own count), so replication r at (seed, N) is the same
+market in every scenario, and reports are byte-identical across runs and
+worker counts.  Paired replications run through
+:func:`chainbook.mechanism.play_replication`, which draws a population once,
+derives every variant from it and plays each distinct one once: with a
+protocol-following share of 0 ``abs_non_selfish`` equals
+``abs_distributional``, and ``abs_complete`` shares the play of any variant
+whose size it picks.  ``blocksize_limit`` reads both of its rows, the capped
+choice and the benchmark at min(benchmark, cap), from one capped search, so
+they share populations, streams and optimum.  Every scenario summarizes its
+samples with :func:`chainbook.welfare.mean_stderr` and
+:func:`chainbook.welfare.welfare_quotient`, writes its rows with
+:func:`chainbook.reporting.result_row`, and runs its replications through one
+task runner, ``mechanism._run_tasks``, whose process workers receive
+picklable arguments through ``functools.partial``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -37,12 +34,15 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import ValueDistribution
-from .market import MinerPolicy, miners_with_protocol_share
+from .market import miners_with_protocol_share
 from .mechanism import (
     MechanismConfig,
+    _run_tasks,
     capped_search_report,
     optimal_block_size_complete,
     optimal_block_size_distributional,
+    play_replication,
+    replication_rngs,
     sample_instance,
 )
 from .reporting import result_row
@@ -192,6 +192,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 def benchmark_block_size(num_buyers: int, num_sellers: int) -> int:
@@ -216,55 +218,16 @@ class ComparisonSamples:
 _COMPARISON_VARIANTS = ("abs_distributional", "abs_non_selfish", "benchmark_max_block", "abs_complete")
 
 
-def _comparison_replication(
-    config: HarnessConfig, n_sellers: int, a_dist: int, fraction: float, seed_key: int, rep: int
-) -> tuple[dict[str, float], float, dict[str, float]]:
-    """One paired replication across all mechanism variants: welfare, optimum, sizes.
-
-    A module-level function of picklable arguments, so process workers can run it.
-    """
-    num_buyers = max(1, round(config.rho * n_sellers))
-    draw_rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 0]))
-    base = sample_instance(config.mechanism_config(num_buyers, n_sellers), 1, draw_rng)
-
+def _comparison_variants(a_dist: int, fraction: float, base) -> dict:
+    """Every comparison variant of one population, for :func:`play_replication`."""
     dist = base.with_block_size(a_dist)
     dist.equilibrium  # found first, so the variant that differs only in its miners keeps it
-    instances = {
+    return {
         "abs_distributional": dist,
         "abs_non_selfish": dist.with_block_size(a_dist, miners_with_protocol_share(fraction)),
-        "benchmark_max_block": base.with_block_size(benchmark_block_size(num_buyers, n_sellers)),
+        "benchmark_max_block": base.with_block_size(benchmark_block_size(base.num_buyers, base.num_sellers)),
         "abs_complete": base.with_block_size(optimal_block_size_complete(base)),
     }
-    # One play generator per replication, rewound for every variant:
-    # mechanisms that induce the same play produce identical welfare, so
-    # paired comparisons are exact rather than coin flips on pairing luck.
-    # Variants that induce the same play share one: a play is fixed by the
-    # block size and the policy mix, where any all-selfish miner set plays as
-    # one (see miners_with_protocol_share) and any other set as itself.
-    rng = np.random.default_rng(np.random.SeedSequence([seed_key, n_sellers, rep, 1]))
-    start = rng.bit_generator.state
-    plays: dict[tuple, float] = {}
-    sw: dict[str, float] = {}
-    for variant, instance in instances.items():
-        selfish = all(m.policy is MinerPolicy.SELFISH for m in instance.miners)
-        key = instance.block_size, None if selfish else instance.miners
-        if key not in plays:
-            rng.bit_generator.state = start
-            plays[key] = simulate_once(instance, rng).sw
-        sw[variant] = plays[key]
-    sizes = {variant: instance.block_size for variant, instance in instances.items()}
-    return sw, social_optimum(base), sizes
-
-
-def _run_tasks(threads: int, worker, *iterables) -> list:
-    """``map(worker, *iterables)`` in task order, over ``threads`` processes if
-    above 1, each taking contiguous chunks: ``worker`` is pickled once per chunk."""
-    if threads <= 1:
-        return list(map(worker, *iterables))
-    from concurrent.futures import ProcessPoolExecutor  # a one-process run never loads it
-    chunksize = max(1, math.ceil(len(iterables[0]) / threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, *iterables, chunksize=chunksize))
 
 
 def compare_mechanisms(
@@ -277,10 +240,9 @@ def compare_mechanisms(
 ) -> ComparisonSamples:
     """Paired-population welfare samples for every comparison variant at one N."""
     num_buyers = max(1, round(config.rho * num_sellers))
-    a_dist = optimal_block_size_distributional(config.mechanism_config(num_buyers, num_sellers))
-    worker = partial(
-        _comparison_replication, config, num_sellers, a_dist, non_selfish_fraction, seed
-    )
+    mc = config.mechanism_config(num_buyers, num_sellers)
+    variants = partial(_comparison_variants, optimal_block_size_distributional(mc), non_selfish_fraction)
+    worker = partial(play_replication, mc, variants, seed)
     welfare, optima, sizes = zip(*_run_tasks(threads, worker, range(replications)))
     return ComparisonSamples(
         num_buyers=num_buyers,
@@ -326,10 +288,10 @@ def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> lis
 def _random_counts_period(
     config: HarnessConfig, a_fixed: int, seed_key: int, period: int, n_t: int
 ) -> dict:
-    """The report row of one period: its own counts, population and stream."""
+    """The report row of one period: replication ``period`` at its own count."""
     k_t = max(1, round(config.rho * n_t))
-    rng = np.random.default_rng(np.random.SeedSequence([seed_key, period, 17]))
-    inst = sample_instance(config.mechanism_config(k_t, n_t), a_fixed, rng)
+    draw_rng, rng = replication_rngs(seed_key, n_t, period)
+    inst = sample_instance(config.mechanism_config(k_t, n_t), a_fixed, draw_rng)
     sw, opt = simulate_once(inst, rng).sw, social_optimum(inst)
     return result_row(
         Scenario.RANDOM_COUNTS.value, MechanismKind.ABS_DISTRIBUTIONAL.value, n_t, k_t, a_fixed,
@@ -374,14 +336,13 @@ def run_blocksize_limit(
     Both rows come from one capped search: the chosen size and the benchmark
     size min(benchmark, cap), on the same populations and against their optimum.
     """
-    if max_block_size < 1:
-        raise ValueError("max_block_size must be >= 1")
     rows: list[dict] = []
     for n in spec.seller_grid:
         k = max(1, round(config.rho * n))
         mc = config.mechanism_config(k, n)
         report = capped_search_report(
-            mc, max_block_size, mc_replications=spec.replications, rng_seed=spec.seed
+            mc, max_block_size, mc_replications=spec.replications, rng_seed=spec.seed,
+            threads=spec.threads,
         )
         a_bench = min(benchmark_block_size(k, n), max_block_size)
         for mechanism, a in (

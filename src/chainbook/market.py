@@ -272,7 +272,7 @@ def miners_with_protocol_share(protocol_share: float) -> tuple[Miner, ...]:
     population.  With share 0 the four selfish miners play exactly like
     ``single_selfish_miner()``: the winner draw reads its own window, so the
     selections, pairings and welfare are the same and only the rounds'
-    ``winner_id``s differ.  ``experiments._comparison_replication`` relies on
+    ``winner_id``s differ.  ``mechanism.play_replication`` relies on
     this to play such a variant once.
     """
     if not 0.0 <= protocol_share <= 1.0:

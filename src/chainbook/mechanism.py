@@ -8,19 +8,21 @@ N**-psi term buys slack so that, as markets grow, all profitable pairs fit
 into a single block with high probability.  A hard cap is handled by a
 brute-force Monte Carlo search over block sizes; its report carries the
 mean optimum of the populations it played on, so every size's welfare is
-compared on paired populations.
+compared on paired populations.  Every scenario's replications are keyed,
+drawn and played by :func:`play_replication` and run by ``_run_tasks``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .distributions import ValueDistribution
 from .equilibrium import crossing_index
-from .market import MarketInstance, build_instance
+from .market import MarketInstance, MinerPolicy, build_instance
 from .welfare import mean_stderr, simulate_once, social_optimum
 
 __all__ = [
@@ -31,6 +33,8 @@ __all__ = [
     "capped_search_report",
     "CappedSearchReport",
     "sample_instance",
+    "replication_rngs",
+    "play_replication",
 ]
 
 ETA_TOL = 1e-12
@@ -119,6 +123,48 @@ def sample_instance(
     )
 
 
+def replication_rngs(seed: int, num_sellers: int, rep: int) -> list[np.random.Generator]:
+    """Replication ``rep``'s draw and play generators at ``num_sellers`` sellers,
+    keyed ``[seed, N, rep, 0]`` and ``[seed, N, rep, 1]``: replication r at
+    (seed, N) is the same market, played from the same stream, in every scenario."""
+    return [np.random.default_rng(np.random.SeedSequence([seed, num_sellers, rep, s])) for s in (0, 1)]
+
+
+def play_replication(config: MechanismConfig, variants, seed: int, rep: int) -> tuple[dict, float, dict]:
+    """One paired replication: welfare and block size per variant, and the optimum.
+
+    ``variants`` (picklable, for process workers) maps the population, drawn
+    once, to its instances by name.  Each plays from the rewound play generator,
+    so a paired difference is the mechanism's, not pairing luck; variants with one
+    block size and one policy mix (any all-selfish miner set plays as one) share one play.
+    """
+    draw_rng, rng = replication_rngs(seed, config.num_sellers, rep)
+    base = sample_instance(config, 1, draw_rng)
+    instances = variants(base)
+    start = rng.bit_generator.state
+    plays, sw = {}, {}  # welfare by (block size, policy mix), and by variant
+    for variant, instance in instances.items():
+        selfish = all(m.policy is MinerPolicy.SELFISH for m in instance.miners)
+        key = instance.block_size, None if selfish else instance.miners
+        if key not in plays:
+            rng.bit_generator.state = start
+            plays[key] = simulate_once(instance, rng).sw
+        sw[variant] = plays[key]
+    return sw, social_optimum(base), {variant: inst.block_size for variant, inst in instances.items()}
+
+
+def _run_tasks(threads: int, worker, *iterables) -> list:
+    """``map(worker, *iterables)`` in task order, over at most ``threads`` processes and one
+    per task, each taking contiguous chunks: ``worker`` is pickled once per chunk."""
+    threads = min(threads, len(iterables[0]))
+    if threads <= 1:
+        return list(map(worker, *iterables))
+    from concurrent.futures import ProcessPoolExecutor  # a one-process run never loads it
+    chunksize = math.ceil(len(iterables[0]) / threads)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, *iterables, chunksize=chunksize))
+
+
 @dataclass(frozen=True)
 class CappedSearchReport:
     """Welfare per candidate size; ``mean_optimum`` is the mean ``social_optimum``
@@ -131,37 +177,32 @@ class CappedSearchReport:
     mean_optimum: float
 
 
+def _candidate_sizes(max_block_size: int, base: MarketInstance) -> dict[int, MarketInstance]:
+    return {a: base.with_block_size(a) for a in range(1, max_block_size + 1)}
+
+
 def capped_search_report(
     config: MechanismConfig,
     max_block_size: int,
     mc_replications: int = 200,
     rng_seed: int = 0,
+    threads: int = 1,
 ) -> CappedSearchReport:
     """Estimate expected equilibrium welfare for each A in 1..cap and rank them.
 
-    Each replication draws one population (seeded by replication only) and
-    plays every block size on it, each from the generator state right after
-    the draws (plays leave the generator's seed sequence alone), so every
-    size sees the same participants and the same stream position.  The
-    comparison is paired and deterministic for a given seed, and the optimum
-    is taken from the same populations.  Ties go to the smaller block size.
+    Each replication is a :func:`play_replication` keyed by (seed, N,
+    replication) that plays every block size on its one population, so the
+    comparison is paired, the optimum is taken from the same populations and
+    the result does not depend on ``threads``.  Ties go to the smaller size.
     """
     if max_block_size < 1:
         raise ValueError("max_block_size must be >= 1")
     if mc_replications < 1:
         raise ValueError("mc_replications must be >= 1")
-    sizes = list(range(1, max_block_size + 1))
-    samples: list[list[float]] = [[] for _ in sizes]
-    optima = []
-    for rep in range(mc_replications):
-        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, rep]))
-        base = sample_instance(config, 1, rng)
-        optima.append(social_optimum(base))
-        drawn = rng.bit_generator.state
-        for a, welfare in zip(sizes, samples):
-            rng.bit_generator.state = drawn
-            welfare.append(simulate_once(base.with_block_size(a), rng).sw)
-    means, errs = zip(*(mean_stderr(welfare) for welfare in samples))
+    worker = partial(play_replication, config, partial(_candidate_sizes, max_block_size), rng_seed)
+    welfare, optima, _ = zip(*_run_tasks(threads, worker, range(mc_replications)))
+    sizes = range(1, max_block_size + 1)
+    means, errs = zip(*(mean_stderr([sw[a] for sw in welfare]) for a in sizes))
     best = sizes[int(np.argmax(means))]  # argmax returns the first, i.e. smallest, maximizer
     return CappedSearchReport(
         best_block_size=best,

@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 
 import chainbook.equilibrium as eq
-import chainbook.experiments as experiments
+import chainbook.mechanism as mechanism
 from chainbook import distributions as dist
 from chainbook.cli import main
 from chainbook.experiments import (
     ExperimentSpec,
     HarnessConfig,
     Scenario,
-    _comparison_replication,
-    _run_tasks,
+    _comparison_variants,
     benchmark_block_size,
     compare_mechanisms,
     load_config,
@@ -25,7 +24,7 @@ from chainbook.experiments import (
     run_random_counts,
 )
 from chainbook.market import miners_with_protocol_share
-from chainbook.mechanism import sample_instance
+from chainbook.mechanism import _run_tasks, play_replication, sample_instance
 from chainbook.miners import PendingPool
 from chainbook.reporting import emit_report
 from chainbook.welfare import simulate_once
@@ -63,6 +62,13 @@ def test_comparison_shares_populations_across_variants():
     assert np.allclose(comp.samples["abs_non_selfish"], comp.optimum)
 
 
+def _comparison_replication(config, a_dist, fraction, rep):
+    """Replication ``rep`` of the paired comparison at N = 12, seed 5, with
+    abs_distributional's size ``a_dist``, through the replication engine."""
+    variants = partial(_comparison_variants, a_dist, fraction)
+    return play_replication(config.mechanism_config(12, 12), variants, 5, rep)
+
+
 def test_comparison_replication_finds_three_equilibria(monkeypatch):
     # abs_non_selfish differs from abs_distributional only in its miners, so
     # it keeps that variant's equilibrium: three found per replication, not four.
@@ -70,7 +76,7 @@ def test_comparison_replication_finds_three_equilibria(monkeypatch):
     real = eq.psne
     monkeypatch.setattr(eq, "psne", lambda inst: found.append(inst.block_size) or real(inst))
     config = _heterog()
-    sw, _, sizes = _comparison_replication(config, 12, 3, 0.3, 5, 2)
+    sw, _, sizes = _comparison_replication(config, 3, 0.3, 2)
     assert len(found) == 3 and found[0] == sizes["abs_distributional"] == 3
     base = _assert_fresh_plays(config, 0.3, 2, sw, sizes)
     assert base.crossing_index > 3  # mixed: the shared equilibrium is drawn from
@@ -101,9 +107,9 @@ def test_comparison_replication_plays_each_distinct_mechanism_once(monkeypatch, 
     # A play is fixed by the block size and the policy mix, so variants that
     # agree on both share one play; a_dist 3 is a mixed equilibrium at rep 2.
     played = []
-    monkeypatch.setattr(experiments, "simulate_once", lambda inst, rng: played.append(inst) or simulate_once(inst, rng))
+    monkeypatch.setattr(mechanism, "simulate_once", lambda inst, rng: played.append(inst) or simulate_once(inst, rng))
     config = _heterog()
-    sw, _, sizes = _comparison_replication(config, 12, a_dist, fraction, 5, rep)
+    sw, _, sizes = _comparison_replication(config, a_dist, fraction, rep)
     assert len(played) == plays
     assert (sizes["abs_complete"] == a_dist) == (rep == 0)
     if fraction == 0.0:
@@ -139,6 +145,18 @@ def test_random_counts_reduces_to_comparison_when_constant():
     assert summary["ratio"] == pytest.approx(1.0, abs=1e-9)  # separated: exact clears
 
 
+def test_random_counts_periods_are_comparison_replications():
+    # Period t at count N is replication t at (seed, N): the comparison's
+    # population, optimum and abs_distributional play.
+    config = _heterog()
+    rows = run_random_counts(ExperimentSpec(scenario=Scenario.RANDOM_COUNTS, seed=9), config, [12] * 4)
+    comp = compare_mechanisms(config, 12, 0.0, replications=4, seed=9)
+    periods = rows[:-1]
+    assert [r["sw_opt"] for r in periods] == comp.optimum.tolist()
+    assert [r["sw_mean"] for r in periods] == comp.samples["abs_distributional"].tolist()
+    assert {r["A"] for r in periods} == {comp.block_sizes["abs_distributional"]}
+
+
 def test_random_counts_empty_sequence():
     spec = ExperimentSpec(scenario=Scenario.RANDOM_COUNTS, replications=1, seed=0)
     with pytest.raises(ValueError, match="nonempty"):
@@ -163,6 +181,33 @@ def test_blocksize_limit_cap_one():
     rows = run_blocksize_limit(spec, _separated_config(), max_block_size=1)
     abs_row = next(r for r in rows if r["mechanism"] == "abs_capped")
     assert abs_row["A"] == 1
+
+
+def test_blocksize_limit_draws_new_populations_at_each_n(monkeypatch):
+    # Keyed by replication alone, the N = 12 buyers' values would begin with
+    # the N = 10 buyers' values of the same replication.
+    drawn = []
+    real = mechanism.sample_instance
+    monkeypatch.setattr(mechanism, "sample_instance", lambda *args: drawn.append(real(*args)) or drawn[-1])
+    spec = ExperimentSpec(scenario=Scenario.BLOCK_SIZE_LIMIT, replications=3, seed=4, seller_grid=(10, 12))
+    run_blocksize_limit(spec, HarnessConfig(), max_block_size=2)
+    assert [population.num_sellers for population in drawn] == [10] * 3 + [12] * 3
+    for small, large in zip(drawn[:3], drawn[3:]):
+        assert not np.array_equal(large.utility_array[:10], small.utility_array)
+
+
+def test_blocksize_limit_optimum_is_the_comparisons():
+    # Replication r at (seed, N) is the same market in every scenario.
+    config = HarnessConfig()
+    capped = run_blocksize_limit(
+        ExperimentSpec(scenario=Scenario.BLOCK_SIZE_LIMIT, replications=20, seed=2, seller_grid=(60,)), config, 3
+    )
+    compared = run_mechanism_comparison(
+        ExperimentSpec(scenario=Scenario.MECHANISM_COMPARISON, replications=20, seed=2, seller_grid=(60,)), config
+    )
+    optimum = next(r for r in compared if r["mechanism"] == "social_optimum")
+    assert capped[0]["sw_opt"] == capped[1]["sw_opt"] == optimum["sw_mean"] == optimum["sw_opt"]
+    assert optimum["sw_opt"] == pytest.approx(14.5365, abs=1e-4)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -250,22 +295,26 @@ def test_reports_reproducible_across_runs_and_threads():
         assert text_a == text_b == text_c
 
 
+def _run_scenario(scenario, config, threads):
+    spec = ExperimentSpec(scenario=scenario, replications=3, seed=8, seller_grid=(6, 10), threads=threads)
+    if scenario is Scenario.RANDOM_COUNTS:
+        return run_random_counts(spec, config, [6, 10, 8, 12])
+    if scenario is Scenario.BLOCK_SIZE_LIMIT:
+        return run_blocksize_limit(spec, config, 4)
+    return run_mechanism_comparison(spec, config)
+
+
 @pytest.mark.parametrize(
     "config", [_separated_config(), _beta_empirical_config()], ids=["uniform", "beta_empirical"]
 )
-def test_random_counts_same_bytes_on_two_threads(config):
+@pytest.mark.parametrize(
+    "scenario",
+    [Scenario.RANDOM_COUNTS, Scenario.BLOCK_SIZE_LIMIT, Scenario.MECHANISM_COMPARISON],
+    ids=lambda scenario: scenario.value,
+)
+def test_every_scenario_same_bytes_on_two_threads(scenario, config):
     texts = [
-        emit_report(
-            run_random_counts(
-                ExperimentSpec(scenario=Scenario.RANDOM_COUNTS, seed=8, threads=threads),
-                config,
-                [6, 10, 8, 12],
-            ),
-            "json",
-            None,
-            config.to_jsonable(),
-            8,
-        )
+        emit_report(_run_scenario(scenario, config, threads), "json", None, config.to_jsonable(), 8)
         for threads in (1, 2)
     ]
     assert texts[0] == texts[1]
@@ -290,6 +339,32 @@ def test_process_pool_pickles_the_worker_once_per_chunk():
     _PICKLED.clear()
     assert _run_tasks(2, partial(_task_echo, _CountedPickle()), range(40)) == list(range(40))
     assert 1 <= len(_PICKLED) <= 2  # two chunks of 20 tasks
+
+
+def test_run_tasks_starts_at_most_one_worker_per_task(monkeypatch):
+    # A recording stand-in: a real pool would start every worker at its first submit.
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert _run_tasks(8, abs, [-1, -2]) == [1, 2]
+    assert _run_tasks(2, abs, range(-5, 0)) == [5, 4, 3, 2, 1]
+    assert _run_tasks(8, abs, [-3]) == [3]  # one task runs in this process
+    assert started == [2, 2]
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -329,6 +404,9 @@ def test_load_config_roundtrip(tmp_path):
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(scenario=Scenario.MECHANISM_COMPARISON, replications=0)
+    for threads in (0, -2):  # once ran silently in one process
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            ExperimentSpec(scenario=Scenario.BLOCK_SIZE_LIMIT, threads=threads)
 
 
 def test_config_validation():
@@ -400,16 +478,18 @@ def _cli_rows(tmp_path, *argv):
 # plays draw (ties, pairings of heterogeneous quantities, winners) were last
 # re-taken when plays moved to keyed Philox windows; cli_mechanism's, whose
 # mixed plays draw fees through the binomial tail, when that tail moved from
-# scipy's survival function to numpy log-pmf terms.
+# scipy's survival function to numpy log-pmf terms; random_counts',
+# blocksize_limit's and cli_mechanism's when every scenario moved to the
+# one replication key [seed, N, r, 0 | 1].
 PINNED_ROWS = {
     "comparison": "caa2c2e31f8c8d7cd902758004f27018b5f6f5e2bf7dfac0f506112b149a8332",
     "comparison_quantized": "2cb98df1ea5736568a036dd9ba86efe68b030f2b50a12f493418f29a21db59c4",
-    "random_counts": "ccea7b7582448acea31b46e918aa0f81f494cbaa160c16c9921a030fadeb010a",
+    "random_counts": "1f4052d21f5b76ebd40c7b993a7b892ad20d2b7f7ebcbc35406b4ed13cdc4a09",
     # Both rows read from one capped search, on its populations and their optimum.
-    "blocksize_limit": "2773e7879427fde2a5d16cc4a72d6e1703aca979966e465d43e725d8ae25cf6b",
+    "blocksize_limit": "815a1f88bdc332da149c9de1c07152f36ec1c5319217872d226931c7c4e5f21d",
     "cli_simulate": "75bfebf819c04adb5486833f70e2eb7b5bac0885b9e58c22f3454471b2e872c5",
     "cli_equilibrium": "b3ae3214702ff605c5c7e948e1b32c9b88726c0413687cbf77758c0e7fa746ab",
-    "cli_mechanism": "bc012a2eb4cc03c5ec6b2ea18f9600dcd3d76661d3726b122c078396064de705",
+    "cli_mechanism": "0b9f6444a6c4e43cdc3090985596dc3d0d5a3f534f52b18a4f07f0bb7c68bf38",
     "cli_poa": "70adcd3ce64838c2d790ccac752b727dfece58c8a068d9a902ce1516d119e8d9",
     "cli_ingest": "412a1a3e30c2e5c5cc0f33f2cd10436b48e16803953a3f18bb882e491f2a4aa7",
 }
