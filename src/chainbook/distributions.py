@@ -74,6 +74,10 @@ def uniform(lo: float, hi: float) -> ValueDistribution:
 
 
 def beta(a: float, b: float, lo: float = 0.0, hi: float = 1.0) -> ValueDistribution:
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"need beta shapes a > 0 and b > 0, got a={a}, b={b}")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     from scipy import stats  # imported on use: it costs about 0.5 s to load
 
     dist = stats.beta(a, b, loc=lo, scale=hi - lo)
@@ -90,6 +94,8 @@ def lognormal_truncated(mu: float, sigma: float, lo: float, hi: float) -> ValueD
     """Lognormal conditioned on [lo, hi] (mass outside the window renormalized away)."""
     if not 0.0 <= lo < hi:
         raise ValueError("need 0 <= lo < hi")
+    if not sigma > 0.0:
+        raise ValueError(f"need sigma > 0, got {sigma}")
     from scipy import stats
 
     dist = stats.lognorm(s=sigma, scale=np.exp(mu))

@@ -4,12 +4,15 @@ A selfish miner ranks pending transactions by fee (ties shuffled with the
 round's draws, zero-fee transactions rejected) and keeps, among prefix sizes
 i = 1..min(A, pending buyers, pending sellers), the feasible prefix with the
 largest fee total.  Feasibility of every prefix comes from one all-prefix
-Hall check in A / ``_HALL_ROWS`` vectorized numpy blocks, each evaluated
-only at its own breakpoints: O(_HALL_ROWS * A + A^2 / _HALL_ROWS) element
-operations in O(_HALL_ROWS^2 + A) memory.  A protocol-following miner instead
-adopts the welfare-greedy matching recommendation.  One winner per round is
-drawn with the miners' power weights; its selection is appended to the chain
-and removed from the pending pool.
+Hall check: a screen at ``_SCREEN_COLS`` evenly spaced thresholds drops
+prefixes that fail there, and only the ``_HALL_ROWS``-prefix blocks holding a
+survivor are evaluated exactly, each at its own breakpoints.  That is
+O(_SCREEN_COLS * A) element operations plus O(_HALL_ROWS * A + A) per
+evaluated block, in O(_HALL_ROWS^2 + _SCREEN_COLS * A) memory.  A
+protocol-following miner instead adopts the welfare-greedy matching
+recommendation.  One winner per round is drawn with the miners' power
+weights; its selection is appended to the chain and removed from the
+pending pool.
 
 Randomness: a play draws from one ``Philox`` generator, keyed from child
 ``(0,)`` of the play generator's seed sequence (derived once per sequence,
@@ -75,7 +78,7 @@ class PendingPool:
 
     def __init__(self, buyer_ids, buy_fees, seller_ids, sell_fees) -> None:
         for side, ids in (("buyer", buyer_ids), ("seller", seller_ids)):
-            if min(ids, default=0) < 0 or np.unique(ids).size != len(ids):
+            if min(ids, default=0) < 0 or _has_equal(np.sort(ids)):
                 raise ValueError(f"{side} ids must be distinct nonnegative positions, got {np.asarray(ids).tolist()}")
         self._buyers = _RankedSide.ranked("buyer", buyer_ids, buy_fees)
         self._sellers = _RankedSide.ranked("seller", seller_ids, sell_fees)
@@ -204,8 +207,12 @@ class Selection:
 
 _EMPTY = Selection(buyer_ids=(), seller_ids=(), pairing=(), total_fee=0.0)
 
-# Prefixes per block of the all-prefix Hall check; bounds its working memory.
+# Prefixes per block of the all-prefix Hall check, and the evenly spaced
+# thresholds at which it screens a pool of more than _HALL_ROWS prefixes
+# before evaluating only the blocks holding a survivor; together they bound
+# its working memory.  Its time on large blocks is flat from 16 to 32 columns.
 _HALL_ROWS = 64
+_SCREEN_COLS = 24
 
 
 def uniform_feasible_pairing(
@@ -297,34 +304,44 @@ def _feasible_prefixes(utilities: np.ndarray, costs: np.ndarray) -> np.ndarray:
     #{C < x} - #{R < x} of each (prefix, threshold) pair is a cumulative sum
     over the prefixes.  A pool of at most ``_HALL_ROWS`` rows is one block,
     evaluated at every threshold: for one block that is cheaper than the
-    breakpoint bookkeeping below.  A larger pool is built ``_HALL_ROWS``
-    prefixes at a time, each block starting from the slack ``carry`` of the
-    prefixes before it.  A block's own rows step the slack only at their
-    positions, so between two of its <= 2 * _HALL_ROWS + 1 breakpoints the
-    step is constant: the block needs the step at the breakpoints plus the
-    minimum of ``carry`` over each segment between them.  That is
-    O(_HALL_ROWS * A + A^2 / _HALL_ROWS) element operations in
-    A / _HALL_ROWS blocks, in O(_HALL_ROWS^2 + A) memory; all integer, so
-    the result equals the check at every threshold.
+    breakpoint bookkeeping below.
+
+    A larger pool is first screened at ``_SCREEN_COLS`` evenly spaced
+    thresholds, one A x _SCREEN_COLS cumulative sum: a prefix with negative
+    slack there is infeasible, so the screen only drops prefixes the exact
+    check would reject.  Only the ``_HALL_ROWS``-prefix blocks that hold a
+    survivor are evaluated exactly, each from the slack ``carry`` of the
+    prefixes before it (one prefix ``bincount``).  A block's own rows step
+    the slack only at their positions, so between two of its
+    <= 2 * _HALL_ROWS + 1 breakpoints the step is constant: the block needs
+    the step at the breakpoints plus the minimum of ``carry`` over each
+    segment between them.  That is O(_SCREEN_COLS * A) element operations
+    for the screen plus O(_HALL_ROWS * A + A) per evaluated block, in
+    O(_HALL_ROWS^2 + _SCREEN_COLS * A) memory; all integer, so the result
+    equals the check at every threshold.
     """
     n = len(costs)
     thresholds = np.sort(costs)
     # A participant counts at every threshold from this position on.
     pos_b = np.searchsorted(thresholds, utilities, side="right")
     pos_s = np.searchsorted(thresholds, costs, side="right")
+    # A pool of at most _HALL_ROWS is checked at every threshold; a larger
+    # one is screened at _SCREEN_COLS of them.
+    cols = np.arange(n) if n <= _HALL_ROWS else np.arange(_SCREEN_COLS) * n // _SCREEN_COLS
+    slack = (pos_s[:, None] <= cols).astype(np.int64)
+    slack -= pos_b[:, None] <= cols
+    np.cumsum(slack, axis=0, out=slack)
+    survivors = slack.min(axis=1) >= 0
     if n <= _HALL_ROWS:
-        cols = np.arange(n)
-        slack = (pos_s[:, None] <= cols).astype(np.int64)
-        slack -= pos_b[:, None] <= cols
-        np.cumsum(slack, axis=0, out=slack)
-        return slack.min(axis=1) >= 0
+        return survivors
 
-    feasible = np.empty(n, dtype=bool)
+    feasible = np.zeros(n, dtype=bool)
     # Slack at thresholds 0..n.  Every participant counts at column n, so
     # carry and step are 0 there, and a 0 never fails the check: positions
     # equal to n need not be dropped from the breakpoints.
-    carry = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, n, _HALL_ROWS):
+    starts = np.arange(0, n, _HALL_ROWS)
+    for start in starts[np.logical_or.reduceat(survivors, starts)].tolist():
+        carry = np.cumsum(np.bincount(pos_s[:start], minlength=n + 1) - np.bincount(pos_b[:start], minlength=n + 1))
         block = slice(start, start + _HALL_ROWS)
         ps, pb = pos_s[block], pos_b[block]
         cuts = np.sort(np.concatenate((ps, pb, [0])))
@@ -334,7 +351,6 @@ def _feasible_prefixes(utilities: np.ndarray, costs: np.ndarray) -> np.ndarray:
         # A repeated breakpoint reads one carry entry, never below its segment's minimum.
         step += np.minimum.reduceat(carry, cuts)
         feasible[block] = step.min(axis=1) >= 0
-        carry += np.cumsum(np.bincount(ps, minlength=n + 1) - np.bincount(pb, minlength=n + 1))
     return feasible
 
 
@@ -348,8 +364,9 @@ def selfish_select(
 
     Checks every prefix i = 1..min(A, positive-fee buyers, positive-fee
     sellers) of the fee-ranked transactions at once with the all-prefix Hall
-    check (O(_HALL_ROWS * A + A^2 / _HALL_ROWS) element operations in
-    A / _HALL_ROWS numpy blocks, O(_HALL_ROWS^2 + A) memory) and returns the
+    check (a screen of O(_SCREEN_COLS * A) element operations, then
+    O(_HALL_ROWS * A + A) per ``_HALL_ROWS``-prefix block holding a screened
+    survivor, in O(_HALL_ROWS^2 + _SCREEN_COLS * A) memory) and returns the
     feasible prefix with the highest fee total.
     Totals within a relative 1e-12 of it are tied, and ties are broken
     uniformly at random.  When the full prefix is feasible (one sorted-rank

@@ -244,10 +244,15 @@ def test_uniform_runs_load_no_scipy_module(tmp_path):
     # The binomial tail and, up to 24 x 24, the assignment solver are in the
     # package, so uniform markets, homogeneous or small and heterogeneous
     # (mixed equilibria and the solver both run here), never import scipy.
+    # Nor does the play path import numpy.ma (np.unique's first call does):
+    # an N = 80 benchmark_max_block play screens a Hall check of 80 prefixes,
+    # and a pool built from ids checks that they are distinct.
     heterogeneous = tmp_path / "heterogeneous.json"
     heterogeneous.write_text(json.dumps({"K": 6, "N": 6, "b_lo": 1.0, "b_hi": 3.0}), encoding="utf-8")
     args = ["experiment", "--scenario", "mechanism_comparison", "--sellers", "6", "--replications", "2",
             "--non-selfish", "0.3", "--out", str(tmp_path / "out.json")]
+    large = ["experiment", "--scenario", "mechanism_comparison", "--sellers", "80", "--replications", "1",
+             "--out", str(tmp_path / "large.json")]
     code = (
         "import sys\n"
         "import chainbook.cli\n"
@@ -263,6 +268,13 @@ def test_uniform_runs_load_no_scipy_module(tmp_path):
         "assert scipy_modules() == [] and calls['tail'] > 0, (scipy_modules(), calls)\n"
         f"assert chainbook.cli.main({[*args, '--config', str(heterogeneous)]!r}) == 0\n"
         "assert scipy_modules() == [] and calls['solver'] > 0, (scipy_modules(), calls)\n"
+        "prefixes, checked = miners._feasible_prefixes, []\n"
+        "def counted_prefixes(u, c):\n    checked.append(len(c))\n    return prefixes(u, c)\n"
+        "miners._feasible_prefixes = counted_prefixes\n"
+        f"assert chainbook.cli.main({large!r}) == 0\n"
+        "assert max(checked) > miners._HALL_ROWS, checked\n"
+        "miners.PendingPool((0, 2), (1.0, 0.5), (1, 0), (0.5, 1.0))\n"
+        "assert scipy_modules() == [] and 'numpy.ma' not in sys.modules, scipy_modules()\n"
     )
     src = str(Path(chainbook.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

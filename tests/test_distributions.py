@@ -62,6 +62,24 @@ def test_fit_empirical_errors():
         dist.fit_empirical([0.5, 1.5], (0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "beta", "a": 0.0, "b": 1.0}, "a > 0 and b > 0"),
+        ({"kind": "beta", "a": -1.0, "b": 2.0}, "a > 0 and b > 0"),
+        ({"kind": "beta", "a": 2.0, "b": float("nan")}, "a > 0 and b > 0"),
+        ({"kind": "beta", "a": 2.0, "b": 2.0, "lo": 0.8, "hi": 0.2}, "lo < hi"),
+        ({"kind": "beta", "a": 2.0, "b": 2.0, "lo": 0.5, "hi": 0.5}, "lo < hi"),
+        ({"kind": "lognormal_truncated", "mu": 0.0, "sigma": -1.0, "lo": 0.1, "hi": 1.0}, "sigma > 0"),
+        ({"kind": "lognormal_truncated", "mu": 0.0, "sigma": 0.0, "lo": 0.1, "hi": 1.0}, "sigma > 0"),
+    ],
+)
+def test_from_config_rejects_parameters_that_yield_nan(spec, message):
+    # Each of these once built a distribution whose samples and CDF were NaN.
+    with pytest.raises(ValueError, match=message):
+        dist.from_config(spec)
+
+
 def test_inverse_roundtrip_on_continuity_points():
     rng = np.random.default_rng(3)
     emp = dist.fit_empirical(np.sort(rng.random(200)), (0.0, 1.0))

@@ -119,12 +119,24 @@ def test_nonprefix_subset_can_beat_every_feasible_prefix():
 def test_feasible_prefixes_match_rank_feasible_on_every_prefix():
     # Values on a coarse grid, so utilities, costs and thresholds tie often.
     rng = np.random.default_rng(17)
-    sizes = [int(n) for n in rng.integers(1, 12, size=300)] + [2 * _HALL_ROWS + 7, 3 * _HALL_ROWS]
-    for n in sizes:
-        u = rng.integers(0, 8, n) / 8.0
-        c = rng.integers(0, 8, n) / 8.0
+    sizes = [int(n) for n in rng.integers(1, 12, size=300)] + [_HALL_ROWS + 1, 2 * _HALL_ROWS + 7, 3 * _HALL_ROWS]
+    pools = [(rng.integers(0, 8, n) / 8.0, rng.integers(0, 8, n) / 8.0) for n in sizes]
+    # Value-sorted, the last pair incompatible: every prefix but the full one
+    # is feasible, so every block survives the screen.
+    n = 3 * _HALL_ROWS + 5
+    u, c = np.sort(rng.integers(4, 9, n))[::-1] / 8.0, np.sort(rng.integers(0, 5, n)) / 8.0
+    u[-1], c[-1] = 0.0, 1.0
+    pools.append((u, c))
+    # Feasible prefixes in blocks 0 and 2 but none in block 1: a buyer below
+    # every cost fails every prefix from row 10 until a free seller in block 2
+    # covers it, so block 2's carry is built across the skipped block 1.
+    u, c = np.full(n, 0.75), np.full(n, 0.5)
+    u[10], c[2 * _HALL_ROWS + 20] = 0.0, 0.0
+    pools.append((u, c))
+    assert _feasible_prefixes(u, c).tolist() == [i < 10 or i >= 2 * _HALL_ROWS + 20 for i in range(n)]
+    for u, c in pools:
         got = _feasible_prefixes(u, c)
-        want = [rank_feasible(np.sort(u[:i]), np.sort(c[:i])) for i in range(1, n + 1)]
+        want = [rank_feasible(np.sort(u[:i]), np.sort(c[:i])) for i in range(1, len(c) + 1)]
         assert got.tolist() == want
 
 
@@ -136,7 +148,8 @@ def _blockwise_values(draw):
     earlier blocks leave breakpoints the current block lacks.  Utilities copy
     a cost a few rows away, or draw from the window too: ties, values equal
     to thresholds and R = C all occur, and many prefixes sit at the edge of
-    feasibility.
+    feasibility.  Some pools are value-sorted (buyers by utility descending,
+    sellers by cost ascending), as when fees follow values.
     """
     n = draw(st.integers(1, 3 * _HALL_ROWS + 5), label="n")
     levels = draw(st.sampled_from([4, 8, 64]), label="levels")
@@ -149,6 +162,9 @@ def _blockwise_values(draw):
         u = c[np.clip(np.arange(n) + shift, 0, n - 1)]
     else:
         u = window + np.array(draw(st.lists(half, min_size=n, max_size=n)))
+    if draw(st.booleans(), label="value_sorted"):
+        # Fees ranked by value: most prefixes are feasible and survive the screen.
+        u, c = np.sort(u)[::-1], np.sort(c)
     return u / levels, c / levels
 
 
