@@ -124,9 +124,10 @@ def test_feasible_prefixes_match_rank_feasible_on_every_prefix():
     # Value-sorted, the last pair incompatible: every prefix but the full one
     # is feasible, so every block survives the screen.
     n = 3 * _HALL_ROWS + 5
-    u, c = np.sort(rng.integers(4, 9, n))[::-1] / 8.0, np.sort(rng.integers(0, 5, n)) / 8.0
+    u, c = np.sort(rng.integers(4, 8, n))[::-1] / 8.0, np.sort(rng.integers(0, 5, n)) / 8.0
     u[-1], c[-1] = 0.0, 1.0
     pools.append((u, c))
+    assert _feasible_prefixes(u, c).tolist() == [True] * (n - 1) + [False]
     # Feasible prefixes in blocks 0 and 2 but none in block 1: a buyer below
     # every cost fails every prefix from row 10 until a free seller in block 2
     # covers it, so block 2's carry is built across the skipped block 1.
