@@ -173,22 +173,13 @@ def _cmd_mechanism(args) -> None:
     a_dist = optimal_block_size_distributional(mc)
     inst = _sample_market(config, a_dist, args.seed)
     rows = [
-        result_row("mechanism", xp.MechanismKind.ABS_DISTRIBUTIONAL.value, n, k, a_dist),
-        result_row(
-            "mechanism", xp.MechanismKind.ABS_COMPLETE.value, n, k, optimal_block_size_complete(inst)
-        ),
+        result_row("mechanism", "abs_distributional", n, k, a_dist),
+        result_row("mechanism", "abs_complete", n, k, optimal_block_size_complete(inst)),
     ]
     if args.a_max is not None:
-        report = capped_search_report(
-            mc, args.a_max, mc_replications=args.replications, rng_seed=args.seed
-        )
-        idx = report.block_sizes.index(report.best_block_size)
-        rows.append(
-            result_row(
-                "mechanism", "abs_capped", n, k, report.best_block_size,
-                report.mean_welfare[idx], report.stderr_welfare[idx],
-            )
-        )
+        report = capped_search_report(mc, args.a_max, mc_replications=args.replications, rng_seed=args.seed)
+        a = report.best_variant()
+        rows.append(xp.welfare_row("mechanism", "abs_capped", n, k, a, report.samples[a]))
     _write(args, rows, config)
 
 

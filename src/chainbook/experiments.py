@@ -1,32 +1,26 @@
 """Experiment orchestration: mechanism comparisons, random counts, capped sizes.
 
-Scenarios sample populations from configured value distributions with
-:func:`chainbook.mechanism.sample_instance`, pick block sizes per mechanism,
-play each through :func:`chainbook.welfare.simulate_once` (so
-``quantize_fees`` holds in every scenario), and report welfare against the
-exact optimum.  Every scenario keys replication r at N sellers by
-:func:`chainbook.mechanism.replication_rngs` (a ``random_counts`` period is
-replication t at its own count), so replication r at (seed, N) is the same
-market in every scenario, and reports are byte-identical across runs and
-worker counts.  Paired replications run through
+Every scenario runs its replications through
 :func:`chainbook.mechanism.play_replication`, which draws a population once,
-derives every variant from it and plays each distinct one once: with a
-protocol-following share of 0 ``abs_non_selfish`` equals
-``abs_distributional``, and ``abs_complete`` shares the play of any variant
-whose size it picks.  ``blocksize_limit`` reads both of its rows, the capped
-choice and the benchmark at min(benchmark, cap), from one capped search, so
-they share populations, streams and optimum.  Every scenario summarizes its
-samples with :func:`chainbook.welfare.mean_stderr` and
-:func:`chainbook.welfare.welfare_quotient`, writes its rows with
-:func:`chainbook.reporting.result_row`, and runs its replications through one
-task runner, ``mechanism._run_tasks``, whose process workers receive
-picklable arguments through ``functools.partial``.
-"""
+derives every variant from it, plays each distinct one once through
+:func:`chainbook.welfare.simulate_once` (so ``quantize_fees`` holds
+everywhere) and takes its exact optimum.  The samples come back as one result
+type, :class:`chainbook.mechanism.PairedSamples`.  Replication r at N sellers
+is keyed by (seed, N, r), so it is the same market in every scenario, and a
+``random_counts`` period is replication t at its own count.
+``blocksize_limit`` reads both of its rows, the capped choice and the
+benchmark at min(benchmark, cap), from one capped search.  One helper,
+:func:`welfare_row`, writes every welfare row, with
+:func:`chainbook.welfare.mean_stderr` and
+:func:`chainbook.welfare.welfare_quotient`.  Reports are byte-identical across
+runs and worker counts."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
@@ -37,25 +31,23 @@ from .distributions import ValueDistribution
 from .market import miners_with_protocol_share
 from .mechanism import (
     MechanismConfig,
-    _run_tasks,
+    PairedSamples,
     capped_search_report,
     optimal_block_size_complete,
     optimal_block_size_distributional,
-    play_replication,
-    replication_rngs,
-    sample_instance,
+    paired_samples,
 )
 from .reporting import result_row
-from .welfare import mean_stderr, simulate_once, social_optimum, welfare_quotient
+# simulate_once is not called here, but perfbench/tracer.py wraps every play by this name.
+from .welfare import mean_stderr, simulate_once, welfare_quotient
 
 __all__ = [
     "Scenario",
-    "MechanismKind",
     "HarnessConfig",
     "ExperimentSpec",
     "load_config",
     "benchmark_block_size",
-    "ComparisonSamples",
+    "welfare_row",
     "compare_mechanisms",
     "run_mechanism_comparison",
     "run_random_counts",
@@ -68,21 +60,6 @@ class Scenario(str, Enum):
     RANDOM_COUNTS = "random_counts"
     BLOCK_SIZE_LIMIT = "blocksize_limit"
     POA_WITNESS = "poa_witness"
-
-
-class MechanismKind(str, Enum):
-    ABS_COMPLETE = "abs_complete"
-    ABS_DISTRIBUTIONAL = "abs_distributional"
-    BENCHMARK_MAX_BLOCK = "benchmark_max_block"
-
-
-def _default_distributions() -> dict[str, ValueDistribution]:
-    return {
-        "R": dist.uniform(0.0, 1.0),
-        "C": dist.uniform(0.0, 1.0),
-        "B": dist.point_mass(1.0),
-        "Q": dist.point_mass(1.0),
-    }
 
 
 # Config file key -> (HarnessConfig field, type); "distributions" is handled apart.
@@ -98,14 +75,30 @@ _CONFIG_KEYS = {
     "non_selfish_fraction": ("non_selfish_fraction", float),
     "quantize_fees": ("quantize_fees", bool),
 }
+_KIND_NAMES = {int: "a whole number", float: "a number", bool: "true or false"}
+
+
+def _checked(key: str, kind: type, value):
+    """``value`` as a ``kind`` config value, or a ValueError naming ``key``: a
+    string ``"false"`` is not read as true, nor a ``K`` of 2.7 as 2."""
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = number and (kind is float or float(value).is_integer())
+    if not ok:
+        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
 class HarnessConfig:
     """Market-level knobs shared by all scenarios (the config file keys in ``_CONFIG_KEYS``).
 
-    It pickles as is (each distribution pickles as its config), so scenario
-    workers receive it directly.
+    Built in code or by :func:`load_config`, it checks its values and fills in
+    the distributions not given: ``R`` and ``C`` uniform on [0, 1], ``B`` and
+    ``Q`` uniform on [b_lo, b_hi] (a point mass at 1 by default).  It pickles
+    as is, since each distribution pickles as its config.
     """
 
     num_buyers: int = 50
@@ -115,20 +108,36 @@ class HarnessConfig:
     fee_unit: float = 1e-6
     psi: float = 0.85
     b_lo: float = 1.0
-    b_hi: float = 1.0
+    b_hi: float | None = None  # None: b_lo
     non_selfish_fraction: float = 0.0
     quantize_fees: bool = False
-    distributions: dict[str, ValueDistribution] = field(default_factory=_default_distributions)
+    distributions: dict[str, ValueDistribution] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.b_hi is None:
+            object.__setattr__(self, "b_hi", self.b_lo)
+        for key, (name, kind) in _CONFIG_KEYS.items():
+            object.__setattr__(self, name, _checked(key, kind, getattr(self, name)))
         if not 0.0 <= self.non_selfish_fraction <= 1.0:
             raise ValueError("non_selfish_fraction must lie in [0, 1]")
         if self.num_buyers < 1 or self.num_sellers < 1:
             raise ValueError(f"K and N must be >= 1, got K={self.num_buyers}, N={self.num_sellers}")
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
+            raise ValueError(f"rho {self.rho} must be finite and > 0")
         if self.b_lo > self.b_hi:
             raise ValueError(f"b_lo {self.b_lo} exceeds b_hi {self.b_hi}")
         if not 0.0 < self.psi < 1.0:
             raise ValueError(f"psi {self.psi} must lie strictly inside (0, 1)")
+        for key in self.distributions:
+            if key not in ("R", "C", "B", "Q"):
+                raise ValueError(f"unknown distribution key {key!r} (expected R, C, B, Q)")
+        quantity = dist.uniform(self.b_lo, self.b_hi)
+        defaults = {"R": dist.uniform(0.0, 1.0), "C": dist.uniform(0.0, 1.0), "B": quantity, "Q": quantity}
+        object.__setattr__(self, "distributions", {**defaults, **self.distributions})
+
+    def num_buyers_at(self, num_sellers: int) -> int:
+        """K at N sellers when a scenario sweeps N: rho * N rounded, at least 1."""
+        return max(1, round(self.rho * num_sellers))
 
     def mechanism_config(self, num_buyers: int, num_sellers: int) -> MechanismConfig:
         return MechanismConfig(
@@ -154,8 +163,7 @@ class HarnessConfig:
 def load_config(path: str) -> HarnessConfig:
     """Read the key-value config file (JSON: K, N, rho, d, epsilon, psi, ...).
 
-    Absent keys take the :class:`HarnessConfig` defaults, except that a bare
-    ``b_lo`` also sets ``b_hi``; an unknown key is an error.
+    Absent keys take the :class:`HarnessConfig` defaults; an unknown key is an error.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -163,20 +171,9 @@ def load_config(path: str) -> HarnessConfig:
     unknown = sorted(set(raw) - set(accepted))
     if unknown:
         raise ValueError(f"unknown config keys {unknown} (accepted: {', '.join(accepted)})")
-    if "b_lo" in raw:
-        raw.setdefault("b_hi", raw["b_lo"])
-    given = raw.get("distributions", {})
-    dists = _default_distributions()
-    for key, spec in given.items():
-        if key not in dists:
-            raise ValueError(f"unknown distribution key {key!r} (expected R, C, B, Q)")
-        dists[key] = dist.from_config(spec)
-    fields = {name: cast(raw[key]) for key, (name, cast) in _CONFIG_KEYS.items() if key in raw}
-    config = HarnessConfig(**fields, distributions=dists)
-    if "b_hi" in raw:  # b_lo or b_hi set: quantities U[b_lo, b_hi] unless B or Q is given
-        derived = {k: dist.uniform(config.b_lo, config.b_hi) for k in ("B", "Q") if k not in given}
-        config = replace(config, distributions={**dists, **derived})
-    return config
+    dists = {key: dist.from_config(spec) for key, spec in raw.get("distributions", {}).items()}
+    fields = {name: raw[key] for key, (name, _) in _CONFIG_KEYS.items() if key in raw}
+    return HarnessConfig(**fields, distributions=dists)
 
 
 @dataclass(frozen=True)
@@ -205,17 +202,14 @@ def benchmark_block_size(num_buyers: int, num_sellers: int) -> int:
     return m + (m % 2)
 
 
-@dataclass(frozen=True)
-class ComparisonSamples:
-    """Per-replication welfare samples for each mechanism on shared populations."""
-
-    num_buyers: int
-    block_sizes: dict[str, float]
-    samples: dict[str, np.ndarray]
-    optimum: np.ndarray
-
-
-_COMPARISON_VARIANTS = ("abs_distributional", "abs_non_selfish", "benchmark_max_block", "abs_complete")
+def welfare_row(scenario: str, mechanism: str, n: int, k: int, a, welfare, optimum=None, **extra) -> dict:
+    """The report row of per-replication welfare samples: mean and standard error,
+    and, given the optima of the same populations, their mean and sw / sw_opt."""
+    mean, stderr = mean_stderr(welfare)
+    if optimum is None:
+        return result_row(scenario, mechanism, n, k, a, mean, stderr, **extra)
+    opt = float(np.mean(optimum))
+    return result_row(scenario, mechanism, n, k, a, mean, stderr, opt, welfare_quotient(mean, opt), **extra)
 
 
 def _comparison_variants(a_dist: int, fraction: float, base) -> dict:
@@ -237,19 +231,11 @@ def compare_mechanisms(
     replications: int,
     seed: int,
     threads: int = 1,
-) -> ComparisonSamples:
-    """Paired-population welfare samples for every comparison variant at one N."""
-    num_buyers = max(1, round(config.rho * num_sellers))
-    mc = config.mechanism_config(num_buyers, num_sellers)
+) -> PairedSamples:
+    """Paired welfare samples of every comparison variant at one N."""
+    mc = config.mechanism_config(config.num_buyers_at(num_sellers), num_sellers)
     variants = partial(_comparison_variants, optimal_block_size_distributional(mc), non_selfish_fraction)
-    worker = partial(play_replication, mc, variants, seed)
-    welfare, optima, sizes = zip(*_run_tasks(threads, worker, range(replications)))
-    return ComparisonSamples(
-        num_buyers=num_buyers,
-        block_sizes={v: float(np.mean([s[v] for s in sizes])) for v in _COMPARISON_VARIANTS},
-        samples={v: np.array([sw[v] for sw in welfare]) for v in _COMPARISON_VARIANTS},
-        optimum=np.array(optima),
-    )
+    return paired_samples([mc] * replications, variants, seed, threads)
 
 
 def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> list[dict]:
@@ -260,44 +246,26 @@ def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> lis
     power share to miners following the welfare-greedy matching
     recommendation (a stand-in policy, labeled as such in the row).  At a
     share of 0 its miners are all selfish and play as abs_distributional's
-    one, so the two rows are equal.
+    one, so the two rows are equal.  The social_optimum row reports the
+    benchmark's block size.
     """
     rows: list[dict] = []
     for n in spec.seller_grid:
+        k = config.num_buyers_at(n)
         comp = compare_mechanisms(
             config, n, config.non_selfish_fraction, spec.replications, spec.seed, spec.threads
         )
-        opt_mean = float(comp.optimum.mean())
-        series = [
-            (variant, comp.block_sizes[variant], comp.samples[variant])
-            for variant in _COMPARISON_VARIANTS
-        ]
-        series.append(("social_optimum", comp.block_sizes["benchmark_max_block"], comp.optimum))
-        for variant, a, sw in series:
+        sizes = {**comp.block_sizes, "social_optimum": comp.block_sizes["benchmark_max_block"]}
+        for variant, sw in {**comp.samples, "social_optimum": comp.optimum}.items():
             label = variant if variant != "abs_non_selfish" else "abs_non_selfish_recommending"
-            mean, stderr = mean_stderr(sw)
-            rows.append(
-                result_row(
-                    Scenario.MECHANISM_COMPARISON.value, label, n, comp.num_buyers, a,
-                    mean, stderr, opt_mean, welfare_quotient(mean, opt_mean),
-                )
-            )
+            a = float(np.mean(sizes[variant]))
+            rows.append(welfare_row(Scenario.MECHANISM_COMPARISON.value, label, n, k, a, sw, comp.optimum))
     return rows
 
 
-def _random_counts_period(
-    config: HarnessConfig, a_fixed: int, seed_key: int, period: int, n_t: int
-) -> dict:
-    """The report row of one period: replication ``period`` at its own count."""
-    k_t = max(1, round(config.rho * n_t))
-    draw_rng, rng = replication_rngs(seed_key, n_t, period)
-    inst = sample_instance(config.mechanism_config(k_t, n_t), a_fixed, draw_rng)
-    sw, opt = simulate_once(inst, rng).sw, social_optimum(inst)
-    return result_row(
-        Scenario.RANDOM_COUNTS.value, MechanismKind.ABS_DISTRIBUTIONAL.value, n_t, k_t, a_fixed,
-        sw, 0.0, opt, welfare_quotient(sw, opt),
-        period=period,
-    )
+def _distributional_variant(a_fixed: int, base) -> dict:
+    """The one random-counts variant of a population, for :func:`play_replication`."""
+    return {"abs_distributional": base.with_block_size(a_fixed)}
 
 
 def run_random_counts(
@@ -306,23 +274,32 @@ def run_random_counts(
     """Time series of performance under a block size fixed from the mean count.
 
     The block size comes from the distributional rule evaluated at the mean
-    of ``count_sequence``; each period then draws its own participant counts
-    and population.  Emits one row per period plus a summary row.
+    of ``count_sequence``; period t is then replication t at its own count,
+    with its own population.  Emits one row per period plus a summary row,
+    whose ratio is the mean of the period ratios.
     """
     counts = [int(n) for n in count_sequence]
     if not counts:
         raise ValueError("count_sequence must be nonempty")
     mean_n = max(1, round(float(np.mean(counts))))
-    mean_k = max(1, round(config.rho * mean_n))
+    mean_k = config.num_buyers_at(mean_n)
     a_fixed = optimal_block_size_distributional(config.mechanism_config(mean_k, mean_n))
 
-    worker = partial(_random_counts_period, config, a_fixed, spec.seed)
-    rows = _run_tasks(spec.threads, worker, range(len(counts)), counts)
+    markets = [config.mechanism_config(config.num_buyers_at(n), n) for n in counts]
+    periods = paired_samples(markets, partial(_distributional_variant, a_fixed), spec.seed, spec.threads)
+    sw, opt = periods.samples["abs_distributional"], periods.optimum
+    rows = [
+        welfare_row(
+            Scenario.RANDOM_COUNTS.value, "abs_distributional", mc.num_sellers, mc.num_buyers, a_fixed,
+            [sw[t]], [opt[t]], period=t,
+        )
+        for t, mc in enumerate(markets)
+    ]
     ratios = [r["ratio"] for r in rows]
-    sw_mean, sw_stderr = mean_stderr([r["sw_mean"] for r in rows])
+    sw_mean, sw_stderr = mean_stderr(sw)
     summary = result_row(
         Scenario.RANDOM_COUNTS.value, "summary", mean_n, mean_k, a_fixed,
-        sw_mean, sw_stderr, float(np.mean([r["sw_opt"] for r in rows])), float(np.mean(ratios)),
+        sw_mean, sw_stderr, float(np.mean(opt)), float(np.mean(ratios)),
         ratio_std=float(np.std(ratios)),
     )
     return [*rows, summary]
@@ -338,23 +315,14 @@ def run_blocksize_limit(
     """
     rows: list[dict] = []
     for n in spec.seller_grid:
-        k = max(1, round(config.rho * n))
-        mc = config.mechanism_config(k, n)
+        k = config.num_buyers_at(n)
         report = capped_search_report(
-            mc, max_block_size, mc_replications=spec.replications, rng_seed=spec.seed,
-            threads=spec.threads,
+            config.mechanism_config(k, n), max_block_size, mc_replications=spec.replications,
+            rng_seed=spec.seed, threads=spec.threads,
         )
         a_bench = min(benchmark_block_size(k, n), max_block_size)
-        for mechanism, a in (
-            ("abs_capped", report.best_block_size),
-            (MechanismKind.BENCHMARK_MAX_BLOCK.value, a_bench),
-        ):
-            i = report.block_sizes.index(a)
-            sw, opt = report.mean_welfare[i], report.mean_optimum
+        for mechanism, a in (("abs_capped", report.best_variant()), ("benchmark_max_block", a_bench)):
             rows.append(
-                result_row(
-                    Scenario.BLOCK_SIZE_LIMIT.value, mechanism, n, k, a,
-                    sw, report.stderr_welfare[i], opt, welfare_quotient(sw, opt),
-                )
+                welfare_row(Scenario.BLOCK_SIZE_LIMIT.value, mechanism, n, k, a, report.samples[a], report.optimum)
             )
     return rows

@@ -1,4 +1,5 @@
-"""Block-size mechanisms for the system designer.
+"""Block-size mechanisms for the system designer, and the paired replications
+every scenario runs.
 
 Under complete information the welfare-optimal block size is the crossing
 index of the realized utilities and costs.  Under distributional information
@@ -6,24 +7,23 @@ only, the designer solves N * C(eta) = K * (1 - R(eta)) for the market-
 clearing quantile eta and sets A = floor(N * (C(eta) + N**-psi)): the
 N**-psi term buys slack so that, as markets grow, all profitable pairs fit
 into a single block with high probability.  A hard cap is handled by a
-brute-force Monte Carlo search over block sizes; its report carries the
-mean optimum of the populations it played on, so every size's welfare is
-compared on paired populations.  Every scenario's replications are keyed,
-drawn and played by :func:`play_replication` and run by ``_run_tasks``.
-"""
+brute-force Monte Carlo search over block sizes.  Every scenario's
+replications are keyed, drawn and played by :func:`play_replication` and
+collected by :func:`paired_samples` into one result type, :class:`PairedSamples`."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from .distributions import ValueDistribution
 from .equilibrium import crossing_index
 from .market import MarketInstance, MinerPolicy, build_instance
-from .welfare import mean_stderr, simulate_once, social_optimum
+from .welfare import simulate_once, social_optimum
 
 __all__ = [
     "MechanismConfig",
@@ -31,9 +31,9 @@ __all__ = [
     "solve_eta",
     "optimal_block_size_distributional",
     "capped_search_report",
-    "CappedSearchReport",
+    "PairedSamples",
+    "paired_samples",
     "sample_instance",
-    "replication_rngs",
     "play_replication",
 ]
 
@@ -123,22 +123,18 @@ def sample_instance(
     )
 
 
-def replication_rngs(seed: int, num_sellers: int, rep: int) -> list[np.random.Generator]:
-    """Replication ``rep``'s draw and play generators at ``num_sellers`` sellers,
-    keyed ``[seed, N, rep, 0]`` and ``[seed, N, rep, 1]``: replication r at
-    (seed, N) is the same market, played from the same stream, in every scenario."""
-    return [np.random.default_rng(np.random.SeedSequence([seed, num_sellers, rep, s])) for s in (0, 1)]
-
-
 def play_replication(config: MechanismConfig, variants, seed: int, rep: int) -> tuple[dict, float, dict]:
     """One paired replication: welfare and block size per variant, and the optimum.
 
-    ``variants`` (picklable, for process workers) maps the population, drawn
-    once, to its instances by name.  Each plays from the rewound play generator,
-    so a paired difference is the mechanism's, not pairing luck; variants with one
-    block size and one policy mix (any all-selfish miner set plays as one) share one play.
+    The population is drawn from ``[seed, N, rep, 0]`` and played from
+    ``[seed, N, rep, 1]``, so replication r at (seed, N) is the same market in
+    every scenario.  ``variants`` (picklable, for process workers) maps the
+    population to its instances by name.  Each plays from the rewound play
+    generator, so a paired difference is the mechanism's, not pairing luck;
+    variants with one block size and one policy mix (any all-selfish miner set
+    plays as one) share one play.
     """
-    draw_rng, rng = replication_rngs(seed, config.num_sellers, rep)
+    draw_rng, rng = (np.random.default_rng(np.random.SeedSequence([seed, config.num_sellers, rep, s])) for s in (0, 1))
     base = sample_instance(config, 1, draw_rng)
     instances = variants(base)
     start = rng.bit_generator.state
@@ -165,16 +161,33 @@ def _run_tasks(threads: int, worker, *iterables) -> list:
         return list(pool.map(worker, *iterables, chunksize=chunksize))
 
 
-@dataclass(frozen=True)
-class CappedSearchReport:
-    """Welfare per candidate size; ``mean_optimum`` is the mean ``social_optimum``
-    of the same populations the sizes were played on."""
+@dataclass(frozen=True, eq=False)
+class PairedSamples:
+    """Per variant (in the order ``variants`` built them), the welfare and block size
+    of every replication, all on the same populations, and each one's optimum."""
 
-    best_block_size: int
-    block_sizes: tuple[int, ...]
-    mean_welfare: tuple[float, ...]
-    stderr_welfare: tuple[float, ...]
-    mean_optimum: float
+    samples: dict[str | int, np.ndarray]
+    block_sizes: dict[str | int, np.ndarray]
+    optimum: np.ndarray
+
+    def best_variant(self):
+        """The variant of highest mean welfare; ties go to the first built."""
+        means = [sw.mean() for sw in self.samples.values()]
+        return list(self.samples)[int(np.argmax(means))]  # argmax returns the first maximizer
+
+
+def paired_samples(configs, variants, seed: int, threads: int = 1) -> PairedSamples:
+    """Replication r of the market ``configs[r]`` for every r, by :func:`play_replication`
+    over ``threads`` processes; keyed by (seed, N, r), it does not depend on ``threads``."""
+    if len(configs) < 1:
+        raise ValueError("mc_replications must be >= 1")
+    plays = _run_tasks(threads, play_replication, configs, repeat(variants), repeat(seed), range(len(configs)))
+    welfare, optima, sizes = zip(*plays)
+    return PairedSamples(
+        samples={v: np.array([sw[v] for sw in welfare]) for v in welfare[0]},
+        block_sizes={v: np.array([a[v] for a in sizes]) for v in sizes[0]},
+        optimum=np.array(optima),
+    )
 
 
 def _candidate_sizes(max_block_size: int, base: MarketInstance) -> dict[int, MarketInstance]:
@@ -187,27 +200,14 @@ def capped_search_report(
     mc_replications: int = 200,
     rng_seed: int = 0,
     threads: int = 1,
-) -> CappedSearchReport:
-    """Estimate expected equilibrium welfare for each A in 1..cap and rank them.
+) -> PairedSamples:
+    """Paired welfare samples of every block size A in 1..cap, keyed by A.
 
-    Each replication is a :func:`play_replication` keyed by (seed, N,
-    replication) that plays every block size on its one population, so the
-    comparison is paired, the optimum is taken from the same populations and
-    the result does not depend on ``threads``.  Ties go to the smaller size.
+    Every replication plays every size on its one population, so the
+    comparison is paired and the optimum is taken from the same populations.
+    The capped choice is ``best_variant()``: ties go to the smaller size.
     """
     if max_block_size < 1:
         raise ValueError("max_block_size must be >= 1")
-    if mc_replications < 1:
-        raise ValueError("mc_replications must be >= 1")
-    worker = partial(play_replication, config, partial(_candidate_sizes, max_block_size), rng_seed)
-    welfare, optima, _ = zip(*_run_tasks(threads, worker, range(mc_replications)))
-    sizes = range(1, max_block_size + 1)
-    means, errs = zip(*(mean_stderr([sw[a] for sw in welfare]) for a in sizes))
-    best = sizes[int(np.argmax(means))]  # argmax returns the first, i.e. smallest, maximizer
-    return CappedSearchReport(
-        best_block_size=best,
-        block_sizes=tuple(sizes),
-        mean_welfare=means,
-        stderr_welfare=errs,
-        mean_optimum=float(np.mean(optima)),
-    )
+    candidates = partial(_candidate_sizes, max_block_size)
+    return paired_samples([config] * mc_replications, candidates, rng_seed, threads)

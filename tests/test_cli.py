@@ -67,6 +67,14 @@ def test_pyproject_version_is_the_package_version():
     assert re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project, re.MULTILINE) == [chainbook.__version__]
 
 
+def test_source_lines_fit_120_columns():
+    # Keeps line counts comparable: a change cannot shrink the code by packing lines.
+    src = Path(__file__).resolve().parents[1] / "src"
+    long = [f"{p.name}:{i}" for p in sorted(src.rglob("*.py"))
+            for i, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 120]
+    assert long == []
+
+
 def test_emit_report_csv_shape():
     rows = [
         {"scenario": "s", "mechanism": "m", "N": 3, "K": 2, "A": 1,
@@ -284,7 +292,9 @@ def test_uniform_runs_load_no_scipy_module(tmp_path):
 @pytest.mark.parametrize(
     "raw, field",
     [({"K": 0}, "K and N"), ({"N": 0}, "K and N"), ({"b_lo": 3.0, "b_hi": 2.0}, "b_lo"),
-     ({"psi": 1.5}, "psi"), ({"psi": 0.0}, "psi")],
+     ({"psi": 1.5}, "psi"), ({"psi": 0.0}, "psi"), ({"K": 2.7}, "K must be a whole number"),
+     ({"N": "40"}, "N must be a whole number"), ({"quantize_fees": "false"}, "quantize_fees must be true or false"),
+     ({"rho": -1.0}, "rho"), ({"rho": float("nan")}, "rho")],
 )
 def test_cli_rejects_bad_config_on_load(tmp_path, raw, field):
     # poa reads no market from the config, so only the load-time check can catch it.

@@ -154,7 +154,7 @@ def test_random_counts_periods_are_comparison_replications():
     periods = rows[:-1]
     assert [r["sw_opt"] for r in periods] == comp.optimum.tolist()
     assert [r["sw_mean"] for r in periods] == comp.samples["abs_distributional"].tolist()
-    assert {r["A"] for r in periods} == {comp.block_sizes["abs_distributional"]}
+    assert [r["A"] for r in periods] == comp.block_sizes["abs_distributional"].tolist()
 
 
 def test_random_counts_empty_sequence():
@@ -335,6 +335,26 @@ def _task_echo(config, task):
     return task
 
 
+@pytest.mark.parametrize(
+    "scenario, reps",
+    [(Scenario.MECHANISM_COMPARISON, [0, 1, 2] * 2), (Scenario.BLOCK_SIZE_LIMIT, [0, 1, 2] * 2),
+     (Scenario.RANDOM_COUNTS, [0, 1, 2, 3])],
+    ids=["mechanism_comparison", "blocksize_limit", "random_counts"],
+)
+def test_every_scenario_replication_is_a_play_replication(monkeypatch, scenario, reps):
+    # Three replications at each N of the grid, and one per random-counts period.
+    calls = []
+    real = mechanism.play_replication
+    monkeypatch.setattr(mechanism, "play_replication", lambda *args: calls.append(args[-1]) or real(*args))
+    _run_scenario(scenario, _separated_config(), 1)
+    assert calls == reps
+
+
+def test_compare_mechanisms_rejects_zero_replications():
+    with pytest.raises(ValueError, match="mc_replications must be >= 1"):
+        compare_mechanisms(_separated_config(), 8, 0.0, replications=0, seed=1)
+
+
 def test_process_pool_pickles_the_worker_once_per_chunk():
     _PICKLED.clear()
     assert _run_tasks(2, partial(_task_echo, _CountedPickle()), range(40)) == list(range(40))
@@ -417,7 +437,10 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "overrides, field",
     [({"num_buyers": 0}, "K and N"), ({"num_sellers": 0}, "K and N"),
-     ({"b_lo": 2.0, "b_hi": 1.0}, "b_lo"), ({"psi": 1.0}, "psi"), ({"psi": -0.2}, "psi")],
+     ({"b_lo": 2.0, "b_hi": 1.0}, "b_lo"), ({"psi": 1.0}, "psi"), ({"psi": -0.2}, "psi"),
+     ({"rho": -1.0}, "rho"), ({"rho": 0.0}, "rho"), ({"rho": float("nan")}, "rho"), ({"rho": float("inf")}, "rho"),
+     ({"num_buyers": 2.7}, "K must be a whole number"), ({"num_sellers": True}, "N must be a whole number"),
+     ({"quantize_fees": "false"}, "quantize_fees must be true or false"), ({"quantize_fees": 1}, "quantize_fees")],
 )
 def test_config_rejects_bad_values(overrides, field):
     with pytest.raises(ValueError, match=field):
@@ -430,6 +453,21 @@ def test_load_config_b_hi_defaults_to_b_lo(tmp_path):
     config = load_config(str(path))
     assert (config.b_lo, config.b_hi) == (2.0, 2.0)
     assert config.distributions["B"].support == (2.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "raw, given",
+    [({"b_lo": 1.0, "b_hi": 3.0}, {}), ({"b_lo": 2.0}, {}), ({"b_hi": 2.5}, {}),
+     ({"b_lo": 1.0, "b_hi": 3.0}, {"B": dist.point_mass(2.0)})],
+)
+def test_code_built_config_derives_quantities_like_a_file(tmp_path, raw, given):
+    # b_lo and b_hi mean the same in code as in a config file.
+    path = tmp_path / "config.json"
+    dists = {k: v.to_config() for k, v in given.items()}
+    path.write_text(json.dumps({**raw, "distributions": dists}), encoding="utf-8")
+    in_code = HarnessConfig(**raw, distributions=given)
+    assert load_config(str(path)).to_jsonable() == in_code.to_jsonable()
+    assert in_code.mechanism_config(5, 5).sell_qty_dist.support == (in_code.b_lo, in_code.b_hi)
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):

@@ -8,11 +8,13 @@ from chainbook.equilibrium import crossing_index
 from chainbook.market import build_instance
 from chainbook.mechanism import (
     MechanismConfig,
+    PairedSamples,
     capped_search_report,
     optimal_block_size_complete,
     optimal_block_size_distributional,
     solve_eta,
 )
+from chainbook.welfare import mean_stderr
 
 
 def _config(
@@ -135,14 +137,29 @@ def test_distributional_block_size_monotone_in_sellers():
 
 
 def test_capped_search_cap_one():
-    assert capped_search_report(_config(k=6, n=6), 1, mc_replications=5, rng_seed=0).best_block_size == 1
+    assert capped_search_report(_config(k=6, n=6), 1, mc_replications=5, rng_seed=0).best_variant() == 1
+
+
+def test_best_variant_ties_go_to_the_first_built():
+    tied = PairedSamples(
+        samples={3: np.array([1.0, 2.0]), 1: np.array([2.0, 1.0]), 2: np.array([0.0, 2.0])},
+        block_sizes={a: np.array([a, a]) for a in (3, 1, 2)},
+        optimum=np.array([2.0, 2.0]),
+    )
+    assert tied.best_variant() == 3
 
 
 def test_capped_search_deterministic():
     config = _config(k=8, n=8)
     first = capped_search_report(config, 4, mc_replications=20, rng_seed=3)
     second = capped_search_report(config, 4, mc_replications=20, rng_seed=3)
-    assert first == second
+    for field in ("samples", "block_sizes"):
+        one, other = getattr(first, field), getattr(second, field)
+        assert list(one) == list(other) == [1, 2, 3, 4]
+        assert all(np.array_equal(one[a], other[a]) for a in one)
+    assert np.array_equal(first.optimum, second.optimum)
+    assert first.optimum.shape == (20,)
+    assert all(np.all(first.block_sizes[a] == a) for a in first.block_sizes)
 
 
 def test_capped_search_welfare_monotone_in_cap_without_delay():
@@ -152,7 +169,7 @@ def test_capped_search_welfare_monotone_in_cap_without_delay():
     best = []
     for cap in (1, 2, 4, 6):
         report = capped_search_report(config, cap, mc_replications=30, rng_seed=11)
-        best.append(max(report.mean_welfare))
+        best.append(report.samples[report.best_variant()].mean())
     assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(best, best[1:]))
 
 
@@ -162,10 +179,10 @@ def test_capped_search_near_unconstrained_choice():
     config = _config(k=12, n=12, delay_cost=0.01)
     report = capped_search_report(config, 10, mc_replications=60, rng_seed=7)
     a_free = min(optimal_block_size_distributional(config), 10)
-    idx_free = report.block_sizes.index(a_free)
-    idx_best = report.block_sizes.index(report.best_block_size)
-    slack = report.stderr_welfare[idx_best] + report.stderr_welfare[idx_free]
-    assert report.mean_welfare[idx_best] >= report.mean_welfare[idx_free] - slack
+    (mean_best, err_best), (mean_free, err_free) = (
+        mean_stderr(report.samples[a]) for a in (report.best_variant(), a_free)
+    )
+    assert mean_best >= mean_free - (err_best + err_free)
 
 
 def test_mechanism_config_validation():
