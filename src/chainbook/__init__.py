@@ -29,7 +29,7 @@ from .welfare import (
 )
 from .distributions import ValueDistribution, fit_empirical
 from .mechanism import (
-    MechanismConfig,
+    HarnessConfig,
     optimal_block_size_complete,
     optimal_block_size_distributional,
     solve_eta,
@@ -66,7 +66,7 @@ __all__ = [
     "unbounded_poa_witness",
     "ValueDistribution",
     "fit_empirical",
-    "MechanismConfig",
+    "HarnessConfig",
     "solve_eta",
     "optimal_block_size_complete",
     "optimal_block_size_distributional",

@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scenario",
         required=True,
-        choices=[s.value for s in xp.Scenario if s != xp.Scenario.POA_WITNESS],
+        choices=[s.value for s in xp.Scenario],
     )
     p.add_argument("--replications", type=int, default=200)
     p.add_argument("--sellers", default="50,100,200,400", help="comma-separated N grid")
@@ -99,9 +99,8 @@ def _load(args) -> xp.HarnessConfig:
 
 
 def _sample_market(config: xp.HarnessConfig, block_size: int | None, seed: int):
-    mc = config.mechanism_config(config.num_buyers, config.num_sellers)
-    a = block_size or optimal_block_size_distributional(mc)  # draws nothing
-    return sample_instance(mc, a, np.random.default_rng(np.random.SeedSequence([seed, 7])))
+    a = block_size or optimal_block_size_distributional(config)  # draws nothing
+    return sample_instance(config, a, np.random.default_rng(np.random.SeedSequence([seed, 7])))
 
 
 def _write(args, rows: list[dict], config: xp.HarnessConfig | None) -> None:
@@ -169,15 +168,14 @@ def _cmd_simulate(args) -> None:
 def _cmd_mechanism(args) -> None:
     config = _load(args)
     n, k = config.num_sellers, config.num_buyers
-    mc = config.mechanism_config(k, n)
-    a_dist = optimal_block_size_distributional(mc)
+    a_dist = optimal_block_size_distributional(config)
     inst = _sample_market(config, a_dist, args.seed)
     rows = [
         result_row("mechanism", "abs_distributional", n, k, a_dist),
         result_row("mechanism", "abs_complete", n, k, optimal_block_size_complete(inst)),
     ]
     if args.a_max is not None:
-        report = capped_search_report(mc, args.a_max, mc_replications=args.replications, rng_seed=args.seed)
+        report = capped_search_report(config, args.a_max, mc_replications=args.replications, rng_seed=args.seed)
         a = report.best_variant()
         rows.append(xp.welfare_row("mechanism", "abs_capped", n, k, a, report.samples[a]))
     _write(args, rows, config)
@@ -191,7 +189,7 @@ def _cmd_poa(args) -> None:
         report = performance_ratio(inst, inst.block_size, mc_replications=8, rng_seed=args.seed)
         rows.append(
             result_row(
-                xp.Scenario.POA_WITNESS.value, name,
+                "poa_witness", name,
                 inst.num_sellers, inst.num_buyers, inst.block_size,
                 report.sw, report.sw_stderr, report.sw_opt, report.ratio,
             )

@@ -1,10 +1,12 @@
 """Experiment orchestration: mechanism comparisons, random counts, capped sizes.
 
-Every scenario runs its replications through
-:func:`chainbook.mechanism.play_replication`, which draws a population once,
-derives every variant from it, plays each distinct one once through
-:func:`chainbook.welfare.simulate_once` (so ``quantize_fees`` holds
-everywhere) and takes its exact optimum.  The samples come back as one result
+Every scenario reads its market from one type,
+:class:`chainbook.mechanism.HarnessConfig`, and takes it at each N it sweeps
+with ``config.at(n)`` (K = rho * N rounded, at least 1).  It runs its
+replications through :func:`chainbook.mechanism.play_replication`, which
+draws a population once, derives every variant from it, plays each distinct
+one once through :func:`chainbook.welfare.simulate_once` (so
+``quantize_fees`` holds everywhere) and takes its exact optimum.  The samples come back as one result
 type, :class:`chainbook.mechanism.PairedSamples`.  Replication r at N sellers
 is keyed by (seed, N, r), so it is the same market in every scenario, and a
 ``random_counts`` period is replication t at its own count.
@@ -17,22 +19,19 @@ runs and worker counts."""
 
 from __future__ import annotations
 
-import json
-import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
 import numpy as np
 
-from . import distributions as dist
-from .distributions import ValueDistribution
 from .market import miners_with_protocol_share
+# The market config is defined with the rules that read it; perfbench/child.py calls load_config by this name.
 from .mechanism import (
-    MechanismConfig,
+    HarnessConfig,
     PairedSamples,
     capped_search_report,
+    load_config,
     optimal_block_size_complete,
     optimal_block_size_distributional,
     paired_samples,
@@ -59,121 +58,6 @@ class Scenario(str, Enum):
     MECHANISM_COMPARISON = "mechanism_comparison"
     RANDOM_COUNTS = "random_counts"
     BLOCK_SIZE_LIMIT = "blocksize_limit"
-    POA_WITNESS = "poa_witness"
-
-
-# Config file key -> (HarnessConfig field, type); "distributions" is handled apart.
-_CONFIG_KEYS = {
-    "K": ("num_buyers", int),
-    "N": ("num_sellers", int),
-    "rho": ("rho", float),
-    "d": ("delay_cost", float),
-    "epsilon": ("fee_unit", float),
-    "psi": ("psi", float),
-    "b_lo": ("b_lo", float),
-    "b_hi": ("b_hi", float),
-    "non_selfish_fraction": ("non_selfish_fraction", float),
-    "quantize_fees": ("quantize_fees", bool),
-}
-_KIND_NAMES = {int: "a whole number", float: "a number", bool: "true or false"}
-
-
-def _checked(key: str, kind: type, value):
-    """``value`` as a ``kind`` config value, or a ValueError naming ``key``: a
-    string ``"false"`` is not read as true, nor a ``K`` of 2.7 as 2."""
-    if kind is bool:
-        ok = isinstance(value, bool)
-    else:
-        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        ok = number and (kind is float or float(value).is_integer())
-    if not ok:
-        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return kind(value)
-
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Market-level knobs shared by all scenarios (the config file keys in ``_CONFIG_KEYS``).
-
-    Built in code or by :func:`load_config`, it checks its values and fills in
-    the distributions not given: ``R`` and ``C`` uniform on [0, 1], ``B`` and
-    ``Q`` uniform on [b_lo, b_hi] (a point mass at 1 by default).  It pickles
-    as is, since each distribution pickles as its config.
-    """
-
-    num_buyers: int = 50
-    num_sellers: int = 50
-    rho: float = 1.0  # buyer count per seller when sweeping N
-    delay_cost: float = 0.01
-    fee_unit: float = 1e-6
-    psi: float = 0.85
-    b_lo: float = 1.0
-    b_hi: float | None = None  # None: b_lo
-    non_selfish_fraction: float = 0.0
-    quantize_fees: bool = False
-    distributions: dict[str, ValueDistribution] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.b_hi is None:
-            object.__setattr__(self, "b_hi", self.b_lo)
-        for key, (name, kind) in _CONFIG_KEYS.items():
-            object.__setattr__(self, name, _checked(key, kind, getattr(self, name)))
-        if not 0.0 <= self.non_selfish_fraction <= 1.0:
-            raise ValueError("non_selfish_fraction must lie in [0, 1]")
-        if self.num_buyers < 1 or self.num_sellers < 1:
-            raise ValueError(f"K and N must be >= 1, got K={self.num_buyers}, N={self.num_sellers}")
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError(f"rho {self.rho} must be finite and > 0")
-        if self.b_lo > self.b_hi:
-            raise ValueError(f"b_lo {self.b_lo} exceeds b_hi {self.b_hi}")
-        if not 0.0 < self.psi < 1.0:
-            raise ValueError(f"psi {self.psi} must lie strictly inside (0, 1)")
-        for key in self.distributions:
-            if key not in ("R", "C", "B", "Q"):
-                raise ValueError(f"unknown distribution key {key!r} (expected R, C, B, Q)")
-        quantity = dist.uniform(self.b_lo, self.b_hi)
-        defaults = {"R": dist.uniform(0.0, 1.0), "C": dist.uniform(0.0, 1.0), "B": quantity, "Q": quantity}
-        object.__setattr__(self, "distributions", {**defaults, **self.distributions})
-
-    def num_buyers_at(self, num_sellers: int) -> int:
-        """K at N sellers when a scenario sweeps N: rho * N rounded, at least 1."""
-        return max(1, round(self.rho * num_sellers))
-
-    def mechanism_config(self, num_buyers: int, num_sellers: int) -> MechanismConfig:
-        return MechanismConfig(
-            num_buyers=num_buyers,
-            num_sellers=num_sellers,
-            psi=self.psi,
-            utility_dist=self.distributions["R"],
-            cost_dist=self.distributions["C"],
-            buy_qty_dist=self.distributions["B"],
-            sell_qty_dist=self.distributions["Q"],
-            delay_cost=self.delay_cost,
-            fee_unit=self.fee_unit,
-            quantize_fees=self.quantize_fees,
-        )
-
-    def to_jsonable(self) -> dict:
-        return {
-            **{key: getattr(self, name) for key, (name, _) in _CONFIG_KEYS.items()},
-            "distributions": {k: v.to_config() for k, v in self.distributions.items()},
-        }
-
-
-def load_config(path: str) -> HarnessConfig:
-    """Read the key-value config file (JSON: K, N, rho, d, epsilon, psi, ...).
-
-    Absent keys take the :class:`HarnessConfig` defaults; an unknown key is an error.
-    """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    accepted = [*_CONFIG_KEYS, "distributions"]
-    unknown = sorted(set(raw) - set(accepted))
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown} (accepted: {', '.join(accepted)})")
-    dists = {key: dist.from_config(spec) for key, spec in raw.get("distributions", {}).items()}
-    fields = {name: raw[key] for key, (name, _) in _CONFIG_KEYS.items() if key in raw}
-    return HarnessConfig(**fields, distributions=dists)
 
 
 @dataclass(frozen=True)
@@ -233,9 +117,9 @@ def compare_mechanisms(
     threads: int = 1,
 ) -> PairedSamples:
     """Paired welfare samples of every comparison variant at one N."""
-    mc = config.mechanism_config(config.num_buyers_at(num_sellers), num_sellers)
-    variants = partial(_comparison_variants, optimal_block_size_distributional(mc), non_selfish_fraction)
-    return paired_samples([mc] * replications, variants, seed, threads)
+    market = config.at(num_sellers)
+    variants = partial(_comparison_variants, optimal_block_size_distributional(market), non_selfish_fraction)
+    return paired_samples([market] * replications, variants, seed, threads)
 
 
 def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> list[dict]:
@@ -251,7 +135,7 @@ def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> lis
     """
     rows: list[dict] = []
     for n in spec.seller_grid:
-        k = config.num_buyers_at(n)
+        k = config.at(n).num_buyers
         comp = compare_mechanisms(
             config, n, config.non_selfish_fraction, spec.replications, spec.seed, spec.threads
         )
@@ -281,24 +165,23 @@ def run_random_counts(
     counts = [int(n) for n in count_sequence]
     if not counts:
         raise ValueError("count_sequence must be nonempty")
-    mean_n = max(1, round(float(np.mean(counts))))
-    mean_k = config.num_buyers_at(mean_n)
-    a_fixed = optimal_block_size_distributional(config.mechanism_config(mean_k, mean_n))
+    mean_market = config.at(max(1, round(float(np.mean(counts)))))
+    a_fixed = optimal_block_size_distributional(mean_market)
 
-    markets = [config.mechanism_config(config.num_buyers_at(n), n) for n in counts]
+    markets = [config.at(n) for n in counts]
     periods = paired_samples(markets, partial(_distributional_variant, a_fixed), spec.seed, spec.threads)
     sw, opt = periods.samples["abs_distributional"], periods.optimum
     rows = [
         welfare_row(
-            Scenario.RANDOM_COUNTS.value, "abs_distributional", mc.num_sellers, mc.num_buyers, a_fixed,
+            Scenario.RANDOM_COUNTS.value, "abs_distributional", market.num_sellers, market.num_buyers, a_fixed,
             [sw[t]], [opt[t]], period=t,
         )
-        for t, mc in enumerate(markets)
+        for t, market in enumerate(markets)
     ]
     ratios = [r["ratio"] for r in rows]
     sw_mean, sw_stderr = mean_stderr(sw)
     summary = result_row(
-        Scenario.RANDOM_COUNTS.value, "summary", mean_n, mean_k, a_fixed,
+        Scenario.RANDOM_COUNTS.value, "summary", mean_market.num_sellers, mean_market.num_buyers, a_fixed,
         sw_mean, sw_stderr, float(np.mean(opt)), float(np.mean(ratios)),
         ratio_std=float(np.std(ratios)),
     )
@@ -315,10 +198,10 @@ def run_blocksize_limit(
     """
     rows: list[dict] = []
     for n in spec.seller_grid:
-        k = config.num_buyers_at(n)
+        market = config.at(n)
+        k = market.num_buyers
         report = capped_search_report(
-            config.mechanism_config(k, n), max_block_size, mc_replications=spec.replications,
-            rng_seed=spec.seed, threads=spec.threads,
+            market, max_block_size, mc_replications=spec.replications, rng_seed=spec.seed, threads=spec.threads
         )
         a_bench = min(benchmark_block_size(k, n), max_block_size)
         for mechanism, a in (("abs_capped", report.best_variant()), ("benchmark_max_block", a_bench)):

@@ -103,10 +103,10 @@ class MarketInstance:
         """Check the block size, delay cost, fee unit and miners."""
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if self.delay_cost < 0.0:
-            raise ValueError("delay_cost must be nonnegative")
-        if self.fee_unit <= 0.0:
-            raise ValueError("fee_unit must be positive")
+        if not (math.isfinite(self.delay_cost) and self.delay_cost >= 0.0):
+            raise ValueError(f"delay_cost must be finite and nonnegative, got {self.delay_cost}")
+        if not (math.isfinite(self.fee_unit) and self.fee_unit > 0.0):
+            raise ValueError(f"fee_unit must be finite and positive, got {self.fee_unit}")
         if not self.miners:
             raise ValueError("need at least one miner")
         total_power = math.fsum(m.power for m in self.miners)

@@ -1,32 +1,39 @@
-"""Block-size mechanisms for the system designer, and the paired replications
+"""The market, the designer's block-size mechanisms, and the paired replications
 every scenario runs.
 
-Under complete information the welfare-optimal block size is the crossing
-index of the realized utilities and costs.  Under distributional information
-only, the designer solves N * C(eta) = K * (1 - R(eta)) for the market-
-clearing quantile eta and sets A = floor(N * (C(eta) + N**-psi)): the
-N**-psi term buys slack so that, as markets grow, all profitable pairs fit
-into a single block with high probability.  A hard cap is handled by a
-brute-force Monte Carlo search over block sizes.  Every scenario's
-replications are keyed, drawn and played by :func:`play_replication` and
-collected by :func:`paired_samples` into one result type, :class:`PairedSamples`."""
+One type, :class:`HarnessConfig`, describes the market that the rules read
+and the harness samples; a scenario takes it at N sellers with
+:meth:`HarnessConfig.at`.  Under complete information the welfare-optimal
+block size is the crossing index of the realized utilities and costs.  Under
+distributional information only, the designer solves N * C(eta) = K * (1 -
+R(eta)) for the market-clearing quantile eta and sets A = floor(N * (C(eta) +
+N**-psi)): the N**-psi term buys slack so that, as markets grow, all
+profitable pairs fit into a single block with high probability.  A hard cap
+is handled by a brute-force Monte Carlo search over block sizes.  Every
+scenario's replications are keyed, drawn and played by
+:func:`play_replication` and collected by :func:`paired_samples` into one
+result type, :class:`PairedSamples`."""
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
-from functools import partial
+import numbers
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from itertools import repeat
 
 import numpy as np
 
+from . import distributions as dist
 from .distributions import ValueDistribution
 from .equilibrium import crossing_index
 from .market import MarketInstance, MinerPolicy, build_instance
 from .welfare import simulate_once, social_optimum
 
 __all__ = [
-    "MechanismConfig",
+    "HarnessConfig",
+    "load_config",
     "optimal_block_size_complete",
     "solve_eta",
     "optimal_block_size_distributional",
@@ -39,27 +46,112 @@ __all__ = [
 
 ETA_TOL = 1e-12
 
+# Config file key -> (HarnessConfig field, type); "distributions" is handled apart.
+_CONFIG_KEYS = {
+    "K": ("num_buyers", int),
+    "N": ("num_sellers", int),
+    "rho": ("rho", float),
+    "d": ("delay_cost", float),
+    "epsilon": ("fee_unit", float),
+    "psi": ("psi", float),
+    "b_lo": ("b_lo", float),
+    "b_hi": ("b_hi", float),
+    "non_selfish_fraction": ("non_selfish_fraction", float),
+    "quantize_fees": ("quantize_fees", bool),
+}
+_KIND_NAMES = {int: "a whole number", float: "a number", bool: "true or false"}
+
+
+def _checked(key: str, kind: type, value):
+    """``value`` as a ``kind`` config value, or a ValueError naming ``key``: a
+    string ``"false"`` is not read as true, nor a ``K`` of 2.7 as 2."""
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = number and (kind is float or float(value).is_integer())
+    if not ok:
+        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
 
 @dataclass(frozen=True)
-class MechanismConfig:
-    """Designer-side knowledge: expected participant counts and value distributions."""
+class HarnessConfig:
+    """The market, for the designer's rules and every scenario (file keys in ``_CONFIG_KEYS``).
 
-    num_buyers: int
-    num_sellers: int
-    psi: float
-    utility_dist: ValueDistribution
-    cost_dist: ValueDistribution
-    buy_qty_dist: ValueDistribution
-    sell_qty_dist: ValueDistribution
-    delay_cost: float = 0.0
+    A scenario that sweeps N takes it at N sellers with :meth:`at`.  Built in code or by
+    :func:`load_config`, it checks its values.  ``distributions`` holds those given, and
+    :attr:`all_distributions` adds ``R`` and ``C`` uniform on [0, 1] and ``B`` and ``Q``
+    uniform on [b_lo, b_hi] (a point mass at 1 by default), so a ``replace`` derives them
+    anew.  It pickles as is, since each distribution pickles as its config.
+    """
+
+    num_buyers: int = 50
+    num_sellers: int = 50
+    rho: float = 1.0  # buyer count per seller when sweeping N
+    delay_cost: float = 0.01
     fee_unit: float = 1e-6
-    quantize_fees: bool = False  # passed on, with fee_unit, to every sampled market
+    psi: float = 0.85
+    b_lo: float = 1.0
+    b_hi: float | None = None  # None: b_lo
+    non_selfish_fraction: float = 0.0
+    quantize_fees: bool = False
+    distributions: dict[str, ValueDistribution] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.psi < 1.0:
-            raise ValueError("psi must lie strictly inside (0, 1)")
+        if self.b_hi is None:
+            object.__setattr__(self, "b_hi", self.b_lo)
+        for key, (name, kind) in _CONFIG_KEYS.items():
+            object.__setattr__(self, name, _checked(key, kind, getattr(self, name)))
+        if not 0.0 <= self.non_selfish_fraction <= 1.0:
+            raise ValueError("non_selfish_fraction must lie in [0, 1]")
         if self.num_buyers < 1 or self.num_sellers < 1:
-            raise ValueError("need at least one expected buyer and seller")
+            raise ValueError(f"K and N must be >= 1, got K={self.num_buyers}, N={self.num_sellers}")
+        for key, value in (("rho", self.rho), ("epsilon", self.fee_unit), ("b_lo", self.b_lo), ("b_hi", self.b_hi)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.delay_cost) and self.delay_cost >= 0.0):
+            raise ValueError(f"d must be finite and >= 0, got {self.delay_cost}")
+        if self.b_lo > self.b_hi:
+            raise ValueError(f"b_lo {self.b_lo} exceeds b_hi {self.b_hi}")
+        if not 0.0 < self.psi < 1.0:
+            raise ValueError(f"psi {self.psi} must lie strictly inside (0, 1)")
+        for key in self.distributions:
+            if key not in ("R", "C", "B", "Q"):
+                raise ValueError(f"unknown distribution key {key!r} (expected R, C, B, Q)")
+
+    @cached_property
+    def all_distributions(self) -> dict[str, ValueDistribution]:
+        """R, C, B and Q: the ones given, and the defaults for the rest."""
+        quantity = dist.uniform(self.b_lo, self.b_hi)
+        defaults = {"R": dist.uniform(0.0, 1.0), "C": dist.uniform(0.0, 1.0), "B": quantity, "Q": quantity}
+        return {**defaults, **self.distributions}
+
+    def at(self, num_sellers: int) -> HarnessConfig:
+        """The market at N sellers when a scenario sweeps N: K is rho * N rounded, at least 1."""
+        return replace(self, num_sellers=num_sellers, num_buyers=max(1, round(self.rho * num_sellers)))
+
+    def to_jsonable(self) -> dict:
+        return {
+            **{key: getattr(self, name) for key, (name, _) in _CONFIG_KEYS.items()},
+            "distributions": {k: v.to_config() for k, v in self.all_distributions.items()},
+        }
+
+
+def load_config(path: str) -> HarnessConfig:
+    """Read the key-value config file (JSON: K, N, rho, d, epsilon, psi, ...).
+
+    Absent keys take the :class:`HarnessConfig` defaults; an unknown key is an error.
+    """
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    accepted = [*_CONFIG_KEYS, "distributions"]
+    unknown = sorted(set(raw) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown} (accepted: {', '.join(accepted)})")
+    dists = {key: dist.from_config(spec) for key, spec in raw.get("distributions", {}).items()}
+    fields = {name: raw[key] for key, (name, _) in _CONFIG_KEYS.items() if key in raw}
+    return HarnessConfig(**fields, distributions=dists)
 
 
 def optimal_block_size_complete(instance: MarketInstance) -> int:
@@ -69,7 +161,7 @@ def optimal_block_size_complete(instance: MarketInstance) -> int:
     return max(crossing_index(instance), 1)
 
 
-def solve_eta(config: MechanismConfig) -> float:
+def solve_eta(config: HarnessConfig) -> float:
     """Leftmost root of N * C(eta) - K * (1 - R(eta)) on [0, 1], to 1e-12.
 
     The function is nondecreasing (C nondecreasing, R nondecreasing), so
@@ -77,9 +169,10 @@ def solve_eta(config: MechanismConfig) -> float:
     zero stretch.
     """
     n, k = config.num_sellers, config.num_buyers
+    utility, cost = config.all_distributions["R"], config.all_distributions["C"]
 
     def h(x: float) -> float:
-        return n * float(config.cost_dist.cdf(x)) - k * (1.0 - float(config.utility_dist.cdf(x)))
+        return n * float(cost.cdf(x)) - k * (1.0 - float(utility.cdf(x)))
 
     h0, h1 = h(0.0), h(1.0)
     if h0 > 0.0 or h1 < 0.0:
@@ -96,26 +189,26 @@ def solve_eta(config: MechanismConfig) -> float:
     return hi
 
 
-def optimal_block_size_distributional(config: MechanismConfig) -> int:
+def optimal_block_size_distributional(config: HarnessConfig) -> int:
     """floor(N * (C(eta) + N**-psi)), at least 1; deliberately never capped above."""
     eta = solve_eta(config)
     n = config.num_sellers
-    raw = math.floor(n * (float(config.cost_dist.cdf(eta)) + n ** (-config.psi)))
+    raw = math.floor(n * (float(config.all_distributions["C"].cdf(eta)) + n ** (-config.psi)))
     return max(raw, 1)
 
 
 def sample_instance(
-    config: MechanismConfig,
+    config: HarnessConfig,
     block_size: int,
     rng: np.random.Generator,
 ) -> MarketInstance:
     """Draw one market realization from the configured distributions."""
-    k, n = config.num_buyers, config.num_sellers
+    k, n, dists = config.num_buyers, config.num_sellers, config.all_distributions
     return build_instance(
-        utilities=config.utility_dist.sample(rng, k),
-        costs=config.cost_dist.sample(rng, n),
-        buy_quantities=config.buy_qty_dist.sample(rng, k),
-        sell_quantities=config.sell_qty_dist.sample(rng, n),
+        utilities=dists["R"].sample(rng, k),
+        costs=dists["C"].sample(rng, n),
+        buy_quantities=dists["B"].sample(rng, k),
+        sell_quantities=dists["Q"].sample(rng, n),
         block_size=block_size,
         delay_cost=config.delay_cost,
         fee_unit=config.fee_unit,
@@ -123,7 +216,7 @@ def sample_instance(
     )
 
 
-def play_replication(config: MechanismConfig, variants, seed: int, rep: int) -> tuple[dict, float, dict]:
+def play_replication(config: HarnessConfig, variants, seed: int, rep: int) -> tuple[dict, float, dict]:
     """One paired replication: welfare and block size per variant, and the optimum.
 
     The population is drawn from ``[seed, N, rep, 0]`` and played from
@@ -195,7 +288,7 @@ def _candidate_sizes(max_block_size: int, base: MarketInstance) -> dict[int, Mar
 
 
 def capped_search_report(
-    config: MechanismConfig,
+    config: HarnessConfig,
     max_block_size: int,
     mc_replications: int = 200,
     rng_seed: int = 0,

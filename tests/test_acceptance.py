@@ -36,7 +36,6 @@ from chainbook.equilibrium import (
 from chainbook.experiments import HarnessConfig, compare_mechanisms
 from chainbook.market import FeeProfile, build_instance, rank_feasible
 from chainbook.mechanism import (
-    MechanismConfig,
     optimal_block_size_complete,
     optimal_block_size_distributional,
     solve_eta,
@@ -267,17 +266,12 @@ def test_c6_prefix_selection_is_subset_optimal():
 #    expected nondecreasing across N in {100, 400, 1600} and >= 0.95 at
 #    N = 1600.
 # -----------------------------------------------------------------------
+_UNIFORM_UNIT = {"R": dist.uniform(0.0, 1.0), "C": dist.uniform(0.0, 1.0), "B": dist.point_mass(1.0),
+                 "Q": dist.point_mass(1.0)}
+
+
 def _mean_performance_ratio(n: int, replications: int, seed: int) -> float:
-    config = MechanismConfig(
-        num_buyers=n,
-        num_sellers=n,
-        psi=0.85,
-        utility_dist=dist.uniform(0.0, 1.0),
-        cost_dist=dist.uniform(0.0, 1.0),
-        buy_qty_dist=dist.point_mass(1.0),
-        sell_qty_dist=dist.point_mass(1.0),
-        delay_cost=0.01,
-    )
+    config = HarnessConfig(num_buyers=n, num_sellers=n, psi=0.85, delay_cost=0.01, distributions=_UNIFORM_UNIT)
     a = optimal_block_size_distributional(config)
     sws, opts = [], []
     for rep in range(replications):
@@ -337,7 +331,7 @@ def test_c8_generated_population_dominance():
     protocol_ok = True
     details = []
     for name, config in populations:
-        homogeneous = config.distributions["B"].kind == "point"
+        homogeneous = config.all_distributions["B"].kind == "point"
         for n in (20, 40):
             comp = compare_mechanisms(config, n, 0.0, replications=200, seed=808)
             abs_mean = float(comp.samples["abs_distributional"].mean())
@@ -371,15 +365,7 @@ def test_c8_generated_population_dominance():
 # 9. Quantile solver and the block-size arithmetic it feeds.
 # -----------------------------------------------------------------------
 def test_c9_quantile_solver_and_block_arithmetic():
-    config = MechanismConfig(
-        num_buyers=100,
-        num_sellers=100,
-        psi=0.85,
-        utility_dist=dist.uniform(0.0, 1.0),
-        cost_dist=dist.uniform(0.0, 1.0),
-        buy_qty_dist=dist.point_mass(1.0),
-        sell_qty_dist=dist.point_mass(1.0),
-    )
+    config = HarnessConfig(num_buyers=100, num_sellers=100, psi=0.85, delay_cost=0.0, distributions=_UNIFORM_UNIT)
     eta = solve_eta(config)
     a = optimal_block_size_distributional(config)
     ok = abs(eta - 0.5) <= 1e-12 and a == 51

@@ -294,7 +294,10 @@ def test_uniform_runs_load_no_scipy_module(tmp_path):
     [({"K": 0}, "K and N"), ({"N": 0}, "K and N"), ({"b_lo": 3.0, "b_hi": 2.0}, "b_lo"),
      ({"psi": 1.5}, "psi"), ({"psi": 0.0}, "psi"), ({"K": 2.7}, "K must be a whole number"),
      ({"N": "40"}, "N must be a whole number"), ({"quantize_fees": "false"}, "quantize_fees must be true or false"),
-     ({"rho": -1.0}, "rho"), ({"rho": float("nan")}, "rho")],
+     ({"rho": -1.0}, "rho"), ({"rho": float("nan")}, "rho"), ({"d": float("inf")}, "d must be finite"),
+     ({"d": float("nan")}, "d must be finite"), ({"d": -0.5}, "d must be finite"),
+     ({"epsilon": float("inf")}, "epsilon must be finite"), ({"epsilon": 0.0}, "epsilon must be finite"),
+     ({"b_lo": -1.0}, "b_lo must be finite"), ({"b_hi": float("inf")}, "b_hi must be finite")],
 )
 def test_cli_rejects_bad_config_on_load(tmp_path, raw, field):
     # poa reads no market from the config, so only the load-time check can catch it.

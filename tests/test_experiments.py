@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -66,7 +67,7 @@ def _comparison_replication(config, a_dist, fraction, rep):
     """Replication ``rep`` of the paired comparison at N = 12, seed 5, with
     abs_distributional's size ``a_dist``, through the replication engine."""
     variants = partial(_comparison_variants, a_dist, fraction)
-    return play_replication(config.mechanism_config(12, 12), variants, 5, rep)
+    return play_replication(config.at(12), variants, 5, rep)
 
 
 def test_comparison_replication_finds_three_equilibria(monkeypatch):
@@ -87,7 +88,7 @@ def _assert_fresh_plays(config, fraction, rep, sw, sizes):
     """Each variant's welfare in replication ``rep`` (N = 12, seed 5) is that
     of a play on a fresh instance of its own; returns the population."""
     seeds = np.random.SeedSequence([5, 12, rep, 0]), np.random.SeedSequence([5, 12, rep, 1])
-    base = sample_instance(config.mechanism_config(12, 12), 1, np.random.default_rng(seeds[0]))
+    base = sample_instance(config.at(12), 1, np.random.default_rng(seeds[0]))
     for variant, a in sizes.items():
         miners = miners_with_protocol_share(fraction) if variant == "abs_non_selfish" else None
         assert simulate_once(base.with_block_size(a, miners), np.random.default_rng(seeds[1])).sw == sw[variant]
@@ -411,8 +412,8 @@ def test_load_config_roundtrip(tmp_path):
     assert config.rho == 0.75
     assert config.fee_unit == 1e-5
     assert config.distributions["R"].kind == "beta"
-    assert config.distributions["B"].kind == "uniform"  # derived from b_lo/b_hi
-    assert config.distributions["B"].support == (1.0, 3.0)
+    assert config.all_distributions["B"].kind == "uniform"  # derived from b_lo/b_hi
+    assert config.all_distributions["B"].support == (1.0, 3.0)
     assert config.to_jsonable()["psi"] == 0.9
     assert config.quantize_fees is False
 
@@ -440,7 +441,12 @@ def test_config_validation():
      ({"b_lo": 2.0, "b_hi": 1.0}, "b_lo"), ({"psi": 1.0}, "psi"), ({"psi": -0.2}, "psi"),
      ({"rho": -1.0}, "rho"), ({"rho": 0.0}, "rho"), ({"rho": float("nan")}, "rho"), ({"rho": float("inf")}, "rho"),
      ({"num_buyers": 2.7}, "K must be a whole number"), ({"num_sellers": True}, "N must be a whole number"),
-     ({"quantize_fees": "false"}, "quantize_fees must be true or false"), ({"quantize_fees": 1}, "quantize_fees")],
+     ({"quantize_fees": "false"}, "quantize_fees must be true or false"), ({"quantize_fees": 1}, "quantize_fees"),
+     ({"delay_cost": float("inf")}, "d must be finite"), ({"delay_cost": float("nan")}, "d must be finite"),
+     ({"delay_cost": -0.1}, "d must be finite"), ({"fee_unit": float("inf")}, "epsilon must be finite"),
+     ({"fee_unit": float("nan")}, "epsilon must be finite"), ({"fee_unit": 0.0}, "epsilon must be finite"),
+     ({"b_lo": -1.0}, "b_lo must be finite"), ({"b_lo": 0.0, "b_hi": 1.0}, "b_lo must be finite"),
+     ({"b_hi": float("inf")}, "b_hi must be finite"), ({"b_lo": float("nan")}, "b_lo must be finite")],
 )
 def test_config_rejects_bad_values(overrides, field):
     with pytest.raises(ValueError, match=field):
@@ -452,7 +458,7 @@ def test_load_config_b_hi_defaults_to_b_lo(tmp_path):
     path.write_text(json.dumps({"b_lo": 2.0}), encoding="utf-8")
     config = load_config(str(path))
     assert (config.b_lo, config.b_hi) == (2.0, 2.0)
-    assert config.distributions["B"].support == (2.0, 2.0)
+    assert config.all_distributions["B"].support == (2.0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -467,7 +473,20 @@ def test_code_built_config_derives_quantities_like_a_file(tmp_path, raw, given):
     path.write_text(json.dumps({**raw, "distributions": dists}), encoding="utf-8")
     in_code = HarnessConfig(**raw, distributions=given)
     assert load_config(str(path)).to_jsonable() == in_code.to_jsonable()
-    assert in_code.mechanism_config(5, 5).sell_qty_dist.support == (in_code.b_lo, in_code.b_hi)
+    assert in_code.all_distributions["Q"].support == (in_code.b_lo, in_code.b_hi)
+
+
+def test_replace_derives_quantities_anew():
+    # B and Q not given are derived again from b_lo and b_hi; a given one is kept.
+    widened = replace(HarnessConfig(), b_lo=1.0, b_hi=3.0)
+    assert widened.to_jsonable() == HarnessConfig(b_lo=1.0, b_hi=3.0).to_jsonable()
+    assert widened.all_distributions["B"].support == (1.0, 3.0)
+    given = replace(HarnessConfig(distributions={"B": dist.point_mass(2.0)}), b_lo=1.0, b_hi=3.0)
+    assert given.all_distributions["B"].support == (2.0, 2.0)
+    assert given.all_distributions["Q"].support == (1.0, 3.0)
+    at = widened.at(10)  # the market a scenario plays at N = 10
+    assert (at.num_sellers, at.num_buyers, at.all_distributions["Q"].support) == (10, 10, (1.0, 3.0))
+    assert [HarnessConfig(rho=0.1).at(n).num_buyers for n in (1, 20, 25)] == [1, 2, 2]
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):

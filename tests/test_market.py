@@ -145,6 +145,13 @@ def test_instance_power_and_horizon_validation():
     good_miners = (Miner(0, 0.5), Miner(1, 0.5))
     inst = build_instance(utilities, costs, block_size=1, miners=good_miners)
     assert inst.horizon == 2  # ceil(min(3, 2) / 1)
+    # Non-finite market terms would run to NaN welfare.
+    for name, bad in (("delay_cost", math.inf), ("delay_cost", math.nan), ("delay_cost", -0.1),
+                      ("fee_unit", math.inf), ("fee_unit", math.nan), ("fee_unit", 0.0)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            build_instance(utilities, costs, block_size=1, **{name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(inst, **{name: bad})
 
 
 def test_fee_profile_quantization():

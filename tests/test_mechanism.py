@@ -7,7 +7,7 @@ from chainbook import distributions as dist
 from chainbook.equilibrium import crossing_index
 from chainbook.market import build_instance
 from chainbook.mechanism import (
-    MechanismConfig,
+    HarnessConfig,
     PairedSamples,
     capped_search_report,
     optimal_block_size_complete,
@@ -26,15 +26,13 @@ def _config(
     qty=None,
     delay_cost=0.0,
 ):
-    return MechanismConfig(
+    given = {"R": utility, "C": cost, "B": qty, "Q": qty}  # the rest: uniform values, unit quantities
+    return HarnessConfig(
         num_buyers=k,
         num_sellers=n,
         psi=psi,
-        utility_dist=utility or dist.uniform(0.0, 1.0),
-        cost_dist=cost or dist.uniform(0.0, 1.0),
-        buy_qty_dist=qty or dist.point_mass(1.0),
-        sell_qty_dist=qty or dist.point_mass(1.0),
         delay_cost=delay_cost,
+        distributions={key: d for key, d in given.items() if d is not None},
     )
 
 
@@ -90,7 +88,7 @@ def test_eta_balances_the_two_sides():
         )
         eta = solve_eta(config)
         gap = abs(
-            n * config.cost_dist.cdf(eta) - k * (1.0 - config.utility_dist.cdf(eta))
+            n * config.all_distributions["C"].cdf(eta) - k * (1.0 - config.all_distributions["R"].cdf(eta))
         )
         assert gap <= 1e-9 * max(k, n)
 

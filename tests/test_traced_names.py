@@ -1,14 +1,17 @@
-"""The benchmark tracer wraps functions by name; every name must still resolve."""
+"""Names that are reached by string must still resolve: every function the benchmark
+tracer wraps, and every ``__all__`` entry of the package and its modules."""
 
 import importlib
 import importlib.util
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import chainbook
 from chainbook.market import FeeProfile, build_instance
 from chainbook.miners import PendingPool, run_round, selfish_select
 
@@ -32,6 +35,14 @@ def test_traced_names_resolve():
                 target = getattr(target, part, None)
             if not callable(target):
                 missing.append(f"chainbook.{layer}.{attr}")
+    assert missing == []
+
+
+def test_every_all_entry_resolves():
+    # A stale entry breaks ``from chainbook import *`` (or from a module).
+    modules = [chainbook] + [importlib.import_module(f"chainbook.{m.name}") for m in pkgutil.iter_modules(chainbook.__path__)]
+    assert len(modules) > 10
+    missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert missing == []
 
 
