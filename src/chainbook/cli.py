@@ -43,6 +43,14 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["json", "csv"], default="json")
 
 
+def _whole_numbers(text: str) -> tuple[int, ...]:
+    """A comma-separated list of whole numbers, such as ``50,100,200``."""
+    try:
+        return tuple(int(n) for n in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated whole numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainbook",
@@ -84,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[s.value for s in xp.Scenario],
     )
     p.add_argument("--replications", type=int, default=200)
-    p.add_argument("--sellers", default="50,100,200,400", help="comma-separated N grid")
-    p.add_argument("--counts", default=None, help="comma-separated per-period N sequence")
+    p.add_argument("--sellers", type=_whole_numbers, default="50,100,200,400", help="comma-separated N grid")
+    p.add_argument("--counts", type=_whole_numbers, default=None, help="comma-separated per-period N sequence")
     p.add_argument("--a-max", type=int, default=None, help="block size cap for blocksize_limit")
     p.add_argument("--non-selfish", type=float, default=None, help="protocol-following power share")
     p.add_argument("--threads", type=int, default=1, help="worker processes, at most one per replication")
@@ -175,7 +183,7 @@ def _cmd_mechanism(args) -> None:
         result_row("mechanism", "abs_complete", n, k, optimal_block_size_complete(inst)),
     ]
     if args.a_max is not None:
-        report = capped_search_report(config, args.a_max, mc_replications=args.replications, rng_seed=args.seed)
+        [report] = capped_search_report([config], args.a_max, mc_replications=args.replications, rng_seed=args.seed)
         a = report.best_variant()
         rows.append(xp.welfare_row("mechanism", "abs_capped", n, k, a, report.samples[a]))
     _write(args, rows, config)
@@ -205,7 +213,7 @@ def _cmd_experiment(args) -> None:
         scenario=xp.Scenario(args.scenario),
         replications=args.replications,
         seed=args.seed,
-        seller_grid=tuple(int(n) for n in args.sellers.split(",")),
+        seller_grid=args.sellers,
         threads=args.threads,
     )
     if spec.scenario == xp.Scenario.MECHANISM_COMPARISON:
@@ -213,7 +221,7 @@ def _cmd_experiment(args) -> None:
     elif spec.scenario == xp.Scenario.RANDOM_COUNTS:
         if not args.counts:
             raise SystemExit("random_counts needs --counts N1,N2,...")
-        rows = xp.run_random_counts(spec, config, [int(n) for n in args.counts.split(",")])
+        rows = xp.run_random_counts(spec, config, args.counts)
     else:
         if args.a_max is None:
             raise SystemExit("blocksize_limit needs --a-max")

@@ -2,13 +2,13 @@
 
 Every scenario reads its market from one type,
 :class:`chainbook.mechanism.HarnessConfig`, and takes it at each N it sweeps
-with ``config.at(n)`` (K = rho * N rounded, at least 1).  It runs its
-replications through :func:`chainbook.mechanism.play_replication`, which
-draws a population once, derives every variant from it, plays each distinct
-one once through :func:`chainbook.welfare.simulate_once` (so
-``quantize_fees`` holds everywhere) and takes its exact optimum.  The samples come back as one result
-type, :class:`chainbook.mechanism.PairedSamples`.  Replication r at N sellers
-is keyed by (seed, N, r), so it is the same market in every scenario, and a
+with ``config.at(n)`` (K = rho * N rounded, at least 1).  All its replications
+are one task list for :func:`chainbook.mechanism.paired_samples`, which returns
+one :class:`chainbook.mechanism.PairedSamples` per N.  Each replication draws a
+population once, derives every variant from it, plays each distinct one once
+through :func:`chainbook.welfare.simulate_once` (so ``quantize_fees`` holds
+everywhere) and takes its exact optimum.  Replication r at N sellers is keyed
+by (seed, N, r), so it is the same market in every scenario, and a
 ``random_counts`` period is replication t at its own count.
 ``blocksize_limit`` reads both of its rows, the capped choice and the
 benchmark at min(benchmark, cap), from one capped search.  One helper,
@@ -75,6 +75,8 @@ class ExperimentSpec:
             raise ValueError("replications must be >= 1")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if not self.seller_grid:
+            raise ValueError("seller_grid must be nonempty")
 
 
 def benchmark_block_size(num_buyers: int, num_sellers: int) -> int:
@@ -110,16 +112,18 @@ def _comparison_variants(a_dist: int, fraction: float, base) -> dict:
 
 def compare_mechanisms(
     config: HarnessConfig,
-    num_sellers: int,
+    seller_grid,
     non_selfish_fraction: float,
     replications: int,
     seed: int,
     threads: int = 1,
-) -> PairedSamples:
-    """Paired welfare samples of every comparison variant at one N."""
-    market = config.at(num_sellers)
-    variants = partial(_comparison_variants, optimal_block_size_distributional(market), non_selfish_fraction)
-    return paired_samples([market] * replications, variants, seed, threads)
+) -> list[PairedSamples]:
+    """Paired welfare samples of every comparison variant, one per N of ``seller_grid``."""
+    markets = [config.at(n) for n in seller_grid]
+    variants = [
+        partial(_comparison_variants, optimal_block_size_distributional(m), non_selfish_fraction) for m in markets
+    ]
+    return paired_samples([markets] * replications, variants, seed, threads)
 
 
 def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> list[dict]:
@@ -134,11 +138,10 @@ def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> lis
     benchmark's block size.
     """
     rows: list[dict] = []
-    for n in spec.seller_grid:
+    grid = spec.seller_grid
+    comps = compare_mechanisms(config, grid, config.non_selfish_fraction, spec.replications, spec.seed, spec.threads)
+    for n, comp in zip(grid, comps):
         k = config.at(n).num_buyers
-        comp = compare_mechanisms(
-            config, n, config.non_selfish_fraction, spec.replications, spec.seed, spec.threads
-        )
         sizes = {**comp.block_sizes, "social_optimum": comp.block_sizes["benchmark_max_block"]}
         for variant, sw in {**comp.samples, "social_optimum": comp.optimum}.items():
             label = variant if variant != "abs_non_selfish" else "abs_non_selfish_recommending"
@@ -169,7 +172,8 @@ def run_random_counts(
     a_fixed = optimal_block_size_distributional(mean_market)
 
     markets = [config.at(n) for n in counts]
-    periods = paired_samples(markets, partial(_distributional_variant, a_fixed), spec.seed, spec.threads)
+    variant = partial(_distributional_variant, a_fixed)
+    [periods] = paired_samples([[m] for m in markets], [variant], spec.seed, spec.threads)
     sw, opt = periods.samples["abs_distributional"], periods.optimum
     rows = [
         welfare_row(
@@ -197,12 +201,10 @@ def run_blocksize_limit(
     size min(benchmark, cap), on the same populations and against their optimum.
     """
     rows: list[dict] = []
-    for n in spec.seller_grid:
-        market = config.at(n)
-        k = market.num_buyers
-        report = capped_search_report(
-            market, max_block_size, mc_replications=spec.replications, rng_seed=spec.seed, threads=spec.threads
-        )
+    markets = [config.at(n) for n in spec.seller_grid]
+    reports = capped_search_report(markets, max_block_size, spec.replications, spec.seed, spec.threads)
+    for market, report in zip(markets, reports):
+        n, k = market.num_sellers, market.num_buyers
         a_bench = min(benchmark_block_size(k, n), max_block_size)
         for mechanism, a in (("abs_capped", report.best_variant()), ("benchmark_max_block", a_bench)):
             rows.append(

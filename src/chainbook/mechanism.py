@@ -11,8 +11,8 @@ N**-psi)): the N**-psi term buys slack so that, as markets grow, all
 profitable pairs fit into a single block with high probability.  A hard cap
 is handled by a brute-force Monte Carlo search over block sizes.  Every
 scenario's replications are keyed, drawn and played by
-:func:`play_replication` and collected by :func:`paired_samples` into one
-result type, :class:`PairedSamples`."""
+:func:`play_replication`, and :func:`paired_samples` runs a scenario's whole grid
+as one task list into one result type, :class:`PairedSamples`, per grid point."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import repeat
 
 import numpy as np
 
@@ -83,7 +82,9 @@ class HarnessConfig:
     :func:`load_config`, it checks its values.  ``distributions`` holds those given, and
     :attr:`all_distributions` adds ``R`` and ``C`` uniform on [0, 1] and ``B`` and ``Q``
     uniform on [b_lo, b_hi] (a point mass at 1 by default), so a ``replace`` derives them
-    anew.  It pickles as is, since each distribution pickles as its config.
+    anew.  ``b_hi`` likewise stays None unless given, and reads as ``b_lo`` where it is used
+    (the config echo of :meth:`to_jsonable` too).  It pickles as is, since each distribution
+    pickles as its config.
     """
 
     num_buyers: int = 50
@@ -99,31 +100,36 @@ class HarnessConfig:
     distributions: dict[str, ValueDistribution] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.b_hi is None:
-            object.__setattr__(self, "b_hi", self.b_lo)
         for key, (name, kind) in _CONFIG_KEYS.items():
-            object.__setattr__(self, name, _checked(key, kind, getattr(self, name)))
+            if name != "b_hi" or self.b_hi is not None:
+                object.__setattr__(self, name, _checked(key, kind, getattr(self, name)))
         if not 0.0 <= self.non_selfish_fraction <= 1.0:
             raise ValueError("non_selfish_fraction must lie in [0, 1]")
         if self.num_buyers < 1 or self.num_sellers < 1:
             raise ValueError(f"K and N must be >= 1, got K={self.num_buyers}, N={self.num_sellers}")
-        for key, value in (("rho", self.rho), ("epsilon", self.fee_unit), ("b_lo", self.b_lo), ("b_hi", self.b_hi)):
+        b_lo, b_hi = self._quantity_range
+        for key, value in (("rho", self.rho), ("epsilon", self.fee_unit), ("b_lo", b_lo), ("b_hi", b_hi)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{key} must be finite and > 0, got {value}")
         if not (math.isfinite(self.delay_cost) and self.delay_cost >= 0.0):
             raise ValueError(f"d must be finite and >= 0, got {self.delay_cost}")
-        if self.b_lo > self.b_hi:
-            raise ValueError(f"b_lo {self.b_lo} exceeds b_hi {self.b_hi}")
+        if b_lo > b_hi:
+            raise ValueError(f"b_lo {b_lo} exceeds b_hi {b_hi}")
         if not 0.0 < self.psi < 1.0:
             raise ValueError(f"psi {self.psi} must lie strictly inside (0, 1)")
         for key in self.distributions:
             if key not in ("R", "C", "B", "Q"):
                 raise ValueError(f"unknown distribution key {key!r} (expected R, C, B, Q)")
 
+    @property
+    def _quantity_range(self) -> tuple[float, float]:
+        """[b_lo, b_hi], with b_hi = b_lo when not given."""
+        return self.b_lo, self.b_lo if self.b_hi is None else self.b_hi
+
     @cached_property
     def all_distributions(self) -> dict[str, ValueDistribution]:
         """R, C, B and Q: the ones given, and the defaults for the rest."""
-        quantity = dist.uniform(self.b_lo, self.b_hi)
+        quantity = dist.uniform(*self._quantity_range)
         defaults = {"R": dist.uniform(0.0, 1.0), "C": dist.uniform(0.0, 1.0), "B": quantity, "Q": quantity}
         return {**defaults, **self.distributions}
 
@@ -134,6 +140,7 @@ class HarnessConfig:
     def to_jsonable(self) -> dict:
         return {
             **{key: getattr(self, name) for key, (name, _) in _CONFIG_KEYS.items()},
+            "b_hi": self._quantity_range[1],
             "distributions": {k: v.to_config() for k, v in self.all_distributions.items()},
         }
 
@@ -269,18 +276,23 @@ class PairedSamples:
         return list(self.samples)[int(np.argmax(means))]  # argmax returns the first maximizer
 
 
-def paired_samples(configs, variants, seed: int, threads: int = 1) -> PairedSamples:
-    """Replication r of the market ``configs[r]`` for every r, by :func:`play_replication`
-    over ``threads`` processes; keyed by (seed, N, r), it does not depend on ``threads``."""
-    if len(configs) < 1:
-        raise ValueError("mc_replications must be >= 1")
-    plays = _run_tasks(threads, play_replication, configs, repeat(variants), repeat(seed), range(len(configs)))
-    welfare, optima, sizes = zip(*plays)
-    return PairedSamples(
-        samples={v: np.array([sw[v] for sw in welfare]) for v in welfare[0]},
-        block_sizes={v: np.array([a[v] for a in sizes]) for v in sizes[0]},
-        optimum=np.array(optima),
-    )
+def paired_samples(rows, variants, seed: int, threads: int = 1) -> list[PairedSamples]:
+    """One :class:`PairedSamples` per grid point g, whose replication r is the market ``rows[r][g]``
+    played with ``variants[g]`` by :func:`play_replication`.  All replications are one task list over
+    ``threads`` processes (one pool at most), row by row: each process's contiguous chunk mixes the grid."""
+    if len(rows) < 1 or len(variants) < 1:
+        raise ValueError("mc_replications must be >= 1 and the grid nonempty")
+    tasks = [(config, v, seed, r) for r, row in enumerate(rows) for config, v in zip(row, variants, strict=True)]
+    plays = _run_tasks(threads, play_replication, *map(list, zip(*tasks)))
+    results = []
+    for g in range(len(variants)):
+        welfare, optima, sizes = zip(*plays[g :: len(variants)])
+        results.append(PairedSamples(
+            samples={v: np.array([sw[v] for sw in welfare]) for v in welfare[0]},
+            block_sizes={v: np.array([a[v] for a in sizes]) for v in sizes[0]},
+            optimum=np.array(optima),
+        ))
+    return results
 
 
 def _candidate_sizes(max_block_size: int, base: MarketInstance) -> dict[int, MarketInstance]:
@@ -288,13 +300,13 @@ def _candidate_sizes(max_block_size: int, base: MarketInstance) -> dict[int, Mar
 
 
 def capped_search_report(
-    config: HarnessConfig,
+    configs,
     max_block_size: int,
     mc_replications: int = 200,
     rng_seed: int = 0,
     threads: int = 1,
-) -> PairedSamples:
-    """Paired welfare samples of every block size A in 1..cap, keyed by A.
+) -> list[PairedSamples]:
+    """Per market of ``configs``, paired welfare samples of every block size A in 1..cap, keyed by A.
 
     Every replication plays every size on its one population, so the
     comparison is paired and the optimum is taken from the same populations.
@@ -303,4 +315,4 @@ def capped_search_report(
     if max_block_size < 1:
         raise ValueError("max_block_size must be >= 1")
     candidates = partial(_candidate_sizes, max_block_size)
-    return paired_samples([config] * mc_replications, candidates, rng_seed, threads)
+    return paired_samples([list(configs)] * mc_replications, [candidates] * len(configs), rng_seed, threads)

@@ -330,21 +330,23 @@ def test_c8_generated_population_dominance():
     dominated = 0
     protocol_ok = True
     details = []
+    grid = (20, 40)
     for name, config in populations:
         homogeneous = config.all_distributions["B"].kind == "point"
-        for n in (20, 40):
-            comp = compare_mechanisms(config, n, 0.0, replications=200, seed=808)
+        comps = compare_mechanisms(config, grid, 0.0, replications=200, seed=808)
+        if homogeneous:
+            selfish = compare_mechanisms(config, grid, 0.0, replications=100, seed=809)
+            helped = compare_mechanisms(config, grid, 0.2, replications=100, seed=809)
+        for i, (n, comp) in enumerate(zip(grid, comps)):
             abs_mean = float(comp.samples["abs_distributional"].mean())
             bench_mean = float(comp.samples["benchmark_max_block"].mean())
             cells += 1
             dominated += abs_mean >= bench_mean - 1e-9
             details.append(f"{name}/N={n}: abs {abs_mean:.3f} vs bench {bench_mean:.3f}")
             if homogeneous:
-                selfish = compare_mechanisms(config, n, 0.0, replications=100, seed=809)
-                helped = compare_mechanisms(config, n, 0.2, replications=100, seed=809)
                 delta = (
-                    helped.samples["abs_non_selfish"].mean()
-                    - selfish.samples["abs_non_selfish"].mean()
+                    helped[i].samples["abs_non_selfish"].mean()
+                    - selfish[i].samples["abs_non_selfish"].mean()
                 )
                 protocol_ok &= delta >= -1e-9
                 details[-1] += f", protocol delta {delta:+.4f}"

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import chainbook
-from chainbook.cli import main
+from chainbook.cli import build_parser, main
 from chainbook.reporting import CSV_COLUMNS, emit_report
 
 
@@ -218,6 +218,26 @@ def test_cli_threads_flag_belongs_to_experiment(tmp_path):
     assert exc.value.code == 2
     args = ["experiment", "--scenario", "random_counts", "--counts", "3,4", "--replications", "1"]
     assert _run(tmp_path, *args, "--threads", "2") == _run(tmp_path, *args, "--threads", "1")
+
+
+@pytest.mark.parametrize("flag", ["--sellers", "--counts"])
+@pytest.mark.parametrize("value", ["50,,100", "50,x", ""])
+def test_cli_rejects_a_malformed_number_list(capsys, flag, value):
+    # Once a raw int('') traceback; now a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--scenario", "random_counts", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected comma-separated whole numbers" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    # Every command line of the README's CLI block parses, so the examples cannot go stale.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line.split() for line in block.replace("\\\n", " ").splitlines()]
+    assert len(commands) == 8 and all(words[0] == "chainbook" for words in commands)
+    for words in commands:
+        build_parser().parse_args(words[1:])
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):

@@ -54,8 +54,8 @@ def test_benchmark_block_size_even_rounding():
 
 
 def test_comparison_shares_populations_across_variants():
-    comp = compare_mechanisms(
-        _separated_config(), num_sellers=10, non_selfish_fraction=0.2, replications=12, seed=5
+    [comp] = compare_mechanisms(
+        _separated_config(), seller_grid=(10,), non_selfish_fraction=0.2, replications=12, seed=5
     )
     # On separated values every mechanism clears the whole market in block 1.
     assert np.allclose(comp.samples["abs_distributional"], comp.optimum)
@@ -151,7 +151,7 @@ def test_random_counts_periods_are_comparison_replications():
     # population, optimum and abs_distributional play.
     config = _heterog()
     rows = run_random_counts(ExperimentSpec(scenario=Scenario.RANDOM_COUNTS, seed=9), config, [12] * 4)
-    comp = compare_mechanisms(config, 12, 0.0, replications=4, seed=9)
+    [comp] = compare_mechanisms(config, (12,), 0.0, replications=4, seed=9)
     periods = rows[:-1]
     assert [r["sw_opt"] for r in periods] == comp.optimum.tolist()
     assert [r["sw_mean"] for r in periods] == comp.samples["abs_distributional"].tolist()
@@ -192,8 +192,8 @@ def test_blocksize_limit_draws_new_populations_at_each_n(monkeypatch):
     monkeypatch.setattr(mechanism, "sample_instance", lambda *args: drawn.append(real(*args)) or drawn[-1])
     spec = ExperimentSpec(scenario=Scenario.BLOCK_SIZE_LIMIT, replications=3, seed=4, seller_grid=(10, 12))
     run_blocksize_limit(spec, HarnessConfig(), max_block_size=2)
-    assert [population.num_sellers for population in drawn] == [10] * 3 + [12] * 3
-    for small, large in zip(drawn[:3], drawn[3:]):
+    assert [population.num_sellers for population in drawn] == [10, 12] * 3  # replication-major
+    for small, large in zip(drawn[::2], drawn[1::2]):
         assert not np.array_equal(large.utility_array[:10], small.utility_array)
 
 
@@ -254,8 +254,8 @@ def test_every_play_quantizes_fees(path, tmp_path, monkeypatch):
 
 def test_raising_protocol_share_never_lowers_welfare_here():
     config = _separated_config(num_buyers=10, num_sellers=8)
-    selfish = compare_mechanisms(config, 8, 0.0, replications=20, seed=13)
-    helped = compare_mechanisms(config, 8, 0.2, replications=20, seed=13)
+    [selfish] = compare_mechanisms(config, (8,), 0.0, replications=20, seed=13)
+    [helped] = compare_mechanisms(config, (8,), 0.2, replications=20, seed=13)
     assert np.all(
         helped.samples["abs_non_selfish"] >= selfish.samples["abs_non_selfish"] - 1e-12
     )
@@ -296,8 +296,8 @@ def test_reports_reproducible_across_runs_and_threads():
         assert text_a == text_b == text_c
 
 
-def _run_scenario(scenario, config, threads):
-    spec = ExperimentSpec(scenario=scenario, replications=3, seed=8, seller_grid=(6, 10), threads=threads)
+def _run_scenario(scenario, config, threads, grid=(6, 10)):
+    spec = ExperimentSpec(scenario=scenario, replications=3, seed=8, seller_grid=grid, threads=threads)
     if scenario is Scenario.RANDOM_COUNTS:
         return run_random_counts(spec, config, [6, 10, 8, 12])
     if scenario is Scenario.BLOCK_SIZE_LIMIT:
@@ -336,24 +336,32 @@ def _task_echo(config, task):
     return task
 
 
+_GRID_TASKS = [(6, 0), (10, 0), (6, 1), (10, 1), (6, 2), (10, 2)]
+
+
 @pytest.mark.parametrize(
-    "scenario, reps",
-    [(Scenario.MECHANISM_COMPARISON, [0, 1, 2] * 2), (Scenario.BLOCK_SIZE_LIMIT, [0, 1, 2] * 2),
-     (Scenario.RANDOM_COUNTS, [0, 1, 2, 3])],
+    "scenario, tasks",
+    [(Scenario.MECHANISM_COMPARISON, _GRID_TASKS), (Scenario.BLOCK_SIZE_LIMIT, _GRID_TASKS),
+     (Scenario.RANDOM_COUNTS, [(6, 0), (10, 1), (8, 2), (12, 3)])],
     ids=["mechanism_comparison", "blocksize_limit", "random_counts"],
 )
-def test_every_scenario_replication_is_a_play_replication(monkeypatch, scenario, reps):
-    # Three replications at each N of the grid, and one per random-counts period.
+def test_every_scenario_replication_is_a_play_replication(monkeypatch, scenario, tasks):
+    # Three replications at each N of the grid, and one per random-counts period, as (N, r),
+    # replication-major: a process's contiguous chunk of tasks then mixes small and large N.
     calls = []
     real = mechanism.play_replication
-    monkeypatch.setattr(mechanism, "play_replication", lambda *args: calls.append(args[-1]) or real(*args))
+    monkeypatch.setattr(
+        mechanism, "play_replication", lambda *args: calls.append((args[0].num_sellers, args[-1])) or real(*args)
+    )
     _run_scenario(scenario, _separated_config(), 1)
-    assert calls == reps
+    assert calls == tasks
 
 
 def test_compare_mechanisms_rejects_zero_replications():
     with pytest.raises(ValueError, match="mc_replications must be >= 1"):
-        compare_mechanisms(_separated_config(), 8, 0.0, replications=0, seed=1)
+        compare_mechanisms(_separated_config(), (8,), 0.0, replications=0, seed=1)
+    with pytest.raises(ValueError, match="the grid nonempty"):
+        compare_mechanisms(_separated_config(), (), 0.0, replications=3, seed=1)
 
 
 def test_process_pool_pickles_the_worker_once_per_chunk():
@@ -362,30 +370,18 @@ def test_process_pool_pickles_the_worker_once_per_chunk():
     assert 1 <= len(_PICKLED) <= 2  # two chunks of 20 tasks
 
 
-def test_run_tasks_starts_at_most_one_worker_per_task(monkeypatch):
-    # A recording stand-in: a real pool would start every worker at its first submit.
-    import concurrent.futures
-
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_run_tasks_starts_at_most_one_worker_per_task(recording_pool):
     assert _run_tasks(8, abs, [-1, -2]) == [1, 2]
     assert _run_tasks(2, abs, range(-5, 0)) == [5, 4, 3, 2, 1]
     assert _run_tasks(8, abs, [-3]) == [3]  # one task runs in this process
-    assert started == [2, 2]
+    assert recording_pool == [2, 2]
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda scenario: scenario.value)
+def test_every_scenario_starts_one_pool(recording_pool, scenario):
+    # Every replication of a 4-point grid (or of 4 random-counts periods) is one task list.
+    _run_scenario(scenario, _separated_config(), 2, grid=(6, 8, 10, 12))
+    assert recording_pool == [2]
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -425,6 +421,8 @@ def test_load_config_roundtrip(tmp_path):
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(scenario=Scenario.MECHANISM_COMPARISON, replications=0)
+    with pytest.raises(ValueError, match="seller_grid must be nonempty"):  # once a report of zero rows
+        ExperimentSpec(scenario=Scenario.BLOCK_SIZE_LIMIT, seller_grid=())
     for threads in (0, -2):  # once ran silently in one process
         with pytest.raises(ValueError, match="threads must be >= 1"):
             ExperimentSpec(scenario=Scenario.BLOCK_SIZE_LIMIT, threads=threads)
@@ -457,7 +455,7 @@ def test_load_config_b_hi_defaults_to_b_lo(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"b_lo": 2.0}), encoding="utf-8")
     config = load_config(str(path))
-    assert (config.b_lo, config.b_hi) == (2.0, 2.0)
+    assert (config.b_lo, config.b_hi, config.to_jsonable()["b_hi"]) == (2.0, None, 2.0)  # derived where read
     assert config.all_distributions["B"].support == (2.0, 2.0)
 
 
@@ -473,7 +471,8 @@ def test_code_built_config_derives_quantities_like_a_file(tmp_path, raw, given):
     path.write_text(json.dumps({**raw, "distributions": dists}), encoding="utf-8")
     in_code = HarnessConfig(**raw, distributions=given)
     assert load_config(str(path)).to_jsonable() == in_code.to_jsonable()
-    assert in_code.all_distributions["Q"].support == (in_code.b_lo, in_code.b_hi)
+    echo = in_code.to_jsonable()
+    assert in_code.all_distributions["Q"].support == (echo["b_lo"], echo["b_hi"])
 
 
 def test_replace_derives_quantities_anew():
@@ -487,6 +486,14 @@ def test_replace_derives_quantities_anew():
     at = widened.at(10)  # the market a scenario plays at N = 10
     assert (at.num_sellers, at.num_buyers, at.all_distributions["Q"].support) == (10, 10, (1.0, 3.0))
     assert [HarnessConfig(rho=0.1).at(n).num_buyers for n in (1, 20, 25)] == [1, 2, 2]
+
+
+def test_replace_derives_b_hi_anew():
+    # b_hi not given reads as the new b_lo; a given one is kept.
+    raised = replace(HarnessConfig(), b_lo=2.0)
+    assert raised.all_distributions["B"].support == (2.0, 2.0)
+    assert raised.to_jsonable()["b_hi"] == 2.0
+    assert replace(HarnessConfig(b_hi=3.0), b_lo=2.0).all_distributions["B"].support == (2.0, 3.0)
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):

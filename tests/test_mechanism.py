@@ -135,7 +135,8 @@ def test_distributional_block_size_monotone_in_sellers():
 
 
 def test_capped_search_cap_one():
-    assert capped_search_report(_config(k=6, n=6), 1, mc_replications=5, rng_seed=0).best_variant() == 1
+    [report] = capped_search_report([_config(k=6, n=6)], 1, mc_replications=5, rng_seed=0)
+    assert report.best_variant() == 1
 
 
 def test_best_variant_ties_go_to_the_first_built():
@@ -149,8 +150,8 @@ def test_best_variant_ties_go_to_the_first_built():
 
 def test_capped_search_deterministic():
     config = _config(k=8, n=8)
-    first = capped_search_report(config, 4, mc_replications=20, rng_seed=3)
-    second = capped_search_report(config, 4, mc_replications=20, rng_seed=3)
+    [first] = capped_search_report([config], 4, mc_replications=20, rng_seed=3)
+    [second] = capped_search_report([config], 4, mc_replications=20, rng_seed=3)
     for field in ("samples", "block_sizes"):
         one, other = getattr(first, field), getattr(second, field)
         assert list(one) == list(other) == [1, 2, 3, 4]
@@ -166,7 +167,7 @@ def test_capped_search_welfare_monotone_in_cap_without_delay():
     config = _config(k=10, n=10, delay_cost=0.0)
     best = []
     for cap in (1, 2, 4, 6):
-        report = capped_search_report(config, cap, mc_replications=30, rng_seed=11)
+        [report] = capped_search_report([config], cap, mc_replications=30, rng_seed=11)
         best.append(report.samples[report.best_variant()].mean())
     assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(best, best[1:]))
 
@@ -175,7 +176,7 @@ def test_capped_search_near_unconstrained_choice():
     # A generous cap should do at least as well as the unconstrained rule's
     # pick, up to one standard error.
     config = _config(k=12, n=12, delay_cost=0.01)
-    report = capped_search_report(config, 10, mc_replications=60, rng_seed=7)
+    [report] = capped_search_report([config], 10, mc_replications=60, rng_seed=7)
     a_free = min(optimal_block_size_distributional(config), 10)
     (mean_best, err_best), (mean_free, err_free) = (
         mean_stderr(report.samples[a]) for a in (report.best_variant(), a_free)
