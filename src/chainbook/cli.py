@@ -43,12 +43,23 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-def _whole_numbers(text: str) -> tuple[int, ...]:
-    """A comma-separated list of whole numbers, such as ``50,100,200``."""
+def _whole_number(text: str) -> int:
+    """A whole number >= 1: a count, a block size or a number of workers."""
     try:
-        return tuple(int(n) for n in text.split(","))
+        n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated whole numbers, got {text!r}") from None
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return n
+
+
+def _whole_numbers(text: str) -> tuple[int, ...]:
+    """A comma-separated list of whole numbers >= 1, such as ``50,100,200``."""
+    try:
+        return tuple(_whole_number(n) for n in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated whole numbers >= 1, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,16 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("equilibrium", help="crossing index, threshold fees, equilibrium kind")
-    p.add_argument("--block-size", type=int, default=None, help="override the block size")
+    p.add_argument("--block-size", type=_whole_number, default=None, help="override the block size")
     _common_flags(p)
 
     p = sub.add_parser("simulate", help="simulate one equilibrium play-through")
-    p.add_argument("--block-size", type=int, default=None)
+    p.add_argument("--block-size", type=_whole_number, default=None)
     p.add_argument("--replications", type=int, default=1)
     _common_flags(p)
 
     p = sub.add_parser("mechanism", help="block sizes from the designer's rules")
-    p.add_argument("--a-max", type=int, default=None, help="hard cap: brute-force search up to it")
+    p.add_argument("--a-max", type=_whole_number, default=None, help="hard cap: brute-force search up to it")
     p.add_argument("--replications", type=int, default=50, help="Monte Carlo draws per candidate")
     _common_flags(p)
 
@@ -94,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=200)
     p.add_argument("--sellers", type=_whole_numbers, default="50,100,200,400", help="comma-separated N grid")
     p.add_argument("--counts", type=_whole_numbers, default=None, help="comma-separated per-period N sequence")
-    p.add_argument("--a-max", type=int, default=None, help="block size cap for blocksize_limit")
+    p.add_argument("--a-max", type=_whole_number, default=None, help="block size cap for blocksize_limit")
     p.add_argument("--non-selfish", type=float, default=None, help="protocol-following power share")
-    p.add_argument("--threads", type=int, default=1, help="worker processes, at most one per replication")
+    p.add_argument("--threads", type=_whole_number, default=1, help="worker processes, at most one per replication")
     _common_flags(p)
 
     return parser
@@ -107,7 +118,7 @@ def _load(args) -> xp.HarnessConfig:
 
 
 def _sample_market(config: xp.HarnessConfig, block_size: int | None, seed: int):
-    a = block_size or optimal_block_size_distributional(config)  # draws nothing
+    a = optimal_block_size_distributional(config) if block_size is None else block_size  # draws nothing
     return sample_instance(config, a, np.random.default_rng(np.random.SeedSequence([seed, 7])))
 
 

@@ -113,15 +113,14 @@ def _comparison_variants(a_dist: int, fraction: float, base) -> dict:
 def compare_mechanisms(
     config: HarnessConfig,
     seller_grid,
-    non_selfish_fraction: float,
     replications: int,
     seed: int,
     threads: int = 1,
 ) -> list[PairedSamples]:
-    """Paired welfare samples of every comparison variant, one per N of ``seller_grid``."""
+    """Paired welfare samples of every comparison variant, one per N of ``seller_grid``, at its non_selfish_fraction."""
     markets = [config.at(n) for n in seller_grid]
     variants = [
-        partial(_comparison_variants, optimal_block_size_distributional(m), non_selfish_fraction) for m in markets
+        partial(_comparison_variants, optimal_block_size_distributional(m), m.non_selfish_fraction) for m in markets
     ]
     return paired_samples([markets] * replications, variants, seed, threads)
 
@@ -139,7 +138,7 @@ def run_mechanism_comparison(spec: ExperimentSpec, config: HarnessConfig) -> lis
     """
     rows: list[dict] = []
     grid = spec.seller_grid
-    comps = compare_mechanisms(config, grid, config.non_selfish_fraction, spec.replications, spec.seed, spec.threads)
+    comps = compare_mechanisms(config, grid, spec.replications, spec.seed, spec.threads)
     for n, comp in zip(grid, comps):
         k = config.at(n).num_buyers
         sizes = {**comp.block_sizes, "social_optimum": comp.block_sizes["benchmark_max_block"]}

@@ -244,7 +244,7 @@ def play_replication(config: HarnessConfig, variants, seed: int, rep: int) -> tu
         key = instance.block_size, None if selfish else instance.miners
         if key not in plays:
             rng.bit_generator.state = start
-            plays[key] = simulate_once(instance, rng).sw
+            plays[key] = simulate_once(instance, rng)
         sw[variant] = plays[key]
     return sw, social_optimum(base), {variant: inst.block_size for variant, inst in instances.items()}
 

@@ -10,9 +10,10 @@ survivor are evaluated exactly, each at its own breakpoints.  That is
 O(_SCREEN_COLS * A) element operations plus O(_HALL_ROWS * A + A) per
 evaluated block, in O(_HALL_ROWS^2 + _SCREEN_COLS * A) memory.  A
 protocol-following miner instead adopts the welfare-greedy matching
-recommendation.  One winner per round is drawn with the miners' power
-weights; its selection is appended to the chain and removed from the
-pending pool.
+recommendation: the pairs of :func:`best_pairs`, the maximum-weight
+matching whose gains also sum to the social optimum, capped at A.  One
+winner per round is drawn with the miners' power weights; its selection
+is appended to the chain and removed from the pending pool.
 
 Randomness: a play draws from one ``Philox`` generator, keyed from child
 ``(0,)`` of the play generator's seed sequence (derived once per sequence,
@@ -54,6 +55,7 @@ __all__ = [
     "Selection",
     "selfish_select",
     "max_weight_assignment",
+    "best_pairs",
     "recommend_matching",
     "uniform_feasible_pairing",
     "run_round",
@@ -548,44 +550,49 @@ def _augmenting_path_assignment(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(nr, dtype=np.intp), np.asarray(col4row, dtype=np.intp)
 
 
-def recommend_matching(pool: PendingPool, instance: MarketInstance) -> Selection:
-    """Welfare-greedy recommendation: best-gain assignment, capped at A pairs.
+def best_pairs(utilities, buy_qty, costs, sell_qty) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum-weight matching, gain min(b, q) * (R - C) per pair: ``(rows, cols, gains)``.
 
-    Solves the assignment maximizing sum of min(b, q) * (R - C) over compatible
-    pending pairs (with :func:`max_weight_assignment`, or by sorting ranks when
-    quantities are homogeneous), keeps only strictly positive gains, and
-    truncates to the A highest-gain pairs.  Zero-fee transactions stay
-    excluded and the block cap still applies: the recommendation works within
-    the same protocol limits.
+    Buyer ``rows[k]`` and seller ``cols[k]`` trade for ``gains[k]``; the
+    gains sum to the social optimum.  When each side's quantities are
+    constant, min(b, q) is one number, so the sorted ranks pair up and only
+    the positive-gain pairs return.  Otherwise :func:`max_weight_assignment`
+    solves the zero-clamped gain matrix and every assigned pair returns.
+    """
+    if np.all(buy_qty == buy_qty[0]) and np.all(sell_qty == sell_qty[0]):
+        rows = np.argsort(-utilities, kind="stable")[: costs.size]
+        cols = np.argsort(costs, kind="stable")[: utilities.size]
+        gains = min(buy_qty[0], sell_qty[0]) * (utilities[rows] - costs[cols])
+        positive = gains > 0.0
+        return rows[positive], cols[positive], gains[positive]
+    weights = np.maximum(np.minimum(buy_qty[:, None], sell_qty[None, :]) * (utilities[:, None] - costs[None, :]), 0.0)
+    rows, cols = max_weight_assignment(weights)
+    return rows, cols, weights[rows, cols]
+
+
+def recommend_matching(pool: PendingPool, instance: MarketInstance) -> Selection:
+    """Welfare-greedy recommendation: the optimum's pairs, capped at A.
+
+    Runs :func:`best_pairs` on the pending positive-fee transactions, keeps
+    its strictly positive gains and truncates to the A highest-gain pairs
+    (ties in matching order).  Zero-fee transactions stay excluded and the
+    block cap still applies: the recommendation works within the same
+    protocol limits.
     """
     if not pool._buyers.positive or not pool._sellers.positive:
         return _EMPTY
     b_ids, buy_fees = pool._buyers.by_position(pool._buyers.positive)
     s_ids, sell_fees = pool._sellers.by_position(pool._sellers.positive)
-    r = instance.utility_array[b_ids]
-    bq = instance.buy_qty_array[b_ids]
-    c = instance.cost_array[s_ids]
-    sq = instance.sell_qty_array[s_ids]
-
-    gain = np.minimum(bq[:, None], sq[None, :]) * (r[:, None] - c[None, :])
-    gain = np.where(r[:, None] >= c[None, :], gain, -np.inf)
-
-    if np.all(bq == bq[0]) and np.all(sq == sq[0]):
-        # Homogeneous quantities: assortative pairing of positive-gain ranks is optimal.
-        rows, cols = np.argsort(-r, kind="stable"), np.argsort(c, kind="stable")
-    else:
-        rows, cols = max_weight_assignment(np.maximum(gain, 0.0))
-    chosen = [(i, j, gain[i, j]) for i, j in zip(rows, cols) if gain[i, j] > 0.0]
-    chosen.sort(key=lambda t: -t[2])
-
-    chosen = chosen[: instance.block_size]
-    if not chosen:
+    rows, cols, gains = best_pairs(instance.utility_array[b_ids], instance.buy_qty_array[b_ids],
+                                   instance.cost_array[s_ids], instance.sell_qty_array[s_ids])
+    top = np.argsort(-gains, kind="stable")[: instance.block_size]
+    top = top[gains[top] > 0.0]
+    if not top.size:
         return _EMPTY
-    pairing = tuple((int(b_ids[i]), int(s_ids[j])) for i, j, _ in chosen)
-    buyer_ids = tuple(p[0] for p in pairing)
-    seller_ids = tuple(p[1] for p in pairing)
-    total = math.fsum(buy_fees[i] for i, _, _ in chosen) + math.fsum(sell_fees[j] for _, j, _ in chosen)
-    return Selection(buyer_ids=buyer_ids, seller_ids=seller_ids, pairing=pairing, total_fee=total)
+    rows, cols = rows[top], cols[top]
+    buyer_ids, seller_ids = tuple(b_ids[rows].tolist()), tuple(s_ids[cols].tolist())
+    total = math.fsum(buy_fees[rows]) + math.fsum(sell_fees[cols])
+    return Selection(buyer_ids, seller_ids, tuple(zip(buyer_ids, seller_ids)), total)
 
 
 def run_round(

@@ -8,11 +8,12 @@ miner payoffs.  Fees are pure transfers from participants to the winning
 miners, so realized welfare reduces to matched surplus minus delay costs.
 The social optimum is free to use one arbitrarily large block, which kills
 the delay term and reduces the problem to a maximum-weight bipartite
-matching with edge weight min(b, q) * (R - C) over compatible pairs, solved
-by sorting when quantities are homogeneous and otherwise by
-:func:`chainbook.miners.max_weight_assignment`, which returns exactly the
-assignment of scipy's ``linear_sum_assignment`` and imports scipy only for
-matrices above 24 x 24 entries.
+matching with edge weight min(b, q) * (R - C) over compatible pairs:
+:func:`chainbook.miners.best_pairs`, the matching that protocol-following
+miners also recommend.  It sorts when each side's quantities are constant
+and otherwise calls :func:`chainbook.miners.max_weight_assignment`, which
+returns exactly the assignment of scipy's ``linear_sum_assignment`` and
+imports scipy only for matrices above 24 x 24 entries.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import FeeProfile, MarketInstance, MatchTrace, build_instance
-from .miners import max_weight_assignment, run_horizon
+from .miners import best_pairs, run_horizon
 from . import equilibrium as eq
 
 __all__ = [
@@ -40,21 +41,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WelfareReport:
-    """Realized welfare and (optionally) the optimum and ratio.
+    """The result of :func:`performance_ratio`: mean welfare against the optimum.
 
     ``ratio`` is the anarchy-style quotient sw_opt / sw (>= 1 on-model); the
     harness separately reports the performance quotient sw / sw_opt (<= 1).
     """
 
     sw: float
-    sw_opt: float | None = None
-    ratio: float | None = None
-    sw_stderr: float = 0.0
+    sw_opt: float
+    ratio: float
+    sw_stderr: float
 
 
 def social_welfare(
     instance: MarketInstance, trace: MatchTrace, profile: FeeProfile
-) -> WelfareReport:
+) -> float:
     """Sum all participant payoffs plus the miners' realized fee revenue.
 
     The winning miner of each round collects exactly the fees the matched
@@ -77,10 +78,10 @@ def social_welfare(
         for rec in trace.rounds
     ]
     # fsum is correctly rounded, so the order of its terms does not matter.
-    return WelfareReport(sw=math.fsum(payoffs.tolist() + block_fees))
+    return math.fsum(payoffs.tolist() + block_fees)
 
 
-def simulate_once(instance: MarketInstance, rng: np.random.Generator) -> WelfareReport:
+def simulate_once(instance: MarketInstance, rng: np.random.Generator) -> float:
     """Realized welfare of one equilibrium play-through of ``instance``.
 
     The fees are the pure equilibrium when one exists, else a mixed draw
@@ -95,30 +96,12 @@ def simulate_once(instance: MarketInstance, rng: np.random.Generator) -> Welfare
 
 
 def social_optimum(instance: MarketInstance) -> float:
-    """Exact optimum welfare: max-weight matching, unmatched participants allowed.
+    """Exact optimum welfare: the summed gains of :func:`chainbook.miners.best_pairs`.
 
-    With homogeneous quantities the optimum is assortative, so the positive
-    part of the sorted rank differences is summed directly; otherwise
-    ``max_weight_assignment`` runs on the zero-clamped weight matrix.
+    Unmatched participants are allowed; every participant is in at most one pair.
     """
-    r = instance.utility_array
-    c = instance.cost_array
-    bq = instance.buy_qty_array
-    sq = instance.sell_qty_array
-
-    if np.all(bq == bq[0]) and np.all(sq == sq[0]) and bq[0] == sq[0]:
-        qty = float(bq[0])
-        r_desc = np.sort(r)[::-1]
-        c_asc = np.sort(c)
-        m = min(len(r_desc), len(c_asc))
-        diffs = r_desc[:m] - c_asc[:m]
-        return qty * float(np.sum(diffs[diffs > 0.0]))
-
-    weights = np.minimum(bq[:, None], sq[None, :]) * (r[:, None] - c[None, :])
-    weights = np.where(r[:, None] >= c[None, :], weights, 0.0)
-    weights = np.maximum(weights, 0.0)
-    rows, cols = max_weight_assignment(weights)
-    return float(weights[rows, cols].sum())
+    gains = best_pairs(instance.utility_array, instance.buy_qty_array, instance.cost_array, instance.sell_qty_array)[2]
+    return float(gains.sum())
 
 
 def mean_stderr(samples) -> tuple[float, float]:
@@ -149,23 +132,17 @@ def performance_ratio(
 
     Sets A and plays the stage-one equilibrium (pure when it exists, mixed
     draws otherwise) once per replication, each from its own spawned seed,
-    and reports the mean realized welfare, the optimum, and their quotient.
-    A nonpositive mean with a positive optimum is flagged as an infinite ratio.
+    and reports the mean realized welfare, the optimum, and their quotient
+    ``welfare_quotient(sw_opt, sw)``: a nonpositive mean gives an infinite
+    ratio against a positive optimum and 1 otherwise.
     """
     if mc_replications < 1:
         raise ValueError("mc_replications must be >= 1")
     inst = instance.with_block_size(mechanism_block_size)
     sw_opt = social_optimum(inst)
     seeds = np.random.SeedSequence(rng_seed).spawn(mc_replications)
-    samples = [simulate_once(inst, np.random.default_rng(seed)).sw for seed in seeds]
-    sw_mean, stderr = mean_stderr(samples)
-    if sw_mean > 0.0:
-        ratio = sw_opt / sw_mean
-    elif sw_opt <= 1e-15:
-        ratio = 1.0  # nothing tradable: both sides of the quotient vanish
-    else:
-        ratio = math.inf
-    return WelfareReport(sw=sw_mean, sw_opt=sw_opt, ratio=ratio, sw_stderr=stderr)
+    sw_mean, stderr = mean_stderr([simulate_once(inst, np.random.default_rng(seed)) for seed in seeds])
+    return WelfareReport(sw=sw_mean, sw_opt=sw_opt, ratio=welfare_quotient(sw_opt, sw_mean), sw_stderr=stderr)
 
 
 def unbounded_poa_witness(

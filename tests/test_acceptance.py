@@ -22,6 +22,7 @@ Two criteria are marked as strict expected failures after verification:
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ def _mean_performance_ratio(n: int, replications: int, seed: int) -> float:
         inst = build_instance(
             rng.random(n), rng.random(n), block_size=a, delay_cost=config.delay_cost
         )
-        sws.append(simulate_once(inst, rng).sw)
+        sws.append(simulate_once(inst, rng))
         opts.append(social_optimum(inst))
     return float(np.mean(sws) / np.mean(opts))
 
@@ -333,10 +334,10 @@ def test_c8_generated_population_dominance():
     grid = (20, 40)
     for name, config in populations:
         homogeneous = config.all_distributions["B"].kind == "point"
-        comps = compare_mechanisms(config, grid, 0.0, replications=200, seed=808)
+        comps = compare_mechanisms(config, grid, replications=200, seed=808)
         if homogeneous:
-            selfish = compare_mechanisms(config, grid, 0.0, replications=100, seed=809)
-            helped = compare_mechanisms(config, grid, 0.2, replications=100, seed=809)
+            selfish = compare_mechanisms(config, grid, replications=100, seed=809)
+            helped = compare_mechanisms(replace(config, non_selfish_fraction=0.2), grid, replications=100, seed=809)
         for i, (n, comp) in enumerate(zip(grid, comps)):
             abs_mean = float(comp.samples["abs_distributional"].mean())
             bench_mean = float(comp.samples["benchmark_max_block"].mean())

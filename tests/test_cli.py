@@ -230,6 +230,29 @@ def test_cli_rejects_a_malformed_number_list(capsys, flag, value):
     assert f"argument {flag}: expected comma-separated whole numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--scenario", "mechanism_comparison", "--sellers", "0"],
+        ["experiment", "--scenario", "random_counts", "--counts", "5,-3"],
+        ["experiment", "--scenario", "random_counts", "--counts", "3", "--threads", "0"],
+        ["experiment", "--scenario", "blocksize_limit", "--sellers", "6", "--a-max", "0"],
+        ["mechanism", "--a-max", "0"],
+        ["equilibrium", "--block-size", "0"],
+        ["simulate", "--block-size", "0"],
+        ["simulate", "--block-size", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[-2:]) + f" ({argv[0]})",
+)
+def test_cli_rejects_counts_below_one(capsys, argv):
+    # Once a raw ValueError traceback, or for --block-size 0 a silent run at
+    # the distributional size; now a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: expected " in capsys.readouterr().err
+
+
 def test_readme_cli_examples_parse():
     # Every command line of the README's CLI block parses, so the examples cannot go stale.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -238,6 +261,16 @@ def test_readme_cli_examples_parse():
     assert len(commands) == 8 and all(words[0] == "chainbook" for words in commands)
     for words in commands:
         build_parser().parse_args(words[1:])
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's library example runs as written, and its first print shows the value its comment gives.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    comment = block.split("print(", 1)[1].splitlines()[0].split("#", 1)[1].strip()
+    assert comment == "2"
+    assert capsys.readouterr().out.splitlines()[0] == comment
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):

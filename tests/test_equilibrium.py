@@ -77,7 +77,7 @@ def test_dead_market_has_pure_equilibria():
         assert sorted(profile.buy_fees) == [0.0] * (3 - min(a, 3)) + [1e-6] * min(a, 3)
         with pytest.raises(ValueError, match="pure"):
             msne(variant)
-        assert social_welfare(variant, run_horizon(variant, profile, 0), profile).sw == 0.0
+        assert social_welfare(variant, run_horizon(variant, profile, 0), profile) == 0.0
 
 
 def test_crossing_index_sorts_internally():

@@ -55,7 +55,7 @@ def test_benchmark_block_size_even_rounding():
 
 def test_comparison_shares_populations_across_variants():
     [comp] = compare_mechanisms(
-        _separated_config(), seller_grid=(10,), non_selfish_fraction=0.2, replications=12, seed=5
+        _separated_config(non_selfish_fraction=0.2), seller_grid=(10,), replications=12, seed=5
     )
     # On separated values every mechanism clears the whole market in block 1.
     assert np.allclose(comp.samples["abs_distributional"], comp.optimum)
@@ -91,7 +91,7 @@ def _assert_fresh_plays(config, fraction, rep, sw, sizes):
     base = sample_instance(config.at(12), 1, np.random.default_rng(seeds[0]))
     for variant, a in sizes.items():
         miners = miners_with_protocol_share(fraction) if variant == "abs_non_selfish" else None
-        assert simulate_once(base.with_block_size(a, miners), np.random.default_rng(seeds[1])).sw == sw[variant]
+        assert simulate_once(base.with_block_size(a, miners), np.random.default_rng(seeds[1])) == sw[variant]
     return base
 
 
@@ -151,7 +151,7 @@ def test_random_counts_periods_are_comparison_replications():
     # population, optimum and abs_distributional play.
     config = _heterog()
     rows = run_random_counts(ExperimentSpec(scenario=Scenario.RANDOM_COUNTS, seed=9), config, [12] * 4)
-    [comp] = compare_mechanisms(config, (12,), 0.0, replications=4, seed=9)
+    [comp] = compare_mechanisms(config, (12,), replications=4, seed=9)
     periods = rows[:-1]
     assert [r["sw_opt"] for r in periods] == comp.optimum.tolist()
     assert [r["sw_mean"] for r in periods] == comp.samples["abs_distributional"].tolist()
@@ -254,8 +254,8 @@ def test_every_play_quantizes_fees(path, tmp_path, monkeypatch):
 
 def test_raising_protocol_share_never_lowers_welfare_here():
     config = _separated_config(num_buyers=10, num_sellers=8)
-    [selfish] = compare_mechanisms(config, (8,), 0.0, replications=20, seed=13)
-    [helped] = compare_mechanisms(config, (8,), 0.2, replications=20, seed=13)
+    [selfish] = compare_mechanisms(config, (8,), replications=20, seed=13)
+    [helped] = compare_mechanisms(replace(config, non_selfish_fraction=0.2), (8,), replications=20, seed=13)
     assert np.all(
         helped.samples["abs_non_selfish"] >= selfish.samples["abs_non_selfish"] - 1e-12
     )
@@ -359,9 +359,9 @@ def test_every_scenario_replication_is_a_play_replication(monkeypatch, scenario,
 
 def test_compare_mechanisms_rejects_zero_replications():
     with pytest.raises(ValueError, match="mc_replications must be >= 1"):
-        compare_mechanisms(_separated_config(), (8,), 0.0, replications=0, seed=1)
+        compare_mechanisms(_separated_config(), (8,), replications=0, seed=1)
     with pytest.raises(ValueError, match="the grid nonempty"):
-        compare_mechanisms(_separated_config(), (), 0.0, replications=3, seed=1)
+        compare_mechanisms(_separated_config(), (), replications=3, seed=1)
 
 
 def test_process_pool_pickles_the_worker_once_per_chunk():

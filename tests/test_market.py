@@ -102,7 +102,7 @@ def test_payoff_decomposition():
         block = int(rng.integers(1, 4))
         trace = MatchTrace((RoundRecord(block=block, winner_id=0, pairs=((0, 0),)),))
         expected = min(b, q) * (r - c) - 2 * (block - 1) * inst.delay_cost
-        assert social_welfare(inst, trace, profile).sw == pytest.approx(expected, abs=1e-12)
+        assert social_welfare(inst, trace, profile) == pytest.approx(expected, abs=1e-12)
 
 
 def test_feasibility_examples():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import chainbook.equilibrium as eq
 from chainbook.equilibrium import crossing_index, equilibrium_profile
 from chainbook.market import FeeProfile, MatchTrace, RoundRecord, build_instance, miners_with_protocol_share
-from chainbook.miners import run_horizon
+from chainbook.miners import PendingPool, recommend_matching, run_horizon
 from chainbook.welfare import (
     performance_ratio,
     social_optimum,
@@ -32,21 +32,19 @@ def _trace(*rounds):
 def test_social_welfare_single_block():
     inst = build_instance([0.9, 0.8], [0.1, 0.2], block_size=2, delay_cost=0.3)
     profile = FeeProfile(buy_fees=(0.05, 0.04), sell_fees=(0.03, 0.02))
-    report = social_welfare(inst, _trace((1, [(0, 0), (1, 1)])), profile)
-    assert report.sw == pytest.approx(1.4)
+    assert social_welfare(inst, _trace((1, [(0, 0), (1, 1)])), profile) == pytest.approx(1.4)
 
 
 def test_social_welfare_with_delayed_pair():
     inst = build_instance([0.9, 0.8], [0.1, 0.2], block_size=1, delay_cost=0.3)
     profile = FeeProfile(buy_fees=(0.05, 0.04), sell_fees=(0.03, 0.02))
-    report = social_welfare(inst, _trace((1, [(0, 0)]), (2, [(1, 1)])), profile)
-    assert report.sw == pytest.approx(1.4 - 2 * 0.3)  # both sides of the pair wait
+    sw = social_welfare(inst, _trace((1, [(0, 0)]), (2, [(1, 1)])), profile)
+    assert sw == pytest.approx(1.4 - 2 * 0.3)  # both sides of the pair wait
 
 
 def test_social_welfare_no_matches():
     inst = build_instance([0.9], [0.1], block_size=1)
-    report = social_welfare(inst, _trace(), FeeProfile(buy_fees=(0.1,), sell_fees=(0.1,)))
-    assert report.sw == 0.0
+    assert social_welfare(inst, _trace(), FeeProfile(buy_fees=(0.1,), sell_fees=(0.1,))) == 0.0
 
 
 def test_fees_cancel_in_welfare():
@@ -69,7 +67,7 @@ def test_fees_cancel_in_welfare():
             min(b[i], q[j]) * (r[i] - c[j]) - 2 * (rec.block - 1) * inst.delay_cost
             for rec in trace.rounds for i, j in rec.pairs
         )
-        assert social_welfare(inst, trace, profile).sw == pytest.approx(surplus_minus_delay, abs=1e-9)
+        assert social_welfare(inst, trace, profile) == pytest.approx(surplus_minus_delay, abs=1e-9)
 
 
 def _loop_social_welfare(instance, trace, profile):
@@ -108,7 +106,7 @@ def test_social_welfare_equals_pair_loop_exactly():
         )
         profile = FeeProfile(buy_fees=tuple(rng.random(k)), sell_fees=tuple(rng.random(n)))
         trace = run_horizon(inst, profile, int(rng.integers(1 << 30)))
-        assert social_welfare(inst, trace, profile).sw == _loop_social_welfare(inst, trace, profile)
+        assert social_welfare(inst, trace, profile) == _loop_social_welfare(inst, trace, profile)
         rounds_seen += len(trace.rounds) > 1
     assert rounds_seen > 20
 
@@ -142,16 +140,33 @@ def _brute_force_optimum(inst):
 
 def test_social_optimum_matches_permutation_brute_force():
     rng = np.random.default_rng(23)
-    for _ in range(120):
-        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        inst = build_instance(
-            rng.random(k),
-            rng.random(n),
-            block_size=1,
-            buy_quantities=1 + 2 * rng.random(k),
-            sell_quantities=1 + 2 * rng.random(n),
-        )
-        assert social_optimum(inst) == pytest.approx(_brute_force_optimum(inst), abs=1e-12)
+    # Constant but unequal sides (B = 1, Q = 2 and the reverse) take the sorting path: min(b, q) is one number.
+    for quantities in (lambda k, n: (1 + 2 * rng.random(k), 1 + 2 * rng.random(n)),
+                       lambda k, n: ([1.0] * k, [2.0] * n),
+                       lambda k, n: ([2.0] * k, [1.0] * n)):
+        for _ in range(120):
+            k, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            r, c = rng.random(k), rng.random(n)
+            buy_qty, sell_qty = quantities(k, n)
+            inst = build_instance(r, c, block_size=1, buy_quantities=buy_qty, sell_quantities=sell_qty)
+            assert social_optimum(inst) == pytest.approx(_brute_force_optimum(inst), abs=1e-12)
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_uncapped_recommendation_reaches_the_optimum(homogeneous):
+    # One matching serves both: with every fee positive and A >= min(K, N),
+    # the recommended block holds the optimum's whole gain.
+    rng = np.random.default_rng(31)
+    for _ in range(80):
+        k, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        buy_qty = np.ones(k) if homogeneous else 1 + 2 * rng.random(k)
+        sell_qty = np.ones(n) if homogeneous else 1 + 2 * rng.random(n)
+        inst = build_instance(rng.random(k), rng.random(n), block_size=min(k, n) + int(rng.integers(0, 3)),
+                              buy_quantities=buy_qty, sell_quantities=sell_qty)
+        fees = FeeProfile(buy_fees=tuple(0.01 + rng.random(k)), sell_fees=tuple(0.01 + rng.random(n)))
+        sel = recommend_matching(PendingPool.from_instance(inst, fees), inst)
+        gain = sum(min(buy_qty[i], sell_qty[j]) * (inst.utility_array[i] - inst.cost_array[j]) for i, j in sel.pairing)
+        assert gain == pytest.approx(social_optimum(inst), rel=0, abs=1e-12)
 
 
 def test_homogeneous_fast_path_matches_assignment():
