@@ -84,12 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate one equilibrium play-through")
     p.add_argument("--block-size", type=_whole_number, default=None)
-    p.add_argument("--replications", type=int, default=1)
+    p.add_argument("--replications", type=_whole_number, default=1)
     _common_flags(p)
 
     p = sub.add_parser("mechanism", help="block sizes from the designer's rules")
     p.add_argument("--a-max", type=_whole_number, default=None, help="hard cap: brute-force search up to it")
-    p.add_argument("--replications", type=int, default=50, help="Monte Carlo draws per candidate")
+    p.add_argument("--replications", type=_whole_number, default=50, help="Monte Carlo draws per candidate")
     _common_flags(p)
 
     p = sub.add_parser("poa", help="construct and verify worst-case ratio witnesses")
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[s.value for s in xp.Scenario],
     )
-    p.add_argument("--replications", type=int, default=200)
+    p.add_argument("--replications", type=_whole_number, default=200)
     p.add_argument("--sellers", type=_whole_numbers, default="50,100,200,400", help="comma-separated N grid")
     p.add_argument("--counts", type=_whole_numbers, default=None, help="comma-separated per-period N sequence")
     p.add_argument("--a-max", type=_whole_number, default=None, help="block size cap for blocksize_limit")
@@ -206,13 +206,10 @@ def _cmd_poa(args) -> None:
     rows = []
     for name, inst in (("oversized_block", high), ("undersized_block", low)):
         report = performance_ratio(inst, inst.block_size, mc_replications=8, rng_seed=args.seed)
-        rows.append(
-            result_row(
-                "poa_witness", name,
-                inst.num_sellers, inst.num_buyers, inst.block_size,
-                report.sw, report.sw_stderr, report.sw_opt, report.ratio,
-            )
-        )
+        rows.append(result_row(
+            "poa_witness", name, inst.num_sellers, inst.num_buyers, inst.block_size,
+            report.sw, report.sw_stderr, report.sw_opt, welfare_quotient(report.sw, report.sw_opt), poa=report.ratio,
+        ))
     _write(args, rows, config)
 
 

@@ -126,13 +126,10 @@ def psne(instance: MarketInstance) -> FeeProfile | None:
     eps = instance.fee_unit
 
     buy = np.full(instance.num_buyers, fees.sigma_buy)
-    top_buy = min(instance.block_size, instance.num_sellers)
-    buy[instance.buyer_rank[:top_buy]] = fees.sigma_buy + eps
+    buy[instance.buyer_rank[: min(instance.block_size, instance.num_sellers)]] = fees.sigma_buy + eps
     sell = np.full(instance.num_sellers, fees.sigma_sell)
-    top_sell = min(instance.block_size, instance.num_buyers)
-    sell[instance.seller_rank[:top_sell]] = fees.sigma_sell + eps
-
-    return FeeProfile(buy_fees=tuple(buy.tolist()), sell_fees=tuple(sell.tolist()))
+    sell[instance.seller_rank[: min(instance.block_size, instance.num_buyers)]] = fees.sigma_sell + eps
+    return FeeProfile(buy_fees=buy, sell_fees=sell)
 
 
 # Hoeffding: Bin(m, p) lies more than sqrt(22.5 m) from its mean with
@@ -345,7 +342,7 @@ def realize_profile(
         terms, delay = delay[: len(strat.mixer_ids)], delay[len(strat.mixer_ids) :]
         side = np.full(count, strat.non_mixer_fee)
         side[list(strat.mixer_ids)] = np.clip(strat.target_cost - terms, strat.lower, strat.upper)
-        fees.append(tuple(side.tolist()))
+        fees.append(side)
     return FeeProfile(*fees)
 
 
@@ -503,10 +500,8 @@ def _closed_form_payoffs(instance: MarketInstance, profile: FeeProfile):
     set.  Exact payoffs are what a nano-tolerance stability check needs
     (Monte Carlo noise would swamp it).
     """
-    fees = {"buy": np.asarray(profile.buy_fees, dtype=float), "sell": np.asarray(profile.sell_fees, dtype=float)}
-
     def payoffs(side: str, pid: int, others: np.ndarray, span: float):
-        partner_fees = fees["sell" if side == "buy" else "buy"]
+        partner_fees = profile.sell_fees if side == "buy" else profile.buy_fees
         own_active = others[others > 0.0]
         partner_active = np.flatnonzero(partner_fees > 0.0)
         matched = min(instance.block_size, len(own_active) + 1, len(partner_active))
@@ -540,7 +535,6 @@ def _deviation_report(
     eps = instance.fee_unit
     improvements = []
     for side, fees in (("buy", profile.buy_fees), ("sell", profile.sell_fees)):
-        fees = np.asarray(fees, dtype=float)
         gains = []
         for pid, own in enumerate(fees):
             others = np.delete(fees, pid)

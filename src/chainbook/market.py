@@ -10,9 +10,9 @@ cost of (l - 1) * d.
 A ``MarketInstance`` stores each side as read-only value arrays, checked
 once: utilities and buy quantities, costs and sell quantities.  They are the
 only representation of the participants.  A participant's position is its
-id, and the engine indexes by it: fee profiles, pending pools, selections,
-pairings, mixer sets and the value, quantity and rank arrays all use
-positions.
+id, and the engine indexes by it: fee profiles (one read-only fee array per
+side, read as it is from the equilibrium to the welfare), pending pools,
+selections, pairings, mixer sets and the value, quantity and rank arrays.
 
 All types are immutable after construction and all operations are pure
 functions, so they are safe to use concurrently without coordination.
@@ -289,37 +289,39 @@ def miners_with_protocol_share(protocol_share: float) -> tuple[Miner, ...]:
     return tuple(miners)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeeProfile:
-    """One transaction fee per buyer and per seller (by participant index)."""
+    """Fees by position: one read-only float array per side, checked once (finite, >= 0), shared if already one."""
 
-    buy_fees: tuple[float, ...]
-    sell_fees: tuple[float, ...]
+    buy_fees: np.ndarray
+    sell_fees: np.ndarray
 
     def __post_init__(self) -> None:
-        fees = np.array((*self.buy_fees, *self.sell_fees), dtype=float)
-        valid = (fees >= 0.0) & (fees < math.inf)  # False for NaN, -inf and inf
-        if not valid.all():
-            first = int(np.argmin(valid))
-            side = "buy_fees" if first < len(self.buy_fees) else "sell_fees"
-            raise ValueError(f"{side} must be finite and nonnegative, got {fees[first]}")
+        for side in ("buy_fees", "sell_fees"):
+            fees = _value_array(getattr(self, side))
+            valid = (fees >= 0.0) & (fees < math.inf)  # False for NaN, -inf and inf
+            if not valid.all():
+                raise ValueError(f"{side} must be finite and nonnegative, got {float(fees[valid.argmin()])}")
+            object.__setattr__(self, side, fees)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FeeProfile):
+            return NotImplemented
+        return np.array_equal(self.buy_fees, other.buy_fees) and np.array_equal(self.sell_fees, other.sell_fees)
 
     def quantized(self, fee_unit: float) -> "FeeProfile":
-        """Round every fee to the nearest integer multiple of ``fee_unit``."""
-        return FeeProfile(
-            buy_fees=tuple(round(f / fee_unit) * fee_unit for f in self.buy_fees),
-            sell_fees=tuple(round(f / fee_unit) * fee_unit for f in self.sell_fees),
-        )
+        """Round every fee to the nearest integer multiple of ``fee_unit``, halves to even."""
+        return FeeProfile(np.round(self.buy_fees / fee_unit) * fee_unit, np.round(self.sell_fees / fee_unit) * fee_unit)
 
     def with_buy_fee(self, index: int, fee: float) -> "FeeProfile":
-        fees = list(self.buy_fees)
+        fees = self.buy_fees.copy()
         fees[index] = fee
-        return FeeProfile(buy_fees=tuple(fees), sell_fees=self.sell_fees)
+        return FeeProfile(fees, self.sell_fees)
 
     def with_sell_fee(self, index: int, fee: float) -> "FeeProfile":
-        fees = list(self.sell_fees)
+        fees = self.sell_fees.copy()
         fees[index] = fee
-        return FeeProfile(buy_fees=self.buy_fees, sell_fees=tuple(fees))
+        return FeeProfile(self.buy_fees, fees)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ and a one-pair selection draws none.
 ``PendingPool`` holds positions and keeps each side ranked once per play:
 positive fees first, fee descending, ties by position.  A selection reads
 its candidates as the head of that order, redraws fee ties only while equal
-positive fees remain, and one stable sort per side of the prefix serves
-both the full-prefix check and the pairing.  A selfish selection leaves the
-pool by slicing off the head; a protocol-following one through an id mask.
+positive fees remain, and one stable sort per side of the prefix and one
+Hall count (:func:`_hall_counts`) serve the full-prefix check and the
+pairing's draw.  A selfish selection leaves the pool by slicing off the
+head; a protocol-following one through an id mask.
 """
 
 from __future__ import annotations
@@ -88,9 +89,7 @@ class PendingPool:
     @classmethod
     def from_instance(cls, instance: MarketInstance, profile: FeeProfile) -> "PendingPool":
         """The pool of every transaction in ``profile``; its ids are ``arange``
-        positions, distinct by construction, so the id check is skipped."""
-        if len(profile.buy_fees) != instance.num_buyers or len(profile.sell_fees) != instance.num_sellers:
-            raise ValueError("fee profile does not match instance participant counts")
+        positions, distinct by construction, so only the side lengths are checked."""
         pool = object.__new__(cls)
         pool._buyers = _RankedSide.ranked("buyer", np.arange(instance.num_buyers), profile.buy_fees)
         pool._sellers = _RankedSide.ranked("seller", np.arange(instance.num_sellers), profile.sell_fees)
@@ -231,29 +230,39 @@ def uniform_feasible_pairing(
     assigned would also have been compatible with the current seller.  Picking
     uniformly among the not-yet-used compatible buyers at each step therefore
     samples exactly uniformly over all feasible perfect matchings.  The number
-    of choices at step j, (buyers compatible with seller j) - j, is known up
-    front, so every pick comes from one ``rng.integers`` call over the steps
-    with more than one choice; a forced pairing draws nothing.
+    of choices at each step is the sides' Hall count (:func:`_hall_counts`),
+    known up front, so every pick comes from one ``rng.integers`` call over
+    the steps with more than one choice; a forced pairing draws nothing.
     """
     order_b = utilities.argsort(kind="stable")
-    r_sorted = utilities[order_b]
-    b_sorted = buyer_ids[order_b].tolist()
     order_s = (-costs).argsort(kind="stable")
-    # Buyers at sorted position >= lo are compatible with the seller.
-    lows = r_sorted.searchsorted(costs[order_s], side="left")
-    choices = len(b_sorted) - lows - np.arange(len(lows))
-    if (choices < 1).any():
+    lows, choices = _hall_counts(utilities[order_b], costs[order_s])
+    if choices.min(initial=1) < 1:
         raise ValueError("no feasible perfect matching for the given sides")
+    return _draw_pairing(buyer_ids[order_b], seller_ids[order_s], lows, choices, rng)
+
+
+def _hall_counts(r_sorted: np.ndarray, c_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lows, choices)`` of utilities ascending and costs descending: buyers from ``lows[j]`` on
+    are compatible with seller j, and ``choices[j]`` of them are left after the j costlier sellers.
+    All >= 1 is Hall's condition: the sides admit a perfect matching with R >= C."""
+    lows = r_sorted.searchsorted(c_sorted, side="left")
+    return lows, len(r_sorted) - lows - np.arange(len(lows))
+
+
+def _draw_pairing(b_sorted: np.ndarray, s_sorted: np.ndarray, lows: np.ndarray, choices: np.ndarray, rng):
+    """:func:`uniform_feasible_pairing`'s draw, for ids sorted as :func:`_hall_counts` sorts values."""
     drawn = choices > 1
     picks = np.zeros_like(choices)
     if drawn.any():
         picks[drawn] = rng.integers(choices[drawn])
     picks = picks.tolist()
+    b_sorted = b_sorted.tolist()
 
     pairs: list[tuple[int, int]] = []
     active: list[int] = []  # positions into b_sorted, compatible and unused
     next_in = len(b_sorted)  # buyers with index >= next_in already activated
-    for lo, pick, seller in zip(lows.tolist(), picks, seller_ids[order_s].tolist()):
+    for lo, pick, seller in zip(lows.tolist(), picks, s_sorted.tolist()):
         if next_in > lo:
             active.extend(range(next_in - 1, lo - 1, -1))
             next_in = lo
@@ -366,16 +375,14 @@ def selfish_select(
 
     Checks every prefix i = 1..min(A, positive-fee buyers, positive-fee
     sellers) of the fee-ranked transactions at once with the all-prefix Hall
-    check (a screen of O(_SCREEN_COLS * A) element operations, then
-    O(_HALL_ROWS * A + A) per ``_HALL_ROWS``-prefix block holding a screened
-    survivor, in O(_HALL_ROWS^2 + _SCREEN_COLS * A) memory) and returns the
-    feasible prefix with the highest fee total.
+    check (:func:`_feasible_prefixes`) and returns the feasible prefix with
+    the highest fee total.
     Totals within a relative 1e-12 of it are tied, and ties are broken
-    uniformly at random.  When the full prefix is feasible (one sorted-rank
-    check) and no shorter total ties with it, it is taken without the
-    all-prefix check.  The pairing inside the selection is drawn
-    uniformly among all feasible pairings (the fee total does not depend on
-    it).
+    uniformly at random.  When the full prefix is feasible (no choice count
+    of its :func:`_hall_counts` is below 1) and no shorter total ties with
+    it, it is taken without the all-prefix check.  The pairing inside the
+    selection is drawn uniformly among all feasible pairings (the fee total
+    does not depend on it), from the same counts.
 
     The candidates are the head of the pool's fee-rank order, read by
     slicing.  Fee ties are redrawn only while the pool holds equal positive
@@ -406,18 +413,17 @@ def selfish_select(
     utilities = instance.utility_array[buyer_ids]
     costs = instance.cost_array[seller_ids]
     fee_totals = buyers.fees[:limit].cumsum() + sellers.fees[:limit].cumsum()
-    # One stable sort per side serves the full-prefix check and the pairing:
-    # buyers by utility ascending, sellers by cost descending.
+    # One stable sort per side and one Hall count serve the full-prefix check
+    # and the pairing: buyers by utility ascending, sellers by cost descending.
     order_b = utilities.argsort(kind="stable")
     order_s = (-costs).argsort(kind="stable")
+    lows, choices = _hall_counts(utilities[order_b], costs[order_s])
 
     # Kept fees are positive, so fee_totals never decreases: a feasible full
     # prefix whose total is not tied with the next shorter one is the only
     # top-tied size, and the all-prefix check cannot change the choice.
     best = float(fee_totals[-1])
-    if (utilities[order_b] >= costs[order_s[::-1]]).all() and (
-        limit == 1 or fee_totals[-2] < best - 1e-12 * max(1.0, abs(best))
-    ):
+    if choices.min() >= 1 and (limit == 1 or fee_totals[-2] < best - 1e-12 * max(1.0, abs(best))):
         size = limit
     else:
         feasible_sizes = np.flatnonzero(_feasible_prefixes(utilities, costs)) + 1
@@ -429,15 +435,13 @@ def selfish_select(
         size = int(tied[windows(round_number, _SIZE_TIES).integers(len(tied))] if len(tied) > 1 else tied[0])
         # A stable order restricted to a prefix is that prefix's stable order.
         order_b, order_s = order_b[order_b < size], order_s[order_s < size]
+        lows, choices = _hall_counts(utilities[order_b], costs[order_s])
 
     buyer_ids, seller_ids = buyer_ids[:size], seller_ids[:size]
     if size == 1:
         pairing = ((int(buyer_ids[0]), int(seller_ids[0])),)
     else:
-        # Sorted already, so the pairing's own stable sorts keep this order.
-        pairing = uniform_feasible_pairing(
-            buyer_ids[order_b], utilities[order_b], seller_ids[order_s], costs[order_s], windows(round_number, _PAIRING)
-        )
+        pairing = _draw_pairing(buyer_ids[order_b], seller_ids[order_s], lows, choices, windows(round_number, _PAIRING))
     return Selection(
         buyer_ids=tuple(buyer_ids.tolist()),
         seller_ids=tuple(seller_ids.tolist()),

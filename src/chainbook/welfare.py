@@ -6,6 +6,7 @@ block-size search, :func:`performance_ratio` and the experiment scenarios
 all play through it.  Social welfare is the sum of all buyer, seller, and
 miner payoffs.  Fees are pure transfers from participants to the winning
 miners, so realized welfare reduces to matched surplus minus delay costs.
+:func:`social_welfare` sums each block's fees from one gather of the fee arrays.
 The social optimum is free to use one arbitrarily large block, which kills
 the delay term and reduces the problem to a maximum-weight bipartite
 matching with edge weight min(b, q) * (R - C) over compatible pairs:
@@ -18,6 +19,7 @@ imports scipy only for matrices above 24 x 24 entries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,15 +70,13 @@ def social_welfare(
     qty = np.minimum(instance.buy_qty_array[b], instance.sell_qty_array[s])
     mid = (r + c) / 2.0
     delay = (blocks - 1) * instance.delay_cost
+    buy_fees, sell_fees = profile.buy_fees[b], profile.sell_fees[s]
     # The buyer's and the seller's payoff of every pair, element by element.
-    payoffs = (qty * (r - mid) - np.asarray(profile.buy_fees, dtype=float)[b] - delay) + (
-        qty * (mid - c) - np.asarray(profile.sell_fees, dtype=float)[s] - delay
-    )
-    # The winner of each round collects exactly that block's fees.
-    block_fees = [
-        math.fsum([profile.buy_fees[i] for i, _ in rec.pairs] + [profile.sell_fees[j] for _, j in rec.pairs])
-        for rec in trace.rounds
-    ]
+    payoffs = (qty * (r - mid) - buy_fees - delay) + (qty * (mid - c) - sell_fees - delay)
+    # The winner of each round collects exactly the fees of its run of pairs.
+    ends = list(itertools.accumulate((len(rec.pairs) for rec in trace.rounds), initial=0))
+    buys, sells = buy_fees.tolist(), sell_fees.tolist()
+    block_fees = [math.fsum(buys[lo:hi] + sells[lo:hi]) for lo, hi in zip(ends, ends[1:])]
     # fsum is correctly rounded, so the order of its terms does not matter.
     return math.fsum(payoffs.tolist() + block_fees)
 

@@ -135,21 +135,23 @@ def test_cli_mechanism_with_cap(tmp_path, config_path):
     assert 1 <= capped["A"] <= 3
 
 
-@pytest.mark.parametrize("argv", [["simulate"], ["mechanism", "--a-max", "3"]])
-def test_cli_rejects_zero_replications(tmp_path, config_path, argv):
-    # An empty sample has no mean: simulate divided by zero, mechanism wrote NaN.
-    out = tmp_path / "out.json"
-    with pytest.raises(ValueError, match="mc_replications must be >= 1"):
-        main([*argv, "--replications", "0", "--config", config_path, "--out", str(out)])
-    assert not out.exists()
-
-
 def test_cli_poa(tmp_path):
     text = _run(tmp_path, "poa", "--target", "25")
     rows = json.loads(text)["results"]
     assert len(rows) == 2
     for row in rows:
-        assert row["ratio"] >= 25 - 1e-6
+        assert row["poa"] >= 25 - 1e-6
+        assert row["ratio"] == pytest.approx(1.0 / row["poa"], rel=1e-12)
+
+
+def test_cli_poa_writes_the_performance_quotient_in_ratio(tmp_path):
+    # As every other command does: ratio is sw / sw_opt; the anarchy quotient is the extra poa.
+    rows = json.loads(_run(tmp_path, "poa", "--target", "100"))["results"]
+    assert [row["mechanism"] for row in rows] == ["oversized_block", "undersized_block"]
+    for row in rows:
+        assert row["ratio"] == pytest.approx(0.01, rel=1e-9)
+        assert row["ratio"] == pytest.approx(row["sw_mean"] / row["sw_opt"], rel=1e-15)
+        assert row["poa"] == pytest.approx(100.0, rel=1e-9)
 
 
 def test_cli_experiment_comparison(tmp_path, config_path):
@@ -241,6 +243,13 @@ def test_cli_rejects_a_malformed_number_list(capsys, flag, value):
         ["equilibrium", "--block-size", "0"],
         ["simulate", "--block-size", "0"],
         ["simulate", "--block-size", "-1"],
+        # An empty sample has no mean: simulate once divided by zero, mechanism wrote NaN.
+        ["experiment", "--scenario", "mechanism_comparison", "--replications", "0"],
+        ["experiment", "--scenario", "mechanism_comparison", "--replications", "-3"],
+        ["simulate", "--replications", "0"],
+        ["simulate", "--replications", "-3"],
+        ["mechanism", "--a-max", "3", "--replications", "0"],
+        ["mechanism", "--a-max", "3", "--replications", "-3"],
     ],
     ids=lambda argv: " ".join(argv[-2:]) + f" ({argv[0]})",
 )

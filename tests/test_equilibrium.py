@@ -245,8 +245,8 @@ def test_mixers_are_positions():
     assert buy.mixer_ids == (0, 1) and sell.mixer_ids == (0, 1)
     want = realize_profile(inst, msne(inst), 5)
     assert realize_profile(inst, msne(inst), 5) == want
-    assert want.buy_fees[2:] == (buy.non_mixer_fee,) * 2
-    assert want.sell_fees[2:] == (sell.non_mixer_fee,) * 2
+    assert want.buy_fees[2:].tolist() == [buy.non_mixer_fee] * 2
+    assert want.sell_fees[2:].tolist() == [sell.non_mixer_fee] * 2
 
 
 def test_msne_requires_small_block():

@@ -231,7 +231,7 @@ def test_every_play_quantizes_fees(path, tmp_path, monkeypatch):
     from_instance = PendingPool.from_instance.__func__
 
     def recording(cls, instance, profile):
-        played.append(profile.buy_fees + profile.sell_fees)
+        played.append(profile.buy_fees.tolist() + profile.sell_fees.tolist())
         return from_instance(cls, instance, profile)
 
     monkeypatch.setattr(PendingPool, "from_instance", classmethod(recording))
@@ -544,7 +544,8 @@ def _cli_rows(tmp_path, *argv):
 # mixed plays draw fees through the binomial tail, when that tail moved from
 # scipy's survival function to numpy log-pmf terms; random_counts',
 # blocksize_limit's and cli_mechanism's when every scenario moved to the
-# one replication key [seed, N, r, 0 | 1].
+# one replication key [seed, N, r, 0 | 1]; cli_poa's when its ratio became
+# the performance quotient sw / sw_opt, with the anarchy quotient as poa.
 PINNED_ROWS = {
     "comparison": "caa2c2e31f8c8d7cd902758004f27018b5f6f5e2bf7dfac0f506112b149a8332",
     "comparison_quantized": "2cb98df1ea5736568a036dd9ba86efe68b030f2b50a12f493418f29a21db59c4",
@@ -554,7 +555,7 @@ PINNED_ROWS = {
     "cli_simulate": "75bfebf819c04adb5486833f70e2eb7b5bac0885b9e58c22f3454471b2e872c5",
     "cli_equilibrium": "b3ae3214702ff605c5c7e948e1b32c9b88726c0413687cbf77758c0e7fa746ab",
     "cli_mechanism": "0b9f6444a6c4e43cdc3090985596dc3d0d5a3f534f52b18a4f07f0bb7c68bf38",
-    "cli_poa": "70adcd3ce64838c2d790ccac752b727dfece58c8a068d9a902ce1516d119e8d9",
+    "cli_poa": "eff24d5e4da6259e1087f5d839656f41c689c7a8d1b8e4aa0e1c9889a4153b35",
     "cli_ingest": "412a1a3e30c2e5c5cc0f33f2cd10436b48e16803953a3f18bb882e491f2a4aa7",
 }
 

@@ -163,6 +163,44 @@ def test_fee_profile_quantization():
         FeeProfile(buy_fees=(-0.1,), sell_fees=())
 
 
+def test_fee_profile_quantization_is_python_round_bit_for_bit():
+    # np.round and round both take halves to even, and the fees are >= 0.
+    rng = np.random.default_rng(41)
+    for unit in (1e-6, 1e-3, 0.01, 2.0**-7):
+        fees = np.concatenate((rng.random(100), (rng.integers(0, 2000, 60) + 0.5) * unit, [0.0]))
+        rng.shuffle(fees)
+        if unit == 2.0**-7:
+            assert sum((f / unit) % 2 == 0.5 for f in fees) > 10 and sum((f / unit) % 2 == 1.5 for f in fees) > 10
+        got = FeeProfile(fees[:90], fees[90:]).quantized(unit)
+        want = np.array([round(f / unit) * unit for f in fees.tolist()])
+        assert np.concatenate((got.buy_fees, got.sell_fees)).tobytes() == want.tobytes()
+
+
+def test_fee_profile_sides_are_read_only_arrays():
+    shared = np.array([0.3, 0.0])
+    shared.flags.writeable = False
+    writable = np.array([0.1, 0.2])
+    profile = FeeProfile(buy_fees=shared, sell_fees=writable)
+    for fees in (profile.buy_fees, profile.sell_fees):
+        assert fees.dtype == np.float64 and not fees.flags.writeable
+    # A read-only float array is shared; a writable one is copied, so the
+    # caller's later writes do not reach the profile.
+    assert profile.buy_fees is shared and profile.sell_fees is not writable
+    writable[0] = 0.5
+    assert profile.sell_fees[0] == 0.1
+    assert FeeProfile((1, 2), [0]).buy_fees.dtype == np.float64
+    with pytest.raises(ValueError):
+        profile.buy_fees[0] = 1.0
+    # Equality is elementwise, side by side.
+    assert profile == FeeProfile((0.3, 0.0), (0.1, 0.2))
+    assert profile != FeeProfile((0.3, 0.0), (0.1, 0.25))
+    assert profile != FeeProfile((0.3,), (0.0, 0.1, 0.2))
+    # with_*_fee copy the side they change.
+    assert profile.with_buy_fee(1, 0.4) == FeeProfile((0.3, 0.4), (0.1, 0.2))
+    assert profile.with_sell_fee(0, 0.0) == FeeProfile((0.3, 0.0), (0.0, 0.2))
+    assert profile == FeeProfile((0.3, 0.0), (0.1, 0.2))
+
+
 @pytest.mark.parametrize(
     "buy, sell, side",
     [((math.nan, 0.1), (0.2,), "buy_fees"), ((0.1,), (math.inf,), "sell_fees"),

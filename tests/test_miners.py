@@ -24,6 +24,7 @@ from chainbook.miners import (
     Selection,
     _Windows,
     _feasible_prefixes,
+    _hall_counts,
     max_weight_assignment,
     recommend_matching,
     run_horizon,
@@ -139,6 +140,19 @@ def test_feasible_prefixes_match_rank_feasible_on_every_prefix():
         got = _feasible_prefixes(u, c)
         want = [rank_feasible(np.sort(u[:i]), np.sort(c[:i])) for i in range(1, len(c) + 1)]
         assert got.tolist() == want
+
+
+def test_hall_count_decides_feasibility_as_rank_feasible_does():
+    # selfish_select takes the full prefix iff every count is >= 1, and its
+    # pairing draws from the same counts.
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n, levels = int(rng.integers(1, 12)), int(rng.choice([4, 8, 64]))
+        u, c = rng.integers(0, levels + 1, n) / levels, rng.integers(0, levels + 1, n) / levels
+        for i in range(1, n + 1):
+            lows, choices = _hall_counts(np.sort(u[:i]), np.sort(c[:i])[::-1])
+            assert choices.dtype == np.intp and lows.shape == choices.shape == (i,)
+            assert (choices.min() >= 1) == rank_feasible(u[:i], c[:i])
 
 
 @st.composite
